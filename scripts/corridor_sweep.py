@@ -3,21 +3,20 @@ certificate against the closed-form bounds, across densities.
 
 The interesting quantity is score * sqrt(d). The theory predicts it
 stays inside [P* - eps, (3+2*sqrt(2))/2] once d is large enough, with
-P* = 0.76321.
+P* = 0.76321.  The trials are those of `gnpmod sweep` with the same
+options; this script averages its rows per d.
 
 Usage:
     python3 scripts/corridor_sweep.py --n 4000 --d 25,100,400 --trials 10
 """
 
 import argparse
+import contextlib
+import io
 import math
 import sys
 
-from gnpmod.bisection import bisection_modularity_certificate
-from gnpmod.bounds import bound_report
-from gnpmod.graph import sample_gnp
-from gnpmod.modularity import heuristic_modularity
-from gnpmod.rng import trial_seed
+from gnpmod import cli
 
 
 def main(argv=None):
@@ -29,23 +28,28 @@ def main(argv=None):
     ap.add_argument("--restarts", type=int, default=3)
     args = ap.parse_args(argv)
 
-    ds = [float(x) for x in args.d.split(",")]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["sweep", "--n", str(args.n), "--d", args.d,
+                         "--trials", str(args.trials), "--seed", str(args.seed),
+                         "--restarts", str(args.restarts)])
+    if code != 0:
+        return code
+    # columns n,d,seed,heuristic_mod,certificate,upper_main,lower_Pstar,...
+    rows = [[float(x) for x in line.split(",")]
+            for line in buf.getvalue().splitlines()
+            if not line.startswith(("#", "n,"))]
     print("d,mean_heuristic_x_sqrtd,mean_certificate_x_sqrtd,"
           "upper_main_x_sqrtd,lower_Pstar_x_sqrtd")
-    for di, d in enumerate(ds):
+    for d in [float(x) for x in args.d.split(",")]:
+        mine = [r for r in rows if r[1] == d]
         rd = math.sqrt(d)
-        hs, cs = [], []
-        for t in range(args.trials):
-            seed = trial_seed(args.seed, di * args.trials + t)
-            G = sample_gnp(args.n, d / args.n, seed)
-            hs.append(heuristic_modularity(G, seed=seed, budget=1).score)
-            cs.append(bisection_modularity_certificate(
-                G, seed=seed, restarts=args.restarts).score)
-        rep = bound_report(args.n, d)
-        print(f"{d},{sum(hs) / len(hs) * rd:.4f},{sum(cs) / len(cs) * rd:.4f},"
-              f"{rep.upper_main * rd:.4f},{rep.lower_Pstar * rd:.4f}")
-        sys.stdout.flush()
+        h = sum(r[3] for r in mine) / len(mine)
+        c = sum(r[4] for r in mine) / len(mine)
+        print(f"{d},{h * rd:.4f},{c * rd:.4f},"
+              f"{mine[0][5] * rd:.4f},{mine[0][6] * rd:.4f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,36 +1,31 @@
 """Freeze the golden corpus for the exact-modularity acceptance check.
 
 Scores come from brute-force enumeration of every partition in
-restricted-growth-string order (the oracle), not from the production
-solver, so the frozen file is an independent reference. Scores are
-stored as exact integer fractions num/(4 m^2).
+restricted-growth-string order (the oracle in tests/oracles.py), not
+from the production solver, so the frozen file is an independent
+reference. Scores are stored as exact integer fractions num/(4 m^2).
 
 Run from the repository root:
-    python3 scripts/freeze_exact_corpus.py
+    PYTHONPATH=src python3 scripts/freeze_exact_corpus.py
 """
 
 import json
 import pathlib
+import sys
 
 from gnpmod.graph import Graph, sample_gnp
-from gnpmod.modularity import Partition, _block_stats, enumerate_partitions_rgs
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "golden" / "exact_corpus.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import brute_force_modularity  # noqa: E402
+
+OUT = ROOT / "tests" / "golden" / "exact_corpus.json"
 
 
-def oracle(G):
-    m = G.m
-    if m == 0:
-        return 0, 1, [sorted(range(1, G.n + 1))]
-    best_num = None
-    best_blocks = None
-    for blocks in enumerate_partitions_rgs(G.n):
-        P = Partition.of(blocks, G.n)
-        num = sum(4 * e * m - vol * vol for e, _, vol in _block_stats(G, P))
-        if best_num is None or num > best_num:
-            best_num = num
-            best_blocks = P.canonical_blocks()
-    return best_num, 4 * m * m, best_blocks
+def entry(name, G):
+    num, den, blocks = brute_force_modularity(G.n, G.edges.tolist())
+    return {"name": name, "n": G.n, "edges": G.edges.tolist(),
+            "num": num, "den": den, "blocks": blocks}
 
 
 def main():
@@ -40,20 +35,13 @@ def main():
         "K3": Graph(3, [(1, 2), (1, 3), (2, 3)]),
         "P4": Graph(4, [(1, 2), (2, 3), (3, 4)]),
     }
-    entries = []
-    for name, G in named.items():
-        num, den, blocks = oracle(G)
-        entries.append({"name": name, "n": G.n, "edges": list(G.edges),
-                        "num": num, "den": den, "blocks": blocks})
+    entries = [entry(name, G) for name, G in named.items()]
     for i in range(40):
         n = 4 + i % 7  # n in 4..10
         G = sample_gnp(n, 0.5, 20_000 + i)
         if G.m == 0:
             continue
-        num, den, blocks = oracle(G)
-        entries.append({"name": f"gnp_{n}_seed{20_000 + i}", "n": n,
-                        "edges": list(G.edges), "num": num, "den": den,
-                        "blocks": blocks})
+        entries.append(entry(f"gnp_{n}_seed{20_000 + i}", G))
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} entries to {OUT}")

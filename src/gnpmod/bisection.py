@@ -6,7 +6,6 @@ lower-bound certificate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +32,7 @@ class Bisection:
             raise ValidationError("bisection must satisfy |S| - |Sbar| in {0,1}")
 
     def partition(self) -> Partition:
-        return Partition((self.S, self.S.complement()), self.S.n)
+        return Partition(self.S.indicator().astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def exact_min_bisection(G: Graph, cap: int = EXACT_BISECTION_CAP) -> Bisection:
         raise CapExceeded("exact_min_bisection n", n, cap)
     if n < 2:
         raise ValidationError("bisection needs n >= 2")
-    u, v = G.edge_arrays
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     size = (n + 1) // 2
     if n % 2 == 0:
         # S is the half containing vertex 1; fixing it halves the work
@@ -110,14 +109,32 @@ def _canonical_side(side: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.nonzero(chosen)[0])
 
 
+def _swap_gains(G: Graph, D: np.ndarray, cand_a: np.ndarray,
+                cand_b: np.ndarray) -> np.ndarray:
+    """gain[i, j] = D[a] + D[b] - 2*[a~b] for a = cand_a[i], b = cand_b[j],
+    with the adjacent pairs found from the CSR rows of cand_a."""
+    gain = D[cand_a][:, None] + D[cand_b][None, :]
+    starts = G.indptr[cand_a]
+    counts = G.indptr[cand_a + 1] - starts
+    # positions of every neighbour of every candidate a, row after row
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    nbrs = G.indices[np.repeat(starts, counts) + offsets]
+    col = np.full(G.n, -1, dtype=np.int64)
+    col[cand_b] = np.arange(len(cand_b))
+    cols = col[nbrs]
+    hit = cols >= 0
+    gain[np.repeat(np.arange(len(cand_a)), counts)[hit], cols[hit]] -= 2
+    return gain
+
+
 def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     """One run: random balanced start, then repeatedly apply the best
     cut-reducing swap until none improves.  The swap search is exact:
     gain(a,b) = D[a] + D[b] - 2*[a~b] with D = external - internal
     degree, and only vertices within 2 of each side's max D can host the
-    best swap."""
+    best swap.  Ties go to the first maximum in (a, b) order."""
     n = G.n
-    u, v = G.edge_arrays
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     perm = rng.permutation(n)
     side = np.zeros(n, dtype=bool)
     side[perm[: (n + 1) // 2]] = True
@@ -129,31 +146,20 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     np.add.at(D, u, sign)
     np.add.at(D, v, sign)
     cut = int(cross.sum())
-    nbrs = G.neighbor_arrays
-    adj = G.adj
     neg = np.int64(-(1 << 40))
     while True:
         DS = np.where(side, D, neg)
         DT = np.where(side, neg, D)
-        max_s = int(DS.max())
-        max_t = int(DT.max())
-        cand_a = np.nonzero(DS >= max_s - 2)[0]
-        cand_b = np.nonzero(DT >= max_t - 2)[0]
-        best_gain = None
-        best_pair = None
-        for a in cand_a:
-            da = int(D[a])
-            adj_a = adj[int(a) + 1]
-            for b in cand_b:
-                gain = da + int(D[b]) - (2 if int(b) + 1 in adj_a else 0)
-                if best_gain is None or gain > best_gain:
-                    best_gain = gain
-                    best_pair = (int(a), int(b))
-        if best_gain is None or best_gain <= 0:
+        cand_a = np.nonzero(DS >= DS.max() - 2)[0]
+        cand_b = np.nonzero(DT >= DT.max() - 2)[0]
+        gain = _swap_gains(G, D, cand_a, cand_b)
+        best = int(np.argmax(gain))
+        if gain.flat[best] <= 0:
             break
-        for x in best_pair:
+        i, j = divmod(best, len(cand_b))
+        for x in (int(cand_a[i]), int(cand_b[j])):
             cut -= int(D[x])
-            ns = nbrs[x]
+            ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
             same = side[ns] == side[x]
             D[ns] += np.where(same, 2, -2)
             D[x] = -D[x]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -69,9 +69,17 @@ class RunConfig:
         return self.d / self.n, self.d
 
 
+def _open_input(path: str):
+    """Open an input file; failing to is a validation error (exit 2)."""
+    try:
+        return open(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def _load_graph(cfg: RunConfig, seed: int | None = None) -> Graph:
     if cfg.graph_file:
-        with open(cfg.graph_file) as fh:
+        with _open_input(cfg.graph_file) as fh:
             return read_edge_list(fh)
     p, _ = cfg.resolve_density()
     return sample_gnp(cfg.n, p, cfg.seed if seed is None else seed)
@@ -123,9 +131,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig) -> int:
     if not cfg.graph_file or not cfg.partition_file:
         raise ValidationError("score needs --graph and --partition files")
-    with open(cfg.graph_file) as fh:
-        G = read_edge_list(fh)
-    with open(cfg.partition_file) as fh:
+    G = _load_graph(cfg)
+    with _open_input(cfg.partition_file) as fh:
         P = modularity.read_partition(fh, G.n)
     out = _Output(cfg)
     _header(out, cfg)
@@ -172,8 +179,8 @@ def cmd_spectral(cfg: RunConfig) -> int:
     _header(out, cfg)
     out.row("n,m,lambda_min,lambda_1,lambda_max,gap")
     ev = res.eigenvalues
-    lam1 = ev[1] if G.n > 1 else float("nan")
-    out.row(f"{G.n},{G.m},{ev[0]!r},{lam1!r},{ev[-1]!r},{res.gap!r}")
+    lam1 = float(ev[1]) if G.n > 1 else float("nan")
+    out.row(f"{G.n},{G.m},{float(ev[0])!r},{lam1!r},{float(ev[-1])!r},{res.gap!r}")
     out.flush()
     return 0
 
@@ -298,14 +305,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
             raise ValidationError(f"sweep d={d} must lie in (0, n)")
     if cfg.trials < 1:
         raise ValidationError("--trials must be >= 1")
+    if cfg.jobs < 1:
+        raise ValidationError("--jobs must be >= 1")
+    jobs = min(cfg.jobs, os.cpu_count() or 1)
     tasks = []
     for di, d in enumerate(ds):
         for t in range(cfg.trials):
             tseed = cfg.seed if cfg.exact_seed else trial_seed(cfg.seed, di * cfg.trials + t)
             tasks.append((cfg.n, d, tseed, cfg.restarts))
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_trial, tasks))
     else:
         rows = [_sweep_trial(t) for t in tasks]
@@ -391,8 +401,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     raw = vars(args).copy()
     file_cfg = {}
     if raw.get("config"):
-        with open(raw["config"]) as fh:
-            file_cfg = json.load(fh)
+        with _open_input(raw["config"]) as fh:
+            try:
+                file_cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"config file is not JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValidationError("config file must hold a JSON object")
     merged = dict(file_cfg)

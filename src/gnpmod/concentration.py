@@ -295,30 +295,25 @@ def check_lemma32_events_exhaustive(G: Graph, C: float, d: float,
     if n > cap:
         raise CapExceeded("exhaustive event check n", n, cap)
     e_in_tab, _ = subset_tables(G)
-    m = G.m
     full = (1 << n) - 1
-    # per-k tallies
-    counts = {k: [0, 0, 0, 0] for k in range(1, n)}  # trials, v1, v2, v3
-    thr = {k: _event_thresholds(n, d, C, np.array([float(k)]))
-           for k in range(1, n)}
-    flagged: list[EventFlags] = []
-    for mask in range(1, full):
-        k = mask.bit_count()
-        e_in = e_in_tab[mask]
-        e_out = e_in_tab[full ^ mask]
-        e_cross = m - e_in - e_out
-        t1, t2, t3 = thr[k]
-        v1 = e_in > t1[0]
-        v2 = e_out > t2[0]
-        v3 = e_cross < t3[0]
-        c = counts[k]
-        c[0] += 1
-        if v1 or v2 or v3:
-            c[1] += v1
-            c[2] += v2
-            c[3] += v3
-            flagged.append(EventFlags(bool(v1), bool(v2), bool(v3),
-                                      s=k / n, C=C, d=d, k=k))
+    masks = np.arange(1, full)
+    k = np.zeros(len(masks), dtype=np.int64)
+    for i in range(n):
+        k += (masks >> i) & 1
+    e_in = e_in_tab[masks]
+    e_out = e_in_tab[full ^ masks]
+    e_cross = G.m - e_in - e_out
+    # thresholds once per size k, then read per subset
+    thr1, thr2, thr3 = _event_thresholds(n, d, C, np.arange(n + 1, dtype=float))
+    v1 = e_in > thr1[k]
+    v2 = e_out > thr2[k]
+    v3 = e_cross < thr3[k]
+    tallies = [np.bincount(k[sel], minlength=n)
+               for sel in (slice(None), v1, v2, v3)]
+    counts = {kk: [int(t[kk]) for t in tallies] for kk in range(1, n)}
+    flagged = [EventFlags(bool(v1[i]), bool(v2[i]), bool(v3[i]),
+                          s=int(k[i]) / n, C=C, d=d, k=int(k[i]))
+               for i in np.nonzero(v1 | v2 | v3)[0]]
     regimes = _summarize(counts, n)
     return EventCheckResult(n=n, d=d, C=C, mode="exhaustive",
                             regimes=regimes, flagged=tuple(flagged))
@@ -362,7 +357,7 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     n = G.n
-    u, v = G.edge_arrays
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     m = G.m
     rng = generator(trial_seed(seed, 0))
     if strategy == "stratified":

@@ -1,15 +1,21 @@
 """Simple undirected graphs on [n], seeded G(n,p) sampling, and subset
 edge/volume statistics.
 
-Vertices are labeled 1..n throughout, matching the edge-list file
-format.  Graphs are immutable after construction and safe to share
-between parallel workers.
+Vertices are labeled 1..n in the public interface and the edge-list
+file format.  A Graph holds four read-only int64 arrays and nothing else:
+
+    edges    (m, 2) pairs u < v, 1-indexed, in lexicographic order
+    indptr   (n+1,) CSR row offsets; the neighbours of vertex v are
+    indices  indices[indptr[v-1]:indptr[v]], 0-indexed and ascending
+    degrees  (n,) with degrees[v-1] = deg(v), equal to np.diff(indptr)
+
+Graphs are immutable after construction and safe to share between
+parallel workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -18,76 +24,72 @@ from .errors import ValidationError
 from .rng import generator
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _pair_array(edges) -> np.ndarray:
+    """The edges as an integer (m, 2) array, rejecting anything else:
+    casting would silently truncate 2.7 to 2."""
+    try:
+        a = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except ValueError as exc:
+        raise ValidationError("edges must be (u, v) pairs") from exc
+    if a.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValidationError("edges must be (u, v) pairs")
+    if a.dtype.kind not in "iu":
+        raise ValidationError(f"edge endpoints must be integers, got {a.dtype}")
+    return a
+
+
 class Graph:
-    """Immutable simple undirected graph on vertex set {1, ..., n}."""
+    """Immutable simple undirected graph on vertex set {1, ..., n}.
+
+    `edges` may be any array-like of (u, v) integer pairs in either
+    orientation; duplicates collapse to one edge.
+    """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValidationError(f"n={n} must be a positive integer")
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
-            canon.add((u, v) if u < v else (v, u))
+        pairs = _pair_array(edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        loops = np.nonzero(u == v)[0]
+        if loops.size:
+            raise ValidationError(f"self-loop at vertex {u[loops[0]]}")
+        bad = np.nonzero((np.minimum(u, v) < 1) | (np.maximum(u, v) > n))[0]
+        if bad.size:
+            i = bad[0]
+            raise ValidationError(f"edge ({u[i]},{v[i]}) out of range 1..{n}")
+        lo = np.minimum(u, v).astype(np.int64) - 1
+        hi = np.maximum(u, v).astype(np.int64) - 1
+        keys = np.sort(lo * n + hi)
+        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+        # CSR: every edge in both directions, sorted by (row, column)
+        rows = np.concatenate((lo, hi))
+        cols = np.concatenate((hi, lo))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canon))
+        self.edges = _frozen(np.column_stack((lo + 1, hi + 1)))
+        self.indptr = _frozen(indptr)
+        self.indices = _frozen(cols[np.lexsort((cols, rows))])
+        self.degrees = _frozen(np.diff(indptr))
 
     @property
     def m(self) -> int:
         """Number of edges e(G)."""
         return len(self.edges)
 
-    @cached_property
-    def adj(self) -> tuple[frozenset, ...]:
-        """Adjacency sets, indexed 0..n (index 0 unused)."""
-        sets: list[set] = [set() for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            sets[u].add(v)
-            sets[v].add(u)
-        return tuple(frozenset(s) for s in sets)
-
-    @cached_property
-    def degrees(self) -> np.ndarray:
-        """Degree array indexed 0..n-1 (vertex v at position v-1)."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u - 1] += 1
-            deg[v - 1] += 1
-        return deg
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """0-indexed endpoint arrays (u, v) for vectorized subset queries."""
-        if self.m == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        e = np.asarray(self.edges, dtype=np.int64)
-        return e[:, 0] - 1, e[:, 1] - 1
-
-    @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        """Neighborhood bit masks (bit v-1 for vertex v); requires n <= 64."""
-        if self.n > 64:
-            raise ValidationError(f"bit masks need n <= 64, got n={self.n}")
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
-        return tuple(masks)
-
-    @cached_property
-    def neighbor_arrays(self) -> list[np.ndarray]:
-        """Neighbor index arrays (0-indexed), for vectorized updates."""
-        return [np.fromiter((w - 1 for w in self.adj[v]), dtype=np.int64)
-                for v in range(1, self.n + 1)]
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph)
-                and self.n == other.n and self.edges == other.edges)
+        return (isinstance(other, Graph) and self.n == other.n
+                and np.array_equal(self.edges, other.edges))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -120,15 +122,11 @@ class VertexSubset:
         """s = |S| / n."""
         return len(self.members) / self.n
 
-    @property
-    def mask(self) -> int:
-        """Bit mask with bit v-1 set for each member v; requires n <= 64."""
-        if self.n > 64:
-            raise ValidationError(f"bit masks need n <= 64, got n={self.n}")
-        m = 0
-        for v in self.members:
-            m |= 1 << (v - 1)
-        return m
+    def indicator(self) -> np.ndarray:
+        """Boolean membership array, position v-1 for vertex v."""
+        ind = np.zeros(self.n, dtype=bool)
+        ind[np.fromiter(self.members, dtype=np.int64, count=self.size) - 1] = True
+        return ind
 
 
 @dataclass(frozen=True)
@@ -161,11 +159,9 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     npairs = n * (n - 1) // 2
     if npairs == 0 or p == 0.0:
         return Graph(n, [])
-    us = generator(seed).random(npairs)
+    keep = generator(seed).random(npairs) < p
     iu, iv = np.triu_indices(n, k=1)
-    keep = us < p
-    edges = [(int(u) + 1, int(v) + 1) for u, v in zip(iu[keep], iv[keep])]
-    return Graph(n, edges)
+    return Graph(n, np.column_stack((iu[keep] + 1, iv[keep] + 1)))
 
 
 def degree(G: Graph, v: int) -> int:
@@ -179,58 +175,48 @@ def edge_counts(G: Graph, S: VertexSubset) -> EdgeCounts:
     """Exact integer counts e(S), e(S̄), e(S,S̄), vol(S), vol(S̄)."""
     if S.n != G.n:
         raise ValidationError(f"subset is over [{S.n}], graph over [{G.n}]")
-    mem = S.members
-    e_in = e_cross = 0
-    for u, v in G.edges:
-        inu = u in mem
-        inv = v in mem
-        if inu and inv:
-            e_in += 1
-        elif inu or inv:
-            e_cross += 1
-    e_out = G.m - e_in - e_cross
-    vol_S = int(sum(G.degrees[v - 1] for v in mem))
-    return EdgeCounts(e_in=e_in, e_out=e_out, e_cross=e_cross,
+    ind = S.indicator()
+    inu = ind[G.edges[:, 0] - 1]
+    inv = ind[G.edges[:, 1] - 1]
+    e_in = int(np.count_nonzero(inu & inv))
+    e_cross = int(np.count_nonzero(inu ^ inv))
+    vol_S = 2 * e_in + e_cross
+    return EdgeCounts(e_in=e_in, e_out=G.m - e_in - e_cross, e_cross=e_cross,
                       vol_S=vol_S, vol_Sbar=2 * G.m - vol_S)
 
 
-def mask_edge_counts(e_in_table, vol_table, total_edges: int, two_m: int,
-                     mask: int, full: int) -> EdgeCounts:
-    """EdgeCounts from precomputed subset tables (see subset_tables)."""
-    e_in = int(e_in_table[mask])
-    e_out = int(e_in_table[full ^ mask])
-    vol_S = int(vol_table[mask])
-    return EdgeCounts(e_in=e_in, e_out=e_out,
-                      e_cross=total_edges - e_in - e_out,
-                      vol_S=vol_S, vol_Sbar=two_m - vol_S)
+def subset_tables(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Tables e_in[mask], vol[mask] over all 2^n subsets, bit v-1 for
+    vertex v (n <= 24 in practice; the tables hold 2^n int64 each).
 
-
-def subset_tables(G: Graph) -> tuple[list, list]:
-    """Tables e_in[mask], vol[mask] over all 2^n subsets (n <= 24).
-
-    Built by the standard low-bit recursion:
-    e(S) = e(S - {v}) + |N(v) ∩ (S - {v})| for v the lowest vertex of S.
+    Built one vertex at a time: for the masks whose highest vertex is i,
+    e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|, with the popcounts read from
+    a table grown by the same doubling.
     """
     n = G.n
-    masks = G.adj_masks
-    deg = G.degrees
+    if n > 62:
+        raise ValidationError(f"int64 bit masks need n <= 62, got n={n}")
+    nbr = np.zeros(n, dtype=np.int64)
+    np.add.at(nbr, np.repeat(np.arange(n), G.degrees), np.left_shift(1, G.indices))
     size = 1 << n
-    e_in = [0] * size
-    vol = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        e_in[mask] = e_in[rest] + (masks[i] & rest).bit_count()
-        vol[mask] = vol[rest] + int(deg[i])
+    e_in = np.zeros(size, dtype=np.int64)
+    vol = np.zeros(size, dtype=np.int64)
+    popcount = np.zeros(size, dtype=np.int64)
+    for i in range(n):
+        lo = 1 << i
+        e_in[lo:2 * lo] = e_in[:lo] + popcount[np.arange(lo) & nbr[i]]
+        vol[lo:2 * lo] = vol[:lo] + G.degrees[i]
+        popcount[lo:2 * lo] = popcount[:lo] + 1
     return e_in, vol
 
 
 def connected_components(G: Graph) -> list[frozenset]:
     """Connected components as vertex sets, ordered by smallest member."""
-    seen = [False] * (G.n + 1)
+    indptr = G.indptr.tolist()
+    indices = G.indices.tolist()
+    seen = [False] * G.n
     comps = []
-    for start in range(1, G.n + 1):
+    for start in range(G.n):
         if seen[start]:
             continue
         stack = [start]
@@ -238,8 +224,8 @@ def connected_components(G: Graph) -> list[frozenset]:
         comp = []
         while stack:
             v = stack.pop()
-            comp.append(v)
-            for w in G.adj[v]:
+            comp.append(v + 1)
+            for w in indices[indptr[v]:indptr[v + 1]]:
                 if not seen[w]:
                     seen[w] = True
                     stack.append(w)
@@ -250,30 +236,37 @@ def connected_components(G: Graph) -> list[frozenset]:
 def write_edge_list(G: Graph, out: TextIO) -> None:
     """Write the `n m` / `u v` edge-list text format (1-indexed, u < v)."""
     out.write(f"{G.n} {G.m}\n")
-    for u, v in G.edges:
-        out.write(f"{u} {v}\n")
+    out.writelines(f"{u} {v}\n" for u, v in G.edges.tolist())
+
+
+def _parse_ints(tokens: list[str], what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise ValidationError(f"{what} {' '.join(tokens)!r} is not integers") from exc
 
 
 def read_edge_list(inp: TextIO) -> Graph:
-    """Parse the edge-list text format, rejecting malformed input."""
+    """Parse the edge-list text format, rejecting malformed input: a bad
+    header or edge line, a duplicate edge, or non-blank lines after the
+    m declared edges."""
     header = inp.readline().split()
     if len(header) != 2:
         raise ValidationError("first line must be 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValidationError(f"bad header {header!r}") from exc
+    n, m = _parse_ints(header, "header")
     edges = []
     seen = set()
     for _ in range(m):
         parts = inp.readline().split()
         if len(parts) != 2:
             raise ValidationError(f"expected {m} edge lines 'u v'")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _parse_ints(parts, "edge line")
         if not (1 <= u < v <= n):
             raise ValidationError(f"edge ({u},{v}) violates 1 <= u < v <= {n}")
         if (u, v) in seen:
             raise ValidationError(f"duplicate edge ({u},{v})")
         seen.add((u, v))
         edges.append((u, v))
+    if any(line.strip() for line in inp):
+        raise ValidationError(f"more than the {m} edge lines the header declares")
     return Graph(n, edges)

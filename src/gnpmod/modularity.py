@@ -1,8 +1,11 @@
 """Modularity scoring and maximization.
 
-Two algebraically equivalent score formulas are provided, both
-accumulated as exact integer numerators with a single final division so
-floating error can never flip an argmax decision:
+A Partition is one canonical label array: `labels[v-1]` is the block of
+vertex v, and blocks are numbered 0, 1, ... in order of their smallest
+member, so equal partitions have equal arrays.  Scores are computed
+from per-block counts (np.bincount over the edge array), accumulated as
+exact integer numerators with a single final division so floating error
+can never flip an argmax decision:
 
     definition form:  sum_S (4 e(S) e(G) - vol(S)^2) / (4 e(G)^2)
     edge form:        sum_S (4 e(S) e(Sbar) - e(S,Sbar)^2) / (4 e(G)^2)
@@ -17,56 +20,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
+import numpy as np
+
 from .errors import CapExceeded, ValidationError
-from .graph import Graph, VertexSubset, connected_components, subset_tables
+from .graph import Graph, _parse_ints, connected_components, subset_tables
 from .rng import generator, trial_seed
 
 EXACT_CAP_DEFAULT = 13  # Bell(13) ~ 2.8e7 partitions
+# Every partial sum of a score numerator lies within +-4 m^2, which must
+# fit in int64.
+SCORE_M_CAP = 1_518_500_249  # largest m with 4 m^2 < 2^63
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A decomposition of {1..n} into disjoint nonempty blocks."""
+    """A decomposition of {1..n} into disjoint nonempty blocks, held as
+    the canonical label array `labels` (read-only int64, length n)."""
 
-    blocks: tuple[VertexSubset, ...]
-    n: int
+    def __init__(self, labels):
+        """Vertex v goes in the block labelled `labels[v-1]`; any integer
+        labels, renumbered canonically."""
+        lab = np.asarray(labels)
+        if lab.ndim != 1 or lab.size == 0 or lab.dtype.kind not in "iu":
+            raise ValidationError("a partition needs one integer label per vertex")
+        # numbering labels by first appearance numbers blocks by smallest member
+        first: dict[int, int] = {}
+        self.labels = np.array([first.setdefault(x, len(first)) for x in lab.tolist()],
+                               dtype=np.int64)
+        self.labels.flags.writeable = False
+        self.n = len(lab)
 
-    def __post_init__(self):
-        seen: set = set()
-        for b in self.blocks:
-            if b.n != self.n:
-                raise ValidationError("block owner n mismatch")
-            if not b.members:
-                raise ValidationError("empty block")
-            if seen & b.members:
-                raise ValidationError("blocks overlap")
-            seen |= b.members
-        if seen != set(range(1, self.n + 1)):
-            raise ValidationError("blocks do not cover 1..n")
+    @classmethod
+    def from_labels(cls, labels) -> "Partition":
+        return cls(labels)
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        return cls(tuple(VertexSubset.of(b, n) for b in blocks), n)
+        """Partition from its blocks, which must be nonempty, disjoint and
+        cover 1..n."""
+        lab = np.full(n, -1, dtype=np.int64)
+        for i, block in enumerate(blocks):
+            members = list(block)
+            if not members:
+                raise ValidationError("empty block")
+            if not all(isinstance(v, (int, np.integer)) and 1 <= v <= n
+                       for v in members):
+                raise ValidationError(f"block members must lie in 1..{n}")
+            idx = np.array(members, dtype=np.int64) - 1
+            if (lab[idx] >= 0).any():
+                raise ValidationError("blocks overlap")
+            lab[idx] = i
+        if (lab < 0).any():
+            raise ValidationError("blocks do not cover 1..n")
+        return cls(lab)
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        return cls.of([range(1, n + 1)], n)
+        return cls(np.zeros(n, dtype=np.int64))
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls.of([[v] for v in range(1, n + 1)], n)
+        return cls(np.arange(n))
+
+    @property
+    def k(self) -> int:
+        """Number of blocks."""
+        return int(self.labels.max()) + 1
 
     def canonical_blocks(self) -> list[list[int]]:
         """Blocks as sorted lists, ordered by smallest member."""
-        return sorted((sorted(b.members) for b in self.blocks), key=lambda b: b[0])
+        order = np.argsort(self.labels, kind="stable") + 1
+        ends = np.cumsum(np.bincount(self.labels))
+        return [b.tolist() for b in np.split(order, ends[:-1])]
 
-    def labels(self) -> list[int]:
-        """Block index per vertex (position v-1), canonical block order."""
-        lab = [0] * self.n
-        for i, b in enumerate(self.canonical_blocks()):
-            for v in b:
-                lab[v - 1] = i
-        return lab
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Partition) and np.array_equal(self.labels, other.labels)
+
+    def __hash__(self) -> int:
+        return hash(self.labels.tobytes())
+
+    def __repr__(self) -> str:
+        return f"Partition(n={self.n}, k={self.k})"
 
 
 @dataclass(frozen=True)
@@ -76,59 +109,39 @@ class ModularityResult:
     method: str  # exact | heuristic | components | bisection | trivial
 
 
-def _block_stats(G: Graph, P: Partition) -> list[tuple[int, int, int]]:
-    """(e_in, e_cross, vol) per block, all exact integers, one edge pass."""
-    lab = P.labels()
-    k = len(P.blocks)
-    e_in = [0] * k
-    cross = [0] * k
-    for u, v in G.edges:
-        lu, lv = lab[u - 1], lab[v - 1]
-        if lu == lv:
-            e_in[lu] += 1
-        else:
-            cross[lu] += 1
-            cross[lv] += 1
-    vol = [0] * k
-    deg = G.degrees
-    for v in range(G.n):
-        vol[lab[v]] += int(deg[v])
-    return list(zip(e_in, cross, vol))
-
-
-def _check(G: Graph, P: Partition) -> None:
+def _block_stats(G: Graph, P: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e_in, e_cross, vol) per block as exact int64 arrays, from one
+    pass over the edges; vol(S) = 2 e(S) + e(S,Sbar)."""
     if P.n != G.n:
         raise ValidationError(f"partition over [{P.n}], graph over [{G.n}]")
+    if G.m > SCORE_M_CAP:
+        raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
+    lu = P.labels[G.edges[:, 0] - 1]
+    lv = P.labels[G.edges[:, 1] - 1]
+    same = lu == lv
+    k = P.k
+    e_in = np.bincount(lu[same], minlength=k)
+    cross = np.bincount(lu[~same], minlength=k) + np.bincount(lv[~same], minlength=k)
+    return e_in, cross, 2 * e_in + cross
 
 
 def score_definition(G: Graph, P: Partition) -> float:
     """Modularity score, definition form. Zero-edge graphs score 0."""
-    _check(G, P)
+    e_in, _, vol = _block_stats(G, P)
     m = G.m
     if m == 0:
         return 0.0
-    num = sum(4 * e_in * m - vol * vol for e_in, _, vol in _block_stats(G, P))
-    return num / (4 * m * m)
+    return int((4 * m * e_in - vol * vol).sum()) / (4 * m * m)
 
 
 def score_edge_form(G: Graph, P: Partition) -> float:
     """Modularity score, edge form: per-block (4 e(S)e(Sbar) - e(S,Sbar)^2)."""
-    _check(G, P)
+    e_in, cross, _ = _block_stats(G, P)
     m = G.m
     if m == 0:
         return 0.0
-    num = 0
-    for e_in, cross, _ in _block_stats(G, P):
-        e_out = m - e_in - cross
-        num += 4 * e_in * e_out - cross * cross
-    return num / (4 * m * m)
-
-
-def _partition_from_mask_blocks(mask_blocks: list[int], n: int) -> Partition:
-    blocks = []
-    for mb in mask_blocks:
-        blocks.append([v + 1 for v in range(n) if mb >> v & 1])
-    return Partition.of(blocks, n)
+    e_out = m - e_in - cross
+    return int((4 * e_in * e_out - cross * cross).sum()) / (4 * m * m)
 
 
 def _prefers(a: int, b: int) -> bool:
@@ -155,7 +168,7 @@ def exact_modularity(G: Graph, cap: int = EXACT_CAP_DEFAULT) -> ModularityResult
         return ModularityResult(0.0, Partition.trivial(n), "exact")
     e_in, vol = subset_tables(G)
     full = (1 << n) - 1
-    w = [4 * e_in[s] * m - vol[s] * vol[s] for s in range(full + 1)]
+    w = (4 * m * e_in - vol * vol).tolist()
     f = [0] * (full + 1)
     choice = [0] * (full + 1)
     for mask in range(1, full + 1):
@@ -181,37 +194,15 @@ def exact_modularity(G: Graph, cap: int = EXACT_CAP_DEFAULT) -> ModularityResult
         blk = choice[mask]
         mask_blocks.append(blk)
         mask ^= blk
-    P = _partition_from_mask_blocks(mask_blocks, n)
+    P = Partition.of([[v + 1 for v in range(n) if blk >> v & 1] for blk in mask_blocks], n)
     return ModularityResult(f[full] / (4 * m * m), P, "exact")
-
-
-def enumerate_partitions_rgs(n: int):
-    """All set partitions of {1..n} in restricted-growth-string order.
-
-    Yields lists of blocks (lists of vertices).  Brute-force oracle for
-    the dynamic program above; exponential, keep n tiny.
-    """
-    a = [0] * n
-    while True:
-        k = max(a) + 1
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for v in range(n):
-            blocks[a[v]].append(v + 1)
-        yield blocks
-        i = n - 1
-        while i > 0 and a[i] == max(a[:i]) + 1:
-            a[i] = 0
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
 
 
 def score_components(G: Graph) -> ModularityResult:
     """Score of the connected-components partition."""
     if G.m < 1:
         raise ValidationError("score_components needs at least one edge")
-    P = Partition(tuple(VertexSubset(c, G.n) for c in connected_components(G)), G.n)
+    P = Partition.of(connected_components(G), G.n)
     return ModularityResult(score_definition(G, P), P, "components")
 
 
@@ -258,11 +249,10 @@ def _local_move_level(adj: list[dict], strength: list[float], two_m: float,
 def _louvain_labels(G: Graph, rng) -> list[int]:
     """Full local-move + merge hierarchy; returns a community label per
     vertex (0-indexed positions)."""
-    adj: list[dict] = [dict() for _ in range(G.n)]
-    for u, v in G.edges:
-        adj[u - 1][v - 1] = adj[u - 1].get(v - 1, 0.0) + 1.0
-        adj[v - 1][u - 1] = adj[v - 1].get(u - 1, 0.0) + 1.0
-    strength = [float(d) for d in G.degrees]
+    indptr, indices = G.indptr.tolist(), G.indices.tolist()
+    # ascending CSR rows fix each dict's insertion order, hence tie-breaks
+    adj = [dict.fromkeys(indices[indptr[v]:indptr[v + 1]], 1.0) for v in range(G.n)]
+    strength = G.degrees.astype(float).tolist()
     two_m = 2.0 * G.m
     members: list[list[int]] = [[v] for v in range(G.n)]
     while True:
@@ -310,11 +300,7 @@ def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> Modularity
     ]
     for r in range(budget):
         rng = generator(trial_seed(seed, r))
-        labels = _louvain_labels(G, rng)
-        blocks: dict[int, list[int]] = {}
-        for v, c in enumerate(labels):
-            blocks.setdefault(c, []).append(v + 1)
-        P = Partition.of(blocks.values(), G.n)
+        P = Partition(_louvain_labels(G, rng))
         candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
     return max(candidates, key=lambda r: r.score)
 
@@ -334,5 +320,5 @@ def read_partition(inp: TextIO, n: int) -> Partition:
         line = line.strip()
         if not line:
             continue
-        blocks.append([int(tok) for tok in line.split()])
+        blocks.append(_parse_ints(line.split(), "partition line"))
     return Partition.of(blocks, n)

@@ -37,10 +37,10 @@ def normalized_laplacian(G: Graph) -> np.ndarray:
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     L = np.zeros((n, n))
     np.fill_diagonal(L, np.where(deg > 0, 1.0, 0.0))
-    for u, v in G.edges:
-        w = -inv_sqrt[u - 1] * inv_sqrt[v - 1]
-        L[u - 1, v - 1] = w
-        L[v - 1, u - 1] = w
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
+    w = -inv_sqrt[u] * inv_sqrt[v]
+    L[u, v] = w
+    L[v, u] = w
     return L
 
 

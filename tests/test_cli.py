@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from gnpmod import bounds, modularity
+from gnpmod import bounds, cli, modularity
 from gnpmod.cli import main
 from gnpmod.graph import read_edge_list, sample_gnp
 
@@ -88,6 +88,16 @@ class TestAnalysis:
         gb = float(data_rows(b)[1].split(",")[-1])
         assert abs(ga - gb) < 1e-8
 
+    @pytest.mark.parametrize("method", ["jacobi", "lapack"])
+    def test_spectral_row_is_plain_numbers(self, capsys, method):
+        code, out = run(capsys, "spectral", "--n", "50", "--d", "5",
+                        "--method", method)
+        assert code == 0
+        row = data_rows(out)[1].split(",")
+        assert len(row) == 6
+        for field in row:
+            float(field)
+
     def test_bounds(self, capsys):
         code, out = run(capsys, "bounds", "--n", "2000", "--d", "25")
         assert code == 0
@@ -169,6 +179,39 @@ class TestSweep:
         _, parallel = run(capsys, *args, "--jobs", "2")
         assert data_rows(serial) == data_rows(parallel)
 
+    def test_jobs_below_one_rejected(self, capsys):
+        code, _ = run(capsys, "sweep", "--n", "60", "--d", "4", "--trials", "1",
+                      "--jobs", "0")
+        assert code == 2
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            """Stands in for the process pool; runs the trials in process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        args = ("sweep", "--n", "60", "--d", "4", "--trials", "2", "--seed", "1",
+                "--restarts", "2")
+        code, clamped = run(capsys, *args, "--jobs", "1000")
+        assert code == 0
+        assert pools == [2]
+        _, serial = run(capsys, *args)
+        assert data_rows(clamped) == data_rows(serial)
+
     def test_needs_d(self, capsys):
         code, _ = run(capsys, "sweep", "--n", "60", "--trials", "1", "--p", "0.1")
         assert code == 2
@@ -194,6 +237,36 @@ class TestConfigFile:
         assert not any("timestamp" in ln for ln in meta)
         _, stamped = run(capsys, "bounds", "--n", "100", "--d", "9", "--timestamp")
         assert any("timestamp" in ln for ln in stamped.splitlines())
+
+
+GRAPH = "3 2\n1 2\n2 3\n"
+
+
+class TestErrorChannel:
+    @pytest.mark.parametrize("files, argv", [
+        ({"g.txt": "3 2\n1 2\n2 x\n"}, ["mod-heuristic", "--graph", "g.txt"]),
+        ({"g.txt": "3 x\n1 2\n"}, ["mod-heuristic", "--graph", "g.txt"]),
+        ({"g.txt": "3 1\n1 2\n2 3\n", "p.txt": "1 2 3\n"},
+         ["score", "--graph", "g.txt", "--partition", "p.txt"]),
+        ({}, ["mod-heuristic", "--graph", "missing.txt"]),
+        ({"p.txt": "1 2 3\n"}, ["score", "--graph", "missing.txt", "--partition", "p.txt"]),
+        ({"g.txt": GRAPH}, ["score", "--graph", "g.txt", "--partition", "missing.txt"]),
+        ({"g.txt": GRAPH, "p.txt": "1 2\nthree\n"},
+         ["score", "--graph", "g.txt", "--partition", "p.txt"]),
+        ({}, ["mod-exact", "--config", "missing.json"]),
+        ({"c.json": "{n: 8"}, ["mod-exact", "--config", "c.json"]),
+    ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
+            "missing-graph-for-score", "missing-partition", "partition-token",
+            "missing-config", "config-not-json"])
+    def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 class TestEntryPoint:

@@ -80,7 +80,7 @@ class TestSpectrum:
             assert abs(a.gap - b.gap) < 1e-8
             assert a.eigenvalues[0] >= -1e-10
             assert a.eigenvalues[-1] <= 2.0 + 1e-10
-            nonisolated = sum(1 for v in range(1, 41) if G.adj[v])
+            nonisolated = sum(1 for v in range(1, 41) if G.degrees[v - 1])
             assert abs(a.eigenvalues.sum() - nonisolated) < 1e-8
 
     def test_gap_shrinks_with_density(self):
