@@ -33,7 +33,8 @@ def _pair_array(edges) -> np.ndarray:
     """The edges as an integer (m, 2) array, rejecting anything else:
     casting would silently truncate 2.7 to 2."""
     try:
-        a = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        a = np.asarray(edges if isinstance(edges, (np.ndarray, list, tuple))
+                       else list(edges))
     except ValueError as exc:
         raise ValidationError("edges must be (u, v) pairs") from exc
     if a.size == 0:

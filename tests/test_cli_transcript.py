@@ -14,6 +14,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -77,7 +78,6 @@ def test_replay_byte_identical(i, tmp_path, monkeypatch):
 
 
 def freeze() -> None:
-    import tempfile
     here = os.getcwd()
     entries = []
     with tempfile.TemporaryDirectory() as tmp:
