@@ -20,8 +20,14 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapExceeded, ValidationError
 from .rng import generator
+
+# Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
+# is the largest accepted size.  The draw holds about 25 bytes per pair (an
+# 8-byte uniform, a 1-byte keep mask and two 8-byte triu_indices entries),
+# so the cap bounds its peak near 1.25 GiB.
+MAX_PAIRS = 50_000_000
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -151,13 +157,16 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
     Deterministic for fixed (n, p, seed); pairs are examined in
     lexicographic order (1,2), (1,3), ..., (n-1,n) so samples are
-    bit-reproducible.
+    bit-reproducible.  More than MAX_PAIRS pairs raise CapExceeded before
+    anything is allocated.
     """
     if n < 1:
         raise ValidationError(f"n={n} must be a positive integer")
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p={p} must lie in [0,1]")
     npairs = n * (n - 1) // 2
+    if npairs > MAX_PAIRS:
+        raise CapExceeded("sample_gnp pairs n(n-1)/2", npairs, MAX_PAIRS)
     if npairs == 0 or p == 0.0:
         return Graph(n, [])
     keep = generator(seed).random(npairs) < p

@@ -1,4 +1,6 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -38,6 +40,11 @@ class TestSample:
         assert code == 2
         code, _ = run(capsys, "sample", "--n", "10")
         assert code == 2
+
+    def test_oversized_graph_exits_3(self, capsys):
+        code, out = run(capsys, "sample", "--n", "100000", "--d", "5")
+        assert code == 3
+        assert out == ""
 
 
 class TestScoring:
@@ -229,6 +236,44 @@ class TestConfigFile:
                             "--seed", "4")
         assert data_rows(overridden)[1:] != data_rows(from_cfg)[1:]
 
+    def test_string_value_parses_like_flag(self, capsys, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"n": 8, "p": "0.4", "seed": 3}))
+        _, from_cfg = run(capsys, "mod-exact", "--config", str(cfgfile))
+        _, from_flags = run(capsys, "mod-exact", "--n", "8", "--p", "0.4",
+                            "--seed", "3")
+        assert from_cfg == from_flags
+
+    @pytest.mark.parametrize("cfg, argv", [
+        ({"n": 30, "p": 0.3, "seed": 4, "method": "lapack"},
+         ["spectral", "--n", "30", "--p", "0.3", "--seed", "4", "--method", "lapack"]),
+        ({"n": 12, "d": 6, "seed": 3, "mode": "exhaustive"},
+         ["events", "--n", "12", "--d", "6", "--seed", "3", "--mode", "exhaustive"]),
+        ({"n": 200, "d": 10, "seed": 3, "trials": 500, "strategy": "uniform"},
+         ["events", "--n", "200", "--d", "10", "--seed", "3", "--trials", "500",
+          "--strategy", "uniform"]),
+        ({"step": 0.05, "y_max": 8, "x_max": 8},
+         ["verify-appendix", "--step", "0.05", "--y-max", "8", "--x-max", "8"]),
+    ], ids=["spectral-method", "events-mode", "events-strategy", "verify-appendix-grid"])
+    def test_config_values_take_effect(self, capsys, tmp_path, cfg, argv):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg))
+        code, from_cfg = run(capsys, argv[0], "--config", str(cfgfile))
+        assert code == 0
+        _, from_flags = run(capsys, *argv)
+        assert from_cfg == from_flags
+
+    def test_echo_line_is_a_config_file(self, capsys, tmp_path):
+        _, out = run(capsys, "bisect", "--n", "14", "--p", "0.4", "--seed", "6",
+                     "--exact")
+        echo = next(ln for ln in out.splitlines() if ln.startswith("# config "))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(echo.removeprefix("# config "))
+        _, again = run(capsys, "bisect", "--config", str(cfgfile))
+        assert again == out
+        code, _ = run(capsys, "certificate", "--config", str(cfgfile))
+        assert code == 2
+
     def test_header_echo_and_no_timestamp(self, capsys):
         _, out = run(capsys, "bounds", "--n", "100", "--d", "9")
         meta = [ln for ln in out.splitlines() if ln.startswith("#")]
@@ -243,22 +288,37 @@ GRAPH = "3 2\n1 2\n2 3\n"
 
 
 class TestErrorChannel:
-    @pytest.mark.parametrize("files, argv", [
-        ({"g.txt": "3 2\n1 2\n2 x\n"}, ["mod-heuristic", "--graph", "g.txt"]),
-        ({"g.txt": "3 x\n1 2\n"}, ["mod-heuristic", "--graph", "g.txt"]),
+    @pytest.mark.parametrize("files, argv, named", [
+        ({"g.txt": "3 2\n1 2\n2 x\n"}, ["mod-heuristic", "--graph", "g.txt"], "'2 x'"),
+        ({"g.txt": "3 x\n1 2\n"}, ["mod-heuristic", "--graph", "g.txt"], "'3 x'"),
         ({"g.txt": "3 1\n1 2\n2 3\n", "p.txt": "1 2 3\n"},
-         ["score", "--graph", "g.txt", "--partition", "p.txt"]),
-        ({}, ["mod-heuristic", "--graph", "missing.txt"]),
-        ({"p.txt": "1 2 3\n"}, ["score", "--graph", "missing.txt", "--partition", "p.txt"]),
-        ({"g.txt": GRAPH}, ["score", "--graph", "g.txt", "--partition", "missing.txt"]),
+         ["score", "--graph", "g.txt", "--partition", "p.txt"], "edge lines"),
+        ({}, ["mod-heuristic", "--graph", "missing.txt"], "missing.txt"),
+        ({"p.txt": "1 2 3\n"}, ["score", "--graph", "missing.txt", "--partition", "p.txt"],
+         "missing.txt"),
+        ({"g.txt": GRAPH}, ["score", "--graph", "g.txt", "--partition", "missing.txt"],
+         "missing.txt"),
         ({"g.txt": GRAPH, "p.txt": "1 2\nthree\n"},
-         ["score", "--graph", "g.txt", "--partition", "p.txt"]),
-        ({}, ["mod-exact", "--config", "missing.json"]),
-        ({"c.json": "{n: 8"}, ["mod-exact", "--config", "c.json"]),
+         ["score", "--graph", "g.txt", "--partition", "p.txt"], "'three'"),
+        ({}, ["mod-exact", "--config", "missing.json"], "missing.json"),
+        ({"c.json": "{n: 8"}, ["mod-exact", "--config", "c.json"], "not JSON"),
+        ({"c.json": '{"n": 3.5, "p": 0.5}'}, ["mod-exact", "--config", "c.json"], "--n"),
+        ({"c.json": '{"n": 10, "p": 0.5, "seed": "x"}'}, ["sample", "--config", "c.json"],
+         "--seed"),
+        ({"c.json": '{"n": 8, "p": 0.5, "bogus": 1}'}, ["mod-exact", "--config", "c.json"],
+         "'bogus'"),
+        ({"c.json": '{"n": 8, "p": 0.5, "jobs": 2}'}, ["mod-exact", "--config", "c.json"],
+         "'jobs'"),
+        ({"c.json": '{"n": null, "p": 0.5}'}, ["mod-exact", "--config", "c.json"], "'n'"),
+        ({"c.json": '{"n": 14, "p": 0.4, "exact": "yes"}'}, ["bisect", "--config", "c.json"],
+         "'exact'"),
+        ({}, ["bounds", "--n", "100", "--d", "9", "--jobs", "2"], "--jobs"),
     ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
             "missing-graph-for-score", "missing-partition", "partition-token",
-            "missing-config", "config-not-json"])
-    def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv):
+            "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
+            "config-unknown-key", "config-key-not-taken", "config-null-value",
+            "config-flag-not-bool", "flag-not-taken"])
+    def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, named):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
@@ -266,13 +326,17 @@ class TestErrorChannel:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("error: ")
+        assert named in captured.err
         assert captured.out == ""
 
 
 class TestEntryPoint:
     def test_console_script(self):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-m", "gnpmod.cli", "bounds",
                                "--n", "100", "--d", "9"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert bounds.BoundReport.CSV_COLUMNS in proc.stdout

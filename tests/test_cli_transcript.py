@@ -77,6 +77,23 @@ def test_replay_byte_identical(i, tmp_path, monkeypatch):
     assert out == entry["stdout"]
 
 
+@pytest.mark.parametrize("i", [i for i, argv in enumerate(COMMANDS) if argv[0] != "sample"],
+                         ids=[" ".join(argv) for argv in COMMANDS if argv[0] != "sample"])
+def test_config_echo_replays(i, tmp_path, monkeypatch):
+    """The `# config` line, minus its subcommand, is a --config file that
+    reproduces the whole output."""
+    entry = load()[i]
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    echo = next(ln for ln in entry["stdout"].splitlines() if ln.startswith("# config "))
+    cfg = json.loads(echo.removeprefix("# config "))
+    subcommand = cfg.pop("subcommand")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    code, out = replay([subcommand, "--config", "cfg.json"])
+    assert code == 0
+    assert out == entry["stdout"]
+
+
 def freeze() -> None:
     here = os.getcwd()
     entries = []

@@ -1,13 +1,14 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnpmod.errors import ValidationError
-from gnpmod.graph import (Graph, VertexSubset, connected_components, degree,
-                          edge_counts, read_edge_list, sample_gnp,
+from gnpmod.errors import CapExceeded, ValidationError
+from gnpmod.graph import (MAX_PAIRS, Graph, VertexSubset, connected_components,
+                          degree, edge_counts, read_edge_list, sample_gnp,
                           subset_tables, write_edge_list)
 
 
@@ -58,6 +59,17 @@ class TestSampling:
             sample_gnp(5, 1.5, 0)
         with pytest.raises(ValidationError):
             sample_gnp(5, -0.1, 0)
+
+    def test_pair_cap_refuses_before_allocating(self):
+        assert 10_000 * 9_999 // 2 <= MAX_PAIRS < 10_001 * 10_000 // 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                sample_gnp(100_000, 5 / 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_edge_count_moments(self):
         # e(G) ~ Bin(4950, 0.1): mean 495, var 445.5
