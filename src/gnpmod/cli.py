@@ -269,9 +269,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds = args.d
     if not ds:
         raise ValidationError("sweep needs --d with one or more comma-separated values")
-    for d in ds:
+    for i, d in enumerate(ds):
         if not 0.0 < d < args.n:
             raise ValidationError(f"sweep d={d} must lie in (0, n)")
+        if d in ds[:i]:
+            raise ValidationError(f"sweep --d lists d={d} twice")
     if args.trials < 1:
         raise ValidationError("--trials must be >= 1")
     if args.jobs < 1:

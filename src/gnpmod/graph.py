@@ -28,6 +28,10 @@ from .rng import generator
 # 8-byte uniform, a 1-byte keep mask and two 8-byte triu_indices entries),
 # so the cap bounds its peak near 1.25 GiB.
 MAX_PAIRS = 50_000_000
+# Largest vertex count a Graph accepts.  Its CSR offsets, degrees and row
+# counts take about 24 bytes per vertex, so a larger n (say from the
+# header of an edge-list file) is refused before anything is allocated.
+MAX_VERTICES = 10_000_000
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -62,6 +66,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise ValidationError(f"n={n} must be a positive integer")
+        if n > MAX_VERTICES:
+            raise CapExceeded("graph vertex count n", n, MAX_VERTICES)
         pairs = _pair_array(edges)
         u, v = pairs[:, 0], pairs[:, 1]
         loops = np.nonzero(u == v)[0]
@@ -258,12 +264,14 @@ def _parse_ints(tokens: list[str], what: str) -> list[int]:
 
 def read_edge_list(inp: TextIO) -> Graph:
     """Parse the edge-list text format, rejecting malformed input: a bad
-    header or edge line, a duplicate edge, or non-blank lines after the
-    m declared edges."""
+    header (including a negative m) or edge line, a duplicate edge, or
+    non-blank lines after the m declared edges."""
     header = inp.readline().split()
     if len(header) != 2:
         raise ValidationError("first line must be 'n m'")
     n, m = _parse_ints(header, "header")
+    if m < 0:
+        raise ValidationError(f"edge count m={m} in the header is negative")
     edges = []
     seen = set()
     for _ in range(m):

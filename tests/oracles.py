@@ -4,6 +4,10 @@ Partitions are enumerated in restricted-growth-string order and scored
 from the raw edge list in Python integers, so neither the enumeration
 nor the arithmetic goes through gnpmod.  Exponential: keep n tiny.
 Used by the tests and by scripts/freeze_exact_corpus.py.
+
+`louvain_labels` is the reference Louvain hierarchy: per-vertex dicts
+and float gains with a 1e-12 tolerance, against which the library's
+CSR kernel must give identical labels.
 """
 
 
@@ -72,3 +76,78 @@ def brute_force_modularity(n: int, edges) -> tuple[int, int, list[list[int]]]:
             best_num = num
             best_blocks = blocks
     return best_num, 4 * m * m, best_blocks
+
+
+def _local_move_level(adj: list[dict], strength: list[float], two_m: float,
+                      rng) -> list[int]:
+    """One level of greedy moves: each node to the neighboring community
+    with the best score gain, repeated to a fixed point."""
+    nnodes = len(adj)
+    comm = list(range(nnodes))
+    cvol = strength.copy()
+    moved_any = True
+    while moved_any:
+        moved_any = False
+        for v in rng.permutation(nnodes):
+            v = int(v)
+            a = comm[v]
+            kv: dict[int, float] = {}
+            for w, wt in adj[v].items():
+                if w == v:
+                    continue
+                c = comm[w]
+                kv[c] = kv.get(c, 0.0) + wt
+            dv = strength[v]
+            cvol[a] -= dv
+            best_c = a
+            best_gain = kv.get(a, 0.0) - dv * cvol[a] / two_m
+            for c, k in kv.items():
+                if c == a:
+                    continue
+                gain = k - dv * cvol[c] / two_m
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            cvol[best_c] += dv
+            comm[v] = best_c
+            if best_c != a:
+                moved_any = True
+    return comm
+
+
+def louvain_labels(G, rng) -> list[int]:
+    """Full local-move + merge hierarchy; returns a community label per
+    vertex (0-indexed positions)."""
+    indptr, indices = G.indptr.tolist(), G.indices.tolist()
+    # ascending CSR rows fix each dict's insertion order, hence tie-breaks
+    adj = [dict.fromkeys(indices[indptr[v]:indptr[v + 1]], 1.0) for v in range(G.n)]
+    strength = G.degrees.astype(float).tolist()
+    two_m = 2.0 * G.m
+    members: list[list[int]] = [[v] for v in range(G.n)]
+    while True:
+        comm = _local_move_level(adj, strength, two_m, rng)
+        ids = sorted(set(comm))
+        if len(ids) == len(adj):
+            break
+        remap = {c: i for i, c in enumerate(ids)}
+        k = len(ids)
+        new_members: list[list[int]] = [[] for _ in range(k)]
+        new_strength = [0.0] * k
+        new_adj: list[dict] = [dict() for _ in range(k)]
+        for v, c in enumerate(comm):
+            i = remap[c]
+            new_members[i].extend(members[v])
+            new_strength[i] += strength[v]
+        for v, nbrs in enumerate(adj):
+            i = remap[comm[v]]
+            row = new_adj[i]
+            for w, wt in nbrs.items():
+                j = remap[comm[w]]
+                row[j] = row.get(j, 0.0) + wt
+        adj, strength, members = new_adj, new_strength, new_members
+        if len(adj) == 1:
+            break
+    labels = [0] * G.n
+    for i, mem in enumerate(members):
+        for v in mem:
+            labels[v] = i
+    return labels

@@ -313,11 +313,17 @@ class TestErrorChannel:
         ({"c.json": '{"n": 14, "p": 0.4, "exact": "yes"}'}, ["bisect", "--config", "c.json"],
          "'exact'"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--jobs", "2"], "--jobs"),
+        ({"g.txt": GRAPH}, ["mod-heuristic", "--graph", "g.txt", "--restarts", "-2"],
+         "budget"),
+        ({"g.txt": "3 -1\n"}, ["mod-heuristic", "--graph", "g.txt"], "m=-1"),
+        ({}, ["sweep", "--n", "50", "--d", "5,5", "--trials", "1"], "d=5.0 twice"),
+        ({}, ["sweep", "--n", "50", "--d", "3,5,5.0", "--trials", "1"], "d=5.0 twice"),
     ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
             "missing-graph-for-score", "missing-partition", "partition-token",
             "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
             "config-unknown-key", "config-key-not-taken", "config-null-value",
-            "config-flag-not-bool", "flag-not-taken"])
+            "config-flag-not-bool", "flag-not-taken", "restarts-below-1",
+            "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart"])
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, named):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

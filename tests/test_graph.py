@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_PAIRS, Graph, VertexSubset, connected_components,
-                          degree, edge_counts, read_edge_list, sample_gnp,
-                          subset_tables, write_edge_list)
+from gnpmod.graph import (MAX_PAIRS, MAX_VERTICES, Graph, VertexSubset,
+                          connected_components, degree, edge_counts, read_edge_list,
+                          sample_gnp, subset_tables, write_edge_list)
 
 
 def small_graphs(max_n=10):
@@ -66,6 +66,17 @@ class TestSampling:
         try:
             with pytest.raises(CapExceeded):
                 sample_gnp(100_000, 5 / 100_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_vertex_cap_refuses_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for n in (MAX_VERTICES + 1, 10**20):
+                with pytest.raises(CapExceeded):
+                    read_edge_list(io.StringIO(f"{n} 0\n"))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

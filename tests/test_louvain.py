@@ -1,0 +1,130 @@
+"""Louvain's CSR kernel against the dict-based reference in oracles.py.
+
+Each case runs three times: every row on the numpy path
+(NUMPY_ROW_MIN = 0), every row on the dict path (a huge threshold), and
+at the default threshold, where long and short rows mix.  The labels
+and the chosen partition must equal the reference's exactly.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from gnpmod import modularity
+from gnpmod.errors import CapExceeded, ValidationError
+from gnpmod.graph import Graph, sample_gnp
+from gnpmod.modularity import (ModularityResult, Partition, heuristic_modularity,
+                               score_components, score_definition)
+from gnpmod.rng import generator, trial_seed
+
+import oracles
+
+THRESHOLDS = pytest.mark.parametrize(
+    "row_min", [0, 10**9, modularity.NUMPY_ROW_MIN], ids=["numpy", "dict", "mixed"])
+PER_CASE = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def reference_heuristic(G, seed, budget):
+    """heuristic_modularity's candidate choice over the reference labels."""
+    candidates = [ModularityResult(0.0, Partition.trivial(G.n), "trivial"),
+                  score_components(G)]
+    for r in range(budget):
+        P = Partition(oracles.louvain_labels(G, generator(trial_seed(seed, r))))
+        candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
+    return max(candidates, key=lambda r: r.score)
+
+
+def assert_matches_reference(G, seed, budget=2):
+    for r in range(budget):
+        rs = trial_seed(seed, r)
+        got = modularity._louvain_labels(G, generator(rs))
+        want = oracles.louvain_labels(G, generator(rs))
+        assert got.tolist() == want
+    got = heuristic_modularity(G, seed=seed, budget=budget)
+    want = reference_heuristic(G, seed, budget)
+    assert got.partition == want.partition
+    assert got.score == want.score and got.method == want.method
+
+
+def cycle(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+def clique(n):
+    return list(itertools.combinations(range(1, n + 1), 2))
+
+
+def star(n):
+    return [(1, v) for v in range(2, n + 1)]
+
+
+def matching(n):
+    return [(v, v + 1) for v in range(1, n, 2)]
+
+
+def grid(n):
+    side = max(2, int(n ** 0.5))
+    at = lambda r, c: r * side + c + 1  # noqa: E731
+    return ([(at(r, c), at(r, c + 1)) for r in range(side) for c in range(side - 1)]
+            + [(at(r, c), at(r + 1, c)) for r in range(side - 1) for c in range(side)])
+
+
+FAMILIES = {"cycle": cycle, "clique": clique, "star": star, "matching": matching,
+            "grid": grid}
+
+
+@st.composite
+def tie_heavy_graphs(draw):
+    """A symmetric family, padded with isolated vertices."""
+    family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+    edges = family(draw(st.integers(3, 60)))
+    used = max(max(e) for e in edges)
+    return Graph(used + draw(st.integers(0, 5)), edges)
+
+
+@st.composite
+def gnp_graphs(draw):
+    n = draw(st.integers(2, 90))
+    p = draw(st.floats(0.02, 0.9))
+    G = sample_gnp(n, p, draw(st.integers(0, 10**6)))
+    if G.m == 0:
+        G = Graph(n, [(1, 2)])
+    return G
+
+
+@THRESHOLDS
+@PER_CASE
+@given(G=gnp_graphs(), seed=st.integers(0, 10**6))
+def test_gnp_matches_reference(monkeypatch, row_min, G, seed):
+    monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
+    assert_matches_reference(G, seed)
+
+
+@THRESHOLDS
+@PER_CASE
+@given(G=tie_heavy_graphs(), seed=st.integers(0, 10**6))
+def test_tie_heavy_families_match_reference(monkeypatch, row_min, G, seed):
+    monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
+    assert_matches_reference(G, seed)
+
+
+def test_mixed_rows_at_scale():
+    # d=60 puts the degrees on both sides of the row-length threshold
+    G = sample_gnp(2000, 60 / 2000, 1)
+    assert G.degrees.min() < modularity.NUMPY_ROW_MIN <= G.degrees.max()
+    assert_matches_reference(G, seed=1, budget=1)
+
+
+def test_budget_below_one_rejected(k4):
+    with pytest.raises(ValidationError, match="budget"):
+        heuristic_modularity(k4, budget=0)
+
+
+def test_edge_cap_checked_before_work(monkeypatch, k4):
+    monkeypatch.setattr(modularity, "SCORE_M_CAP", 5)
+    monkeypatch.setattr(modularity, "_louvain_labels", None)  # never reached
+    with pytest.raises(CapExceeded):
+        heuristic_modularity(k4)
+

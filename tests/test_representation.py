@@ -1,14 +1,18 @@
 """Property tests of the array representation: Graph against a
-set-based reference, input validation, and label-array partitions
-against the brute-force oracle's scorer."""
+set-based reference, input validation, label-array partitions against
+the brute-force oracle's scorer, and the two text readers (round trips,
+and fuzzed text that must parse or raise ValidationError)."""
+
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gnpmod.errors import ValidationError
-from gnpmod.graph import Graph
-from gnpmod.modularity import Partition, score_definition, score_edge_form
+from gnpmod.graph import Graph, read_edge_list, write_edge_list
+from gnpmod.modularity import (Partition, read_partition, score_definition,
+                               score_edge_form, write_partition)
 
 from oracles import score_numerators
 
@@ -83,3 +87,53 @@ def test_from_labels_matches_oracle(labels, data):
     den = 4 * len(ref) ** 2
     assert score_definition(G, P) == definition / den
     assert score_edge_form(G, P) == edge_form / den
+
+
+@given(raw_graphs())
+def test_edge_list_round_trip(case):
+    G = Graph(*case)
+    buf = io.StringIO()
+    write_edge_list(G, buf)
+    buf.seek(0)
+    assert read_edge_list(buf) == G
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=12))
+def test_partition_round_trip(labels):
+    P = Partition.from_labels(labels)
+    buf = io.StringIO()
+    write_partition(P, buf)
+    buf.seek(0)
+    assert read_partition(buf, P.n) == P
+
+
+# Small numbers, signs, junk tokens and odd whitespace, so that fuzzed
+# text often comes close to a valid file.
+TOKENS = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(
+    ["", "x", "1.5", "-0", "+2", "1e3", "0x1", "\t", "2 3", "#", "\u00a0"]))
+LINES = st.lists(TOKENS, max_size=4).map(" ".join)
+TEXTS = st.one_of(st.lists(LINES, max_size=8).map("\n".join), st.text(max_size=40))
+
+
+@given(TEXTS)
+def test_edge_list_text_parses_or_fails_validation(text):
+    try:
+        G = read_edge_list(io.StringIO(text))
+    except ValidationError:
+        return
+    assert isinstance(G, Graph)
+    assert int(text.split()[1]) == G.m
+
+
+@given(TEXTS, st.integers(1, 6))
+def test_partition_text_parses_or_fails_validation(text, n):
+    try:
+        P = read_partition(io.StringIO(text), n)
+    except ValidationError:
+        return
+    assert P.n == n
+
+
+def test_negative_edge_count_rejected():
+    with pytest.raises(ValidationError, match="m=-1"):
+        read_edge_list(io.StringIO("3 -1\n"))
