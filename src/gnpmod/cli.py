@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -311,12 +312,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # Argument parsing.
 
 
-def _reals(text: str) -> list[float]:
-    """A comma-separated list of reals, the type of `sweep --d`."""
+def _real(text: str) -> float:
+    """A finite real, the type of every real-valued option."""
     try:
-        return [float(x) for x in text.split(",") if x]
+        x = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of reals") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a real number") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite real number")
+    return x
+
+
+def _reals(text: str) -> list[float]:
+    """A comma-separated list of finite reals, the type of `sweep --d`."""
+    return [_real(x) for x in text.split(",") if x]
 
 
 # Every option by flag name, with its argparse keywords.  Its dest (the
@@ -325,9 +334,9 @@ _OPTIONS = {
     "config": {"help": "JSON file of option values, keyed by option name with '-' "
                        "as '_'; flags override it"},
     "n": {"type": int, "help": "number of vertices"},
-    "p": {"type": float, "help": "edge probability"},
-    "d": {"type": float, "help": "density d = n*p"},
-    "C": {"type": float, "default": bounds.C_MIN_MAIN,
+    "p": {"type": _real, "help": "edge probability"},
+    "d": {"type": _real, "help": "density d = n*p"},
+    "C": {"type": _real, "default": bounds.C_MIN_MAIN,
           "help": "constant C of the bounds and of Lemma 3.2"},
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 1},
@@ -343,11 +352,11 @@ _OPTIONS = {
     "method": {"choices": ("jacobi", "lapack"), "default": "jacobi"},
     "mode": {"choices": ("exhaustive", "sampled"), "default": "sampled"},
     "strategy": {"choices": ("uniform", "stratified"), "default": "stratified"},
-    "mu": {"type": float},
-    "t": {"type": float},
-    "step": {"type": float, "default": 0.01},
-    "y-max": {"type": float, "default": 20.0},
-    "x-max": {"type": float, "default": 20.0},
+    "mu": {"type": _real},
+    "t": {"type": _real},
+    "step": {"type": _real, "default": 0.01},
+    "y-max": {"type": _real, "default": 20.0},
+    "x-max": {"type": _real, "default": 20.0},
     "out": {"help": "write the output to this file instead of stdout"},
     "timestamp": {"action": "store_true"},
 }

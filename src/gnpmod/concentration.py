@@ -70,6 +70,12 @@ def _require_positive(**kwargs) -> None:
             raise ValidationError(f"{name} must be strictly positive")
 
 
+def _require_finite_positive(**kwargs) -> None:
+    for name, val in kwargs.items():
+        if not (math.isfinite(val) and val > 0):
+            raise ValidationError(f"{name}={val!r} must be finite and > 0")
+
+
 def f(x, y, z):
     """(xy/2) phi(z/x) - (ln(y/x) + 1)."""
     _require_positive(x=x, y=y, z=z)
@@ -291,6 +297,7 @@ def default_size_schedule(n: int) -> list[int]:
 def check_lemma32_events_exhaustive(G: Graph, C: float, d: float,
                                     cap: int = EXHAUSTIVE_CAP) -> EventCheckResult:
     """Check the three events for every nonempty proper subset of V."""
+    _require_finite_positive(C=C, d=d)
     n = G.n
     if n > cap:
         raise CapExceeded("exhaustive event check n", n, cap)
@@ -352,6 +359,7 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     strategy "stratified": trials spread round-robin over a size
     schedule, drawing uniformly among subsets of each size.
     """
+    _require_finite_positive(C=C, d=d)
     if strategy not in ("uniform", "stratified"):
         raise ValidationError(f"unknown sampling strategy {strategy!r}")
     if trials < 1:

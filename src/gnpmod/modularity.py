@@ -25,6 +25,16 @@ row of at least NUMPY_ROW_MIN neighbours is scored with numpy, a
 shorter one with a dict loop; both give the same choice, and the
 threshold only sets the speed (the two cost the same at 36-48
 neighbours in G(2000, d) on a 2-vCPU box).
+
+Late sweeps move few nodes, so once a level has so few communities that
+a node x community table of edge weights is no larger than the level's
+CSR (_stay_table_fits), the level builds one (_StayTable) and checks
+whole windows of the sweep order against it at once: a node stays put
+iff no neighbouring community's gain beats its stay gain, which is the
+visit's own move condition on the same integers.  Only the first node
+it cannot clear gets the exact visit, which then always moves it, so
+the visit order, the state and the labels are those of visiting every
+node.
 """
 
 from __future__ import annotations
@@ -46,6 +56,10 @@ SCORE_M_CAP = 1_518_500_249  # largest m with 4 m^2 < 2^63
 # (bincount + gain vector, about 10 us per visit at any length) and a
 # shorter one with a dict loop, whose cost grows with the row.
 NUMPY_ROW_MIN = 48
+# The stay table checks at least this many nodes of a sweep at once: a
+# check's fixed numpy cost is about that of 30 more rows.
+STAY_WINDOW_MIN = 32
+_NO_GAIN = np.iinfo(np.int64).min
 
 
 class Partition:
@@ -226,6 +240,75 @@ def score_components(G: Graph) -> ModularityResult:
 # Heuristic maximization: greedy local moves + block merges, with restarts.
 
 
+def _stay_table_fits(nnodes: int, k: int, nnz: int) -> bool:
+    """Whether a level of `nnodes` nodes, `k` communities and `nnz` CSR
+    entries builds a stay table: only if it is no larger than the CSR."""
+    return nnodes * k <= nnz
+
+
+class _StayTable:
+    """Each node's edge weight into each community of one level, for
+    proving in bulk that nodes stay put.
+
+    Column j stands for the community `cols[j]`, the j-th one present
+    when the table is built; within a level communities only empty, so
+    the columns stay valid.  `K[v, j]` is v's int64 edge weight into
+    column j; `move` keeps it current, while the level's own `comm` and
+    `vol` arrays, read in place, give each node's community and each
+    community's volume.
+    """
+
+    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
+        nnodes = len(strength)
+        present = np.zeros(nnodes, dtype=bool)
+        present[comm] = True
+        self.cols = np.flatnonzero(present)
+        self.colmap = np.cumsum(present) - 1  # community -> column
+        k = len(self.cols)
+        row = np.repeat(np.arange(nnodes), np.diff(indptr))
+        K = np.bincount(row * k + self.colmap[comm[indices]], weights,
+                        minlength=nnodes * k)
+        # float sums of integers below 2^53 are exact
+        self.K = (K if weights is None else K.astype(np.int64)).reshape(nnodes, k)
+        self.strength, self.comm, self.vol, self.two_m = strength, comm, vol, two_m
+        self.win = STAY_WINDOW_MIN
+
+    def unproven(self, order: np.ndarray):
+        """Yield the nodes of `order` that the table cannot prove stay put,
+        each judged on the state left by the move of the one before.
+
+        A window of the order is checked at once; every node before its
+        first unproven one stays.  The window doubles after a window in
+        which all stay and shrinks to the gap before the last move, but
+        never below STAY_WINDOW_MIN.
+        """
+        i = 0
+        while i < len(order):
+            w = order[i:i + self.win]
+            Kw = self.K[w]
+            dv = self.strength[w]
+            own = self.colmap[self.comm[w]]
+            cvol = self.vol[self.cols]
+            gain = self.two_m * Kw - dv[:, None] * cvol
+            best = np.where(Kw > 0, gain, _NO_GAIN).max(axis=1)
+            stay = self.two_m * Kw[np.arange(len(w)), own] - dv * (cvol[own] - dv)
+            moves = np.flatnonzero(best > stay)
+            if len(moves) == 0:
+                i += len(w)
+                self.win *= 2
+                continue
+            j = int(moves[0])
+            yield int(w[j])
+            i += j + 1
+            self.win = max(j + 1, STAY_WINDOW_MIN)
+
+    def move(self, a: int, b: int, nbrs: np.ndarray, wts) -> None:
+        """A node with neighbours `nbrs` at edge weights `wts` moved from
+        community a to community b."""
+        self.K[nbrs, self.colmap[a]] -= wts
+        self.K[nbrs, self.colmap[b]] += wts
+
+
 def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
                       strength: np.ndarray, two_m: int, rng) -> np.ndarray:
     """One level of greedy moves to a fixed point: each node, in a fresh
@@ -240,6 +323,13 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     scored by numpy (bincount, gain vector, first-position argmax), a
     shorter one by a dict loop in row order.  Returns each node's
     community (a node index).
+
+    From the first sweep that starts with _stay_table_fits true, a
+    _StayTable skips the nodes it proves stay put and hands on the others
+    in sweep order.  Its test is the move condition above, so each node
+    handed on must move and each node skipped would have stayed: the
+    sweeps draw the same permutations and make the same moves as visiting
+    every node, and a handed-on node that stays is an internal error.
     """
     nnodes = len(strength)
     comm = np.arange(nnodes)
@@ -248,10 +338,15 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     comm_l, vol_l, str_l = comm.tolist(), vol.tolist(), strength.tolist()
     ptr, idx_l = indptr.tolist(), indices.tolist()
     wt_l = None if weights is None else weights.tolist()
+    table = None
     moved_any = True
     while moved_any:
         moved_any = False
-        for v in rng.permutation(nnodes).tolist():
+        order = rng.permutation(nnodes)
+        if table is None and _stay_table_fits(
+                nnodes, np.count_nonzero(np.bincount(comm)), len(indices)):
+            table = _StayTable(indptr, indices, weights, strength, comm, vol, two_m)
+        for v in order.tolist() if table is None else table.unproven(order):
             s, e = ptr[v], ptr[v + 1]
             if s == e:
                 continue
@@ -292,6 +387,11 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
                 vol[a] -= dv
                 vol[best_c] += dv
                 moved_any = True
+                if table is not None:
+                    table.move(a, best_c, indices[s:e],
+                               1 if weights is None else weights[s:e])
+            elif table is not None:
+                raise RuntimeError(f"Louvain stay table flagged node {v}, which stays put")
     return comm
 
 

@@ -285,6 +285,7 @@ class TestConfigFile:
 
 
 GRAPH = "3 2\n1 2\n2 3\n"
+PATH4 = "4 3\n1 2\n2 3\n3 4\n"
 
 
 class TestErrorChannel:
@@ -318,12 +319,32 @@ class TestErrorChannel:
         ({"g.txt": "3 -1\n"}, ["mod-heuristic", "--graph", "g.txt"], "m=-1"),
         ({}, ["sweep", "--n", "50", "--d", "5,5", "--trials", "1"], "d=5.0 twice"),
         ({}, ["sweep", "--n", "50", "--d", "3,5,5.0", "--trials", "1"], "d=5.0 twice"),
+        ({}, ["chernoff", "--mu", "1", "--t", "nan"], "--t"),
+        ({}, ["chernoff", "--mu", "inf", "--t", "1"], "--mu"),
+        ({}, ["verify-appendix", "--step", "nan"], "--step"),
+        ({}, ["verify-appendix", "--y-max", "inf"], "--y-max"),
+        ({}, ["verify-appendix", "--x-max", "-inf"], "--x-max"),
+        ({}, ["bounds", "--n", "100", "--p", "nan"], "--p"),
+        ({}, ["bounds", "--n", "100", "--d", "9", "--C", "inf"], "--C"),
+        ({}, ["sweep", "--n", "50", "--d", "5,nan", "--trials", "1"], "--d"),
+        ({"c.json": '{"mu": 1, "t": NaN}'}, ["chernoff", "--config", "c.json"], "--t"),
+        ({"c.json": '{"step": Infinity}'}, ["verify-appendix", "--config", "c.json"],
+         "--step"),
+        ({"c.json": '{"n": 50, "d": [5, NaN]}'}, ["sweep", "--config", "c.json"], "--d"),
+        ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "0"], "d=0.0"),
+        ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "-5"], "d=-5.0"),
+        ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "2", "--C", "-1"],
+         "C=-1.0"),
+        ({}, ["events", "--n", "12", "--p", "0", "--seed", "3"], "d=0.0"),
     ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
             "missing-graph-for-score", "missing-partition", "partition-token",
             "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
             "config-unknown-key", "config-key-not-taken", "config-null-value",
             "config-flag-not-bool", "flag-not-taken", "restarts-below-1",
-            "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart"])
+            "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
+            "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
+            "C-inf", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
+            "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero"])
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, named):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -10,7 +10,7 @@ from gnpmod.concentration import (F_THRESHOLD, G_THRESHOLD, GridSpec,
                                   check_lemma32_events_sampled, chernoff_lower,
                                   chernoff_upper, default_size_schedule, f, g,
                                   h1, h2, h3, phi, verify_appendix)
-from gnpmod.graph import sample_gnp
+from gnpmod.graph import Graph, sample_gnp
 
 pos = st.floats(0.01, 50.0, allow_nan=False)
 
@@ -144,6 +144,16 @@ class TestEventChecks:
         with pytest.raises(ValidationError):
             check_lemma32_events_sampled(G, 2.0, 5.0, trials=10, seed=0,
                                          strategy="antithetic")
+
+    @pytest.mark.parametrize("C, d", [(2.0, 0.0), (2.0, -5.0), (2.0, math.inf),
+                                      (2.0, math.nan), (-1.0, 2.0), (0.0, 2.0),
+                                      (math.inf, 2.0), (math.nan, 2.0)])
+    def test_density_and_C_must_be_finite_positive(self, C, d):
+        G = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            check_lemma32_events_exhaustive(G, C, d)
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            check_lemma32_events_sampled(G, C, d, trials=10, seed=0)
 
     def test_size_schedule_covers_regimes(self):
         for n in (16, 100, 2000):

@@ -1,9 +1,11 @@
 """Louvain's CSR kernel against the dict-based reference in oracles.py.
 
-Each case runs three times: every row on the numpy path
-(NUMPY_ROW_MIN = 0), every row on the dict path (a huge threshold), and
-at the default threshold, where long and short rows mix.  The labels
-and the chosen partition must equal the reference's exactly.
+Each case runs with every row on the numpy path (NUMPY_ROW_MIN = 0),
+every row on the dict path (a huge threshold), and at the default
+threshold, where long and short rows mix; and, for each of those, with
+the stay table built from the first sweep of every level, never built,
+and built when _stay_table_fits says so.  The labels and the chosen
+partition must equal the reference's exactly.
 """
 
 import itertools
@@ -22,6 +24,9 @@ import oracles
 
 THRESHOLDS = pytest.mark.parametrize(
     "row_min", [0, 10**9, modularity.NUMPY_ROW_MIN], ids=["numpy", "dict", "mixed"])
+STAY_TABLE = pytest.mark.parametrize(
+    "fits", [lambda *a: True, lambda *a: False, modularity._stay_table_fits],
+    ids=["table", "no-table", "fit"])
 PER_CASE = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -95,18 +100,22 @@ def gnp_graphs(draw):
 
 
 @THRESHOLDS
+@STAY_TABLE
 @PER_CASE
 @given(G=gnp_graphs(), seed=st.integers(0, 10**6))
-def test_gnp_matches_reference(monkeypatch, row_min, G, seed):
+def test_gnp_matches_reference(monkeypatch, row_min, fits, G, seed):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
+    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
     assert_matches_reference(G, seed)
 
 
 @THRESHOLDS
+@STAY_TABLE
 @PER_CASE
 @given(G=tie_heavy_graphs(), seed=st.integers(0, 10**6))
-def test_tie_heavy_families_match_reference(monkeypatch, row_min, G, seed):
+def test_tie_heavy_families_match_reference(monkeypatch, row_min, fits, G, seed):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
+    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
     assert_matches_reference(G, seed)
 
 
@@ -115,6 +124,28 @@ def test_mixed_rows_at_scale():
     G = sample_gnp(2000, 60 / 2000, 1)
     assert G.degrees.min() < modularity.NUMPY_ROW_MIN <= G.degrees.max()
     assert_matches_reference(G, seed=1, budget=1)
+
+
+def test_stay_table_at_scale(monkeypatch):
+    # at d=200 level 0 soon has fewer communities than the mean degree
+    fits, answers = modularity._stay_table_fits, []
+
+    def spy(*args):
+        answers.append(fits(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(modularity, "_stay_table_fits", spy)
+    G = sample_gnp(2000, 200 / 2000, 1)
+    assert_matches_reference(G, seed=1, budget=1)
+    assert any(answers)
+
+
+def test_stay_table_flag_without_move_is_an_error(monkeypatch):
+    # a table that flags a node the exact visit keeps in place is a bug
+    monkeypatch.setattr(modularity, "_stay_table_fits", lambda *a: True)
+    monkeypatch.setattr(modularity._StayTable, "unproven", lambda self, order: iter([0]))
+    with pytest.raises(RuntimeError, match="stay table"):
+        modularity._louvain_labels(Graph(3, [(1, 2), (2, 3)]), generator(0))
 
 
 def test_budget_below_one_rejected(k4):
