@@ -22,11 +22,12 @@ from gnpmod.rng import generator, trial_seed
 
 import oracles
 
-THRESHOLDS = pytest.mark.parametrize(
-    "row_min", [0, 10**9, modularity.NUMPY_ROW_MIN], ids=["numpy", "dict", "mixed"])
-STAY_TABLE = pytest.mark.parametrize(
-    "fits", [lambda *a: True, lambda *a: False, modularity._stay_table_fits],
-    ids=["table", "no-table", "fit"])
+ROW_MODES = {"numpy": 0, "dict": 10**9, "mixed": modularity.NUMPY_ROW_MIN}
+TABLE_MODES = {"": modularity._stay_table_fits, "-table": lambda *a: True,
+               "-no-table": lambda *a: False}
+MODES = pytest.mark.parametrize("row_min, fits", [
+    pytest.param(row_min, fits, id=row_id + table_id)
+    for row_id, row_min in ROW_MODES.items() for table_id, fits in TABLE_MODES.items()])
 PER_CASE = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -99,8 +100,7 @@ def gnp_graphs(draw):
     return G
 
 
-@THRESHOLDS
-@STAY_TABLE
+@MODES
 @PER_CASE
 @given(G=gnp_graphs(), seed=st.integers(0, 10**6))
 def test_gnp_matches_reference(monkeypatch, row_min, fits, G, seed):
@@ -109,8 +109,7 @@ def test_gnp_matches_reference(monkeypatch, row_min, fits, G, seed):
     assert_matches_reference(G, seed)
 
 
-@THRESHOLDS
-@STAY_TABLE
+@MODES
 @PER_CASE
 @given(G=tie_heavy_graphs(), seed=st.integers(0, 10**6))
 def test_tie_heavy_families_match_reference(monkeypatch, row_min, fits, G, seed):
