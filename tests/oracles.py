@@ -1,14 +1,29 @@
-"""Brute-force modularity oracle, independent of the library's scorer.
+"""Reference implementations, independent of the library's kernels.
 
 Partitions are enumerated in restricted-growth-string order and scored
 from the raw edge list in Python integers, so neither the enumeration
 nor the arithmetic goes through gnpmod.  Exponential: keep n tiny.
 Used by the tests and by scripts/freeze_exact_corpus.py.
 
+`exact_modularity_dp` is the subset dynamic program run one mask at a
+time in Python, `min_bisection_combinations` scans every balanced subset
+in lexicographic order, and `jacobi_eigenvalues` is a cyclic Jacobi
+eigensolver: the library's vectorised exact routines and its LAPACK
+spectrum must agree with them.
+
 `louvain_labels` is the reference Louvain hierarchy: per-vertex dicts
 and float gains with a 1e-12 tolerance, against which the library's
 CSR kernel must give identical labels.
 """
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from gnpmod.errors import ValidationError
+
+JACOBI_TOL = 1e-10
 
 
 def enumerate_partitions_rgs(n: int):
@@ -151,3 +166,151 @@ def louvain_labels(G, rng) -> list[int]:
         for v in mem:
             labels[v] = i
     return labels
+
+
+def _prefers(a: int, b: int) -> bool:
+    """True if block mask `a` precedes `b` in first-maximizer order:
+    the one owning the lowest differing vertex comes first."""
+    d = a ^ b
+    return bool(a & (d & -d))
+
+
+def exact_modularity_dp(n: int, edges) -> tuple[int, list[list[int]]]:
+    """(numerator over 4 m^2, blocks) of the maximum-modularity partition
+    that comes first in RGS order, by the O(3^n) subset DP, one mask at a
+    time.  Zero-edge graphs give (0, trivial partition)."""
+    edges = [(int(u) - 1, int(v) - 1) for u, v in edges]
+    m = len(edges)
+    if m == 0:
+        return 0, [list(range(1, n + 1))]
+    nbr = [0] * n
+    deg = [0] * n
+    for u, v in edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+    full = (1 << n) - 1
+    w = [0] * (full + 1)
+    e_in = [0] * (full + 1)
+    vol = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        e_in[mask] = e_in[rest] + bin(nbr[top] & rest).count("1")
+        vol[mask] = vol[rest] + deg[top]
+        w[mask] = 4 * m * e_in[mask] - vol[mask] * vol[mask]
+    f = [0] * (full + 1)
+    choice = [0] * (full + 1)
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        best = None
+        best_blk = 0
+        sub = rest
+        while True:
+            blk = sub | low
+            cand = w[blk] + f[rest ^ sub]
+            if best is None or cand > best or (cand == best and _prefers(blk, best_blk)):
+                best = cand
+                best_blk = blk
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        f[mask] = best
+        choice[mask] = best_blk
+    blocks = []
+    mask = full
+    while mask:
+        blk = choice[mask]
+        blocks.append([v + 1 for v in range(n) if blk >> v & 1])
+        mask ^= blk
+    return f[full], sorted(blocks)
+
+
+def min_bisection_combinations(n: int, edges) -> tuple[int, tuple[int, ...]]:
+    """(cut, S) of the minimum balanced cut: S holds vertex 1 for even n
+    and is the larger half for odd n, and ties go to the
+    lexicographically smallest S.  Scans the subsets in
+    itertools.combinations order, 4096 at a time."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
+    u, v = e[:, 0], e[:, 1]
+    size = (n + 1) // 2
+    if n % 2 == 0:
+        combos = ((1,) + c for c in combinations(range(2, n + 1), size - 1))
+    else:
+        combos = combinations(range(1, n + 1), size)
+    best_cut = None
+    best_S: tuple[int, ...] = ()
+    while True:
+        block = []
+        for combo in combos:
+            block.append(combo)
+            if len(block) == 4096:
+                break
+        if not block:
+            break
+        member = np.zeros((len(block), n), dtype=bool)
+        for i, subset in enumerate(block):
+            member[i, [x - 1 for x in subset]] = True
+        cuts = (member[:, u] ^ member[:, v]).sum(axis=1)
+        i = int(np.argmin(cuts))  # the first minimum in lexicographic order
+        if best_cut is None or cuts[i] < best_cut:
+            best_cut = int(cuts[i])
+            best_S = block[i]
+    return best_cut, best_S
+
+
+def _offdiag_norm(A: np.ndarray) -> float:
+    # Summing squares of the off-diagonal entries directly; subtracting
+    # diag^2 from the full Frobenius norm loses ~8 digits to cancellation.
+    off = A.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.linalg.norm(off))
+
+
+def jacobi_eigenvalues(A: np.ndarray, tol: float = JACOBI_TOL,
+                       max_sweeps: int = 100) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps row by row, annihilating each off-diagonal entry, until the
+    off-diagonal Frobenius norm is <= tol.  Returns eigenvalues sorted
+    ascending.
+    """
+    A = np.array(A, dtype=float, copy=True)
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValidationError("matrix must be square")
+    if n == 1:
+        return A[0].copy()
+    skip = tol / (2.0 * n)
+    for _ in range(max_sweeps):
+        if _offdiag_norm(A) <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = A[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = A[p, p], A[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                if theta == 0.0:
+                    t = 1.0
+                else:
+                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                row_p = A[p].copy()
+                row_q = A[q].copy()
+                new_p = c * row_p - s * row_q
+                new_q = s * row_p + c * row_q
+                A[p] = new_p
+                A[q] = new_q
+                A[:, p] = new_p
+                A[:, q] = new_q
+                A[p, p] = app - t * apq
+                A[q, q] = aqq + t * apq
+                A[p, q] = A[q, p] = 0.0
+    else:
+        raise RuntimeError(f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps")
+    return np.sort(np.diag(A).copy())

@@ -9,6 +9,9 @@ import pytest
 from gnpmod import bounds, cli, modularity
 from gnpmod.cli import main
 from gnpmod.graph import read_edge_list, sample_gnp
+from gnpmod.spectral import normalized_laplacian
+
+from oracles import jacobi_eigenvalues
 
 
 def run(capsys, *argv):
@@ -88,17 +91,14 @@ class TestScoring:
 
 class TestAnalysis:
     def test_spectral_methods_agree(self, capsys):
-        _, a = run(capsys, "spectral", "--n", "30", "--p", "0.3", "--seed", "4")
-        _, b = run(capsys, "spectral", "--n", "30", "--p", "0.3", "--seed", "4",
-                   "--method", "lapack")
-        ga = float(data_rows(a)[1].split(",")[-1])
-        gb = float(data_rows(b)[1].split(",")[-1])
-        assert abs(ga - gb) < 1e-8
+        # the CLI's LAPACK gap against the Jacobi reference on the same graph
+        _, out = run(capsys, "spectral", "--n", "30", "--p", "0.3", "--seed", "4")
+        eig = jacobi_eigenvalues(normalized_laplacian(sample_gnp(30, 0.3, 4)))
+        gap = max(abs(1.0 - eig[1]), abs(1.0 - eig[-1]))
+        assert abs(float(data_rows(out)[1].split(",")[-1]) - gap) < 1e-8
 
-    @pytest.mark.parametrize("method", ["jacobi", "lapack"])
-    def test_spectral_row_is_plain_numbers(self, capsys, method):
-        code, out = run(capsys, "spectral", "--n", "50", "--d", "5",
-                        "--method", method)
+    def test_spectral_row_is_plain_numbers(self, capsys):
+        code, out = run(capsys, "spectral", "--n", "50", "--d", "5")
         assert code == 0
         row = data_rows(out)[1].split(",")
         assert len(row) == 6
@@ -245,8 +245,6 @@ class TestConfigFile:
         assert from_cfg == from_flags
 
     @pytest.mark.parametrize("cfg, argv", [
-        ({"n": 30, "p": 0.3, "seed": 4, "method": "lapack"},
-         ["spectral", "--n", "30", "--p", "0.3", "--seed", "4", "--method", "lapack"]),
         ({"n": 12, "d": 6, "seed": 3, "mode": "exhaustive"},
          ["events", "--n", "12", "--d", "6", "--seed", "3", "--mode", "exhaustive"]),
         ({"n": 200, "d": 10, "seed": 3, "trials": 500, "strategy": "uniform"},
@@ -254,7 +252,7 @@ class TestConfigFile:
           "--strategy", "uniform"]),
         ({"step": 0.05, "y_max": 8, "x_max": 8},
          ["verify-appendix", "--step", "0.05", "--y-max", "8", "--x-max", "8"]),
-    ], ids=["spectral-method", "events-mode", "events-strategy", "verify-appendix-grid"])
+    ], ids=["events-mode", "events-strategy", "verify-appendix-grid"])
     def test_config_values_take_effect(self, capsys, tmp_path, cfg, argv):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(cfg))
@@ -336,6 +334,7 @@ class TestErrorChannel:
         ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "2", "--C", "-1"],
          "C=-1.0"),
         ({}, ["events", "--n", "12", "--p", "0", "--seed", "3"], "d=0.0"),
+        ({}, ["spectral", "--n", "30", "--p", "0.3", "--method", "jacobi"], "--method"),
     ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
             "missing-graph-for-score", "missing-partition", "partition-token",
             "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
@@ -344,7 +343,8 @@ class TestErrorChannel:
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
             "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
             "C-inf", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
-            "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero"])
+            "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero",
+            "spectral-method-removed"])
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, named):
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -354,6 +354,23 @@ class TestErrorChannel:
         assert code == 2
         assert captured.err.startswith("error: ")
         assert named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("graph, argv, named", [
+        ("40 1\n1 2\n", ["mod-exact", "--cap", "40"], "exact_modularity n=40 exceeds cap 20"),
+        ("40 1\n1 2\n", ["bisect", "--exact", "--cap", "40"],
+         "exact_min_bisection n=40 exceeds cap 32"),
+        ("1000000 1\n1 2\n", ["spectral", "--cap", "1000000"],
+         "spectral_gap n=1000000 exceeds cap 4000"),
+    ], ids=["mod-exact", "bisect-exact", "spectral"])
+    def test_over_ceiling_exits_3(self, capsys, tmp_path, monkeypatch, graph, argv, named):
+        """A --cap above a routine's fixed ceiling does not lift it."""
+        (tmp_path / "g.txt").write_text(graph)
+        monkeypatch.chdir(tmp_path)
+        code = main([argv[0], "--graph", "g.txt", *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"error: {named}\n"
         assert captured.out == ""
 
 

@@ -34,7 +34,7 @@ COMMANDS = [
     ["mod-heuristic", "--n", "60", "--d", "6", "--seed", "2", "--format", "table"],
     ["score", "--graph", "g.txt", "--partition", "p.txt"],
     ["spectral", "--n", "30", "--p", "0.3", "--seed", "4"],
-    ["spectral", "--n", "50", "--d", "5", "--method", "lapack"],
+    ["spectral", "--n", "50", "--d", "5"],
     ["bisect", "--n", "14", "--p", "0.4", "--seed", "6", "--exact"],
     ["bisect", "--n", "40", "--p", "0.2", "--seed", "6"],
     ["certificate", "--n", "100", "--d", "16", "--seed", "6"],

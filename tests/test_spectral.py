@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gnpmod.errors import CapExceeded, ValidationError
 from gnpmod.graph import Graph, sample_gnp
-from gnpmod.spectral import (jacobi_eigenvalues, normalized_laplacian,
-                             spectral_gap)
+from gnpmod.spectral import DENSE_CAP_MAX, normalized_laplacian, spectral_gap
+
+from oracles import jacobi_eigenvalues
 
 
 class TestLaplacian:
@@ -72,12 +74,13 @@ class TestSpectrum:
         assert r.gap == 0.0
 
     def test_range_trace_and_method_agreement(self):
+        # LAPACK against the Jacobi reference
         for s in range(5):
             G = sample_gnp(40, 0.15, s)
-            a = spectral_gap(G, method="jacobi")
-            b = spectral_gap(G, method="lapack")
-            assert np.allclose(a.eigenvalues, b.eigenvalues, atol=1e-8)
-            assert abs(a.gap - b.gap) < 1e-8
+            a = spectral_gap(G)
+            b = jacobi_eigenvalues(normalized_laplacian(G))
+            assert np.allclose(a.eigenvalues, b, atol=1e-8)
+            assert abs(a.gap - max(abs(1.0 - b[1]), abs(1.0 - b[-1]))) < 1e-8
             assert a.eigenvalues[0] >= -1e-10
             assert a.eigenvalues[-1] <= 2.0 + 1e-10
             nonisolated = sum(1 for v in range(1, 41) if G.degrees[v - 1])
@@ -91,5 +94,20 @@ class TestSpectrum:
     def test_cap_and_bad_method(self, k2):
         with pytest.raises(CapExceeded):
             spectral_gap(sample_gnp(10, 0.5, 0), cap=9)
-        with pytest.raises(ValidationError):
-            spectral_gap(k2, method="powers")
+        for method in ("powers", "jacobi"):
+            with pytest.raises(ValidationError):
+                spectral_gap(k2, method=method)
+        assert spectral_gap(k2, method="lapack").gap == spectral_gap(k2).gap
+
+    def test_ceiling_refuses_before_allocating(self):
+        G = Graph(DENSE_CAP_MAX + 1, [(1, 2)])
+        tracemalloc.start()
+        try:
+            for cap in (DENSE_CAP_MAX + 1, 10**9):
+                with pytest.raises(CapExceeded) as exc:
+                    spectral_gap(G, cap=cap)
+                assert exc.value.cap == DENSE_CAP_MAX
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
