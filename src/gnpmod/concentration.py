@@ -1,5 +1,5 @@
 """Chernoff tail machinery, the auxiliary rate functions with their
-grid verifier, and subset-concentration event checks.
+grid verifier, and the Lemma 3.2 subset-concentration event checks.
 
 The three events checked against a graph are, for a subset S with
 s = |S|/n and density parameter d:
@@ -8,23 +8,32 @@ s = |S|/n and density parameter d:
     e(Sbar)   >  (1-s)((1-s) + C d^{-1/2}) n d / 2   (inside-complement excess)
     e(S,Sbar) <  (s(1-s) - C sqrt(s(1-s)) d^{-1/2}) n d   (cut deficit)
 
-Edge counts are exact integers; thresholds are evaluated in double
-precision and compared with strict inequality.
+Both checks count through one tally: a (4, n+1) int64 table holding,
+for each size k, the subsets checked and their violations of each
+event.  The thresholds are evaluated once per k in double precision and
+compared with strict inequality against exact integer edge counts; each
+chunk of subsets is added with four bincounts, and the small, middle and
+large regime rows are read off the table.  The exhaustive check feeds
+it every nonempty proper subset, EXHAUSTIVE_CHUNK masks at a time, up to
+the fixed ceiling n = EXHAUSTIVE_CAP; the sampled check feeds it one
+batch of SAMPLE_BATCH random subsets at a time.  The grid verifier has a
+fixed ceiling too, GRID_EVALUATIONS_MAX points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .graph import Graph, popcounts, subset_tables
+from .graph import Graph, subset_tables
 from .rng import generator, trial_seed
 
 EXHAUSTIVE_CAP = 24
+EXHAUSTIVE_CHUNK = 1 << 16
+SAMPLE_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +130,7 @@ def h3(t):
 
 F_THRESHOLD = 0.001
 G_THRESHOLD = math.log(2.0) + 0.01
+GRID_EVALUATIONS_MAX = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -138,10 +148,26 @@ class GridSpec:
     mono_points: int = 10_000
 
     def __post_init__(self):
-        if self.step <= 0 or self.y_max <= self.y_min or self.g_x_max <= self.g_x_min:
+        bounds = (self.step, self.y_min, self.y_max, self.g_x_min, self.g_x_max)
+        if (not all(map(math.isfinite, bounds)) or self.step <= 0
+                or self.y_max <= self.y_min or self.g_x_max <= self.g_x_min):
             raise ValidationError("malformed grid specification")
         if not self.z_values or min(self.z_values) <= 0:
             raise ValidationError("z_values must be positive and nonempty")
+        if self.evaluations > GRID_EVALUATIONS_MAX:
+            raise CapExceeded("verify_appendix grid evaluations",
+                              float(f"{self.evaluations:.3g}"), GRID_EVALUATIONS_MAX)
+
+    @property
+    def evaluations(self) -> float:
+        """Points at which verify_appendix evaluates f, g and the monotone
+        functions, in closed form: the f row at y holds about y/(3 step)
+        points, so the rows from y_min to y_max hold about
+        n_y (y_min + y_max) / (6 step)."""
+        n_y = (self.y_max - self.y_min) / self.step + 1
+        n_g = (self.g_x_max - self.g_x_min) / self.step + 1
+        f_points = n_y * (self.y_min + self.y_max) / (6 * self.step)
+        return len(self.z_values) * (f_points + n_g) + 6 * self.mono_points
 
 
 @dataclass(frozen=True)
@@ -211,17 +237,6 @@ def verify_appendix(grid: GridSpec = GridSpec()) -> GridReport:
 
 
 @dataclass(frozen=True)
-class EventFlags:
-    violates_3_1: bool
-    violates_3_2: bool
-    violates_3_3: bool
-    s: float
-    C: float
-    d: float
-    k: int
-
-
-@dataclass(frozen=True)
 class RegimeSummary:
     regime: str
     k_min: int
@@ -239,7 +254,6 @@ class EventCheckResult:
     C: float
     mode: str
     regimes: tuple[RegimeSummary, ...]
-    flagged: tuple[EventFlags, ...] = field(default=())
 
     @property
     def total_violations(self) -> int:
@@ -256,29 +270,44 @@ class EventCheckResult:
         return rows
 
 
-def _regime_name(k: int, n: int) -> str:
-    if k <= math.isqrt(n):
-        return "small"
-    if 3 * k <= n:
-        return "middle"
-    return "large"
+class _Tally:
+    """Per-size counts for the event checks: row 0 of `table` counts the
+    subsets of each size k = 0..n, rows 1-3 their violations of events
+    3.1, 3.2 and 3.3, in a graph with n vertices and m edges.  Each
+    size's thresholds are computed once."""
 
+    def __init__(self, n: int, m: int, d: float, C: float):
+        self.n, self.m = n, m
+        s = np.arange(n + 1, dtype=float) / n
+        cd = C / math.sqrt(d)
+        self.thr1 = s * (s + cd) * n * d / 2.0
+        self.thr2 = (1.0 - s) * ((1.0 - s) + cd) * n * d / 2.0
+        self.thr3 = (s * (1.0 - s) - cd * np.sqrt(s * (1.0 - s))) * n * d
+        self.table = np.zeros((4, n + 1), dtype=np.int64)
 
-def _event_thresholds(n: int, d: float, C: float, k: np.ndarray):
-    """Per-size thresholds for the three events (vectorized over k)."""
-    s = k / n
-    cd = C / math.sqrt(d)
-    thr1 = s * (s + cd) * n * d / 2.0
-    thr2 = (1.0 - s) * ((1.0 - s) + cd) * n * d / 2.0
-    thr3 = (s * (1.0 - s) - cd * np.sqrt(s * (1.0 - s))) * n * d
-    return thr1, thr2, thr3
+    def add(self, k: np.ndarray, e_in: np.ndarray, e_cross: np.ndarray) -> None:
+        """Count a chunk of subsets, given by their sizes and edge counts."""
+        e_out = self.m - e_in - e_cross
+        for row, keep in enumerate((None, e_in > self.thr1[k], e_out > self.thr2[k],
+                                    e_cross < self.thr3[k])):
+            self.table[row] += np.bincount(k if keep is None else k[keep],
+                                           minlength=self.n + 1)
 
-
-def _flags_from_counts(e_in, e_out, e_cross, k, n, d, C):
-    thr1, thr2, thr3 = _event_thresholds(n, d, C, np.asarray(k, dtype=float))
-    return (np.asarray(e_in) > thr1,
-            np.asarray(e_out) > thr2,
-            np.asarray(e_cross) < thr3)
+    def regimes(self) -> tuple[RegimeSummary, ...]:
+        """Rows for the sizes 1 <= k <= sqrt(n), sqrt(n) < k <= n/3 and
+        k > max(sqrt(n), n/3), each over the sizes it counted.  The empty
+        set (k = 0) is left out by convention, though for m > (1 + C/sqrt(d))
+        nd/2 it violates event 3.2."""
+        r, third = math.isqrt(self.n), self.n // 3
+        out = []
+        for name, lo, hi in (("small", 1, r), ("middle", r + 1, third),
+                             ("large", max(r, third) + 1, self.n)):
+            block = self.table[:, lo:hi + 1]
+            ks = lo + np.flatnonzero(block[0])
+            if ks.size:
+                out.append(RegimeSummary(name, int(ks[0]), int(ks[-1]),
+                                         *(int(c) for c in block.sum(axis=1))))
+        return tuple(out)
 
 
 def default_size_schedule(n: int) -> list[int]:
@@ -294,68 +323,31 @@ def default_size_schedule(n: int) -> list[int]:
     return sorted(set(k for k in sizes if 1 <= k <= n))
 
 
-def check_lemma32_events_exhaustive(G: Graph, C: float, d: float,
-                                    cap: int = EXHAUSTIVE_CAP) -> EventCheckResult:
-    """Check the three events for every nonempty proper subset of V."""
+def check_lemma32_events_exhaustive(G: Graph, C: float, d: float) -> EventCheckResult:
+    """Check the three events for every nonempty proper subset of V,
+    EXHAUSTIVE_CHUNK masks at a time."""
     _require_finite_positive(C=C, d=d)
     n = G.n
-    if n > cap:
-        raise CapExceeded("exhaustive event check n", n, cap)
+    if n > EXHAUSTIVE_CAP:
+        raise CapExceeded("exhaustive event check n", n, EXHAUSTIVE_CAP)
+    tally = _Tally(n, G.m, d, C)
     e_in_tab, _ = subset_tables(G)
     full = (1 << n) - 1
-    masks = np.arange(1, full)
-    k = popcounts(n)[1:full]
-    e_in = e_in_tab[masks]
-    e_out = e_in_tab[full ^ masks]
-    e_cross = G.m - e_in - e_out
-    # thresholds once per size k, then read per subset
-    thr1, thr2, thr3 = _event_thresholds(n, d, C, np.arange(n + 1, dtype=float))
-    v1 = e_in > thr1[k]
-    v2 = e_out > thr2[k]
-    v3 = e_cross < thr3[k]
-    tallies = [np.bincount(k[sel], minlength=n)
-               for sel in (slice(None), v1, v2, v3)]
-    counts = {kk: [int(t[kk]) for t in tallies] for kk in range(1, n)}
-    flagged = [EventFlags(bool(v1[i]), bool(v2[i]), bool(v3[i]),
-                          s=int(k[i]) / n, C=C, d=d, k=int(k[i]))
-               for i in np.nonzero(v1 | v2 | v3)[0]]
-    regimes = _summarize(counts, n)
-    return EventCheckResult(n=n, d=d, C=C, mode="exhaustive",
-                            regimes=regimes, flagged=tuple(flagged))
-
-
-def _summarize(counts: dict, n: int) -> tuple[RegimeSummary, ...]:
-    agg: dict[str, list[int]] = {}
-    kranges: dict[str, list[int]] = {}
-    for k, (tr, v1, v2, v3) in sorted(counts.items()):
-        if tr == 0:
-            continue
-        name = _regime_name(k, n)
-        a = agg.setdefault(name, [0, 0, 0, 0])
-        a[0] += tr
-        a[1] += v1
-        a[2] += v2
-        a[3] += v3
-        kranges.setdefault(name, [k, k])[1] = k
-        kranges[name][0] = min(kranges[name][0], k)
-    out = []
-    for name in ("small", "middle", "large"):
-        if name in agg:
-            a = agg[name]
-            lo, hi = kranges[name]
-            out.append(RegimeSummary(name, lo, hi, a[0], a[1], a[2], a[3]))
-    return tuple(out)
+    for lo in range(1, full, EXHAUSTIVE_CHUNK):
+        masks = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, full))
+        e_in = e_in_tab[masks]
+        e_cross = G.m - e_in - e_in_tab[full ^ masks]
+        tally.add(np.bitwise_count(masks), e_in, e_cross)
+    return EventCheckResult(n=n, d=d, C=C, mode="exhaustive", regimes=tally.regimes())
 
 
 def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
-                                 seed: int, strategy: str = "stratified",
-                                 sizes: Iterable[int] | None = None,
-                                 batch: int = 512) -> EventCheckResult:
-    """Monte Carlo event check.
+                                 seed: int, strategy: str = "stratified") -> EventCheckResult:
+    """Monte Carlo event check, SAMPLE_BATCH subsets at a time.
 
     strategy "uniform": subsets drawn uniformly over all 2^n subsets.
-    strategy "stratified": trials spread round-robin over a size
-    schedule, drawing uniformly among subsets of each size.
+    strategy "stratified": trials spread round-robin over
+    default_size_schedule(n), drawing uniformly among subsets of each size.
     """
     _require_finite_positive(C=C, d=d)
     if strategy not in ("uniform", "stratified"):
@@ -365,46 +357,22 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     n = G.n
     u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     rng = generator(trial_seed(seed, 0))
-    if strategy == "stratified":
-        schedule = list(sizes) if sizes is not None else default_size_schedule(n)
-        if any(not 1 <= k <= n for k in schedule):
-            raise ValidationError("size schedule entries must lie in 1..n")
-        ks = np.array([schedule[i % len(schedule)] for i in range(trials)])
-    else:
-        ks = None
-    counts = {k: [0, 0, 0, 0] for k in range(0, n + 1)}
-    flagged: list[EventFlags] = []
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
+    schedule = np.array(default_size_schedule(n))
+    tally = _Tally(n, G.m, d, C)
+    for done in range(0, trials, SAMPLE_BATCH):
+        b = min(SAMPLE_BATCH, trials - done)
         if strategy == "uniform":
             member = rng.random((b, n)) < 0.5
             kb = member.sum(axis=1)
         else:
-            kb = ks[done:done + b]
+            kb = schedule[np.arange(done, done + b) % len(schedule)]
             member = np.zeros((b, n), dtype=bool)
             for i in range(b):
-                idx = rng.choice(n, size=int(kb[i]), replace=False)
-                member[i, idx] = True
+                member[i, rng.choice(n, size=int(kb[i]), replace=False)] = True
         # one row per vertex, so each edge gathers two contiguous rows;
         # vol(S) = 2 e(S) + e(S,Sbar), and the int64 product is exact
         rows = np.ascontiguousarray(member.T)
         e_in = (rows[u] & rows[v]).sum(axis=0)
-        e_cross = member @ G.degrees - 2 * e_in
-        e_out = G.m - e_in - e_cross
-        v1, v2, v3 = _flags_from_counts(e_in, e_out, e_cross, kb, n, d, C)
-        for i in range(b):
-            k = int(kb[i])
-            c = counts[k]
-            c[0] += 1
-            if v1[i] or v2[i] or v3[i]:
-                c[1] += int(v1[i])
-                c[2] += int(v2[i])
-                c[3] += int(v3[i])
-                flagged.append(EventFlags(bool(v1[i]), bool(v2[i]), bool(v3[i]),
-                                          s=k / n, C=C, d=d, k=k))
-        done += b
-    counts.pop(0, None)  # S = empty set is trivially non-violating
-    regimes = _summarize(counts, n)
+        tally.add(kb, e_in, member @ G.degrees - 2 * e_in)
     return EventCheckResult(n=n, d=d, C=C, mode=f"sampled/{strategy}",
-                            regimes=regimes, flagged=tuple(flagged))
+                            regimes=tally.regimes())

@@ -14,6 +14,11 @@ spectrum must agree with them.
 `louvain_labels` is the reference Louvain hierarchy: per-vertex dicts
 and float gains with a 1e-12 tolerance, against which the library's
 CSR kernel must give identical labels.
+
+`lemma32_events_exhaustive` and `lemma32_events_sampled` are the Lemma
+3.2 event checks with one array per subset and a per-trial dict tally;
+they return the regime rows as (regime, k_min, k_max, trials, v1, v2,
+v3) tuples, which the library's chunked tally must reproduce.
 """
 
 import math
@@ -22,6 +27,8 @@ from itertools import combinations
 import numpy as np
 
 from gnpmod.errors import ValidationError
+from gnpmod.graph import popcounts, subset_tables
+from gnpmod.rng import generator, trial_seed
 
 JACOBI_TOL = 1e-10
 
@@ -314,3 +321,100 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = JACOBI_TOL,
     else:
         raise RuntimeError(f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps")
     return np.sort(np.diag(A).copy())
+
+
+def _regime_name(k: int, n: int) -> str:
+    if k <= math.isqrt(n):
+        return "small"
+    if 3 * k <= n:
+        return "middle"
+    return "large"
+
+
+def _event_thresholds(n: int, d: float, C: float, k: np.ndarray):
+    s = k / n
+    cd = C / math.sqrt(d)
+    thr1 = s * (s + cd) * n * d / 2.0
+    thr2 = (1.0 - s) * ((1.0 - s) + cd) * n * d / 2.0
+    thr3 = (s * (1.0 - s) - cd * np.sqrt(s * (1.0 - s))) * n * d
+    return thr1, thr2, thr3
+
+
+def _summarize(counts: dict, n: int) -> tuple:
+    agg: dict[str, list[int]] = {}
+    kranges: dict[str, list[int]] = {}
+    for k, (tr, v1, v2, v3) in sorted(counts.items()):
+        if tr == 0:
+            continue
+        name = _regime_name(k, n)
+        a = agg.setdefault(name, [0, 0, 0, 0])
+        a[0] += tr
+        a[1] += v1
+        a[2] += v2
+        a[3] += v3
+        kranges.setdefault(name, [k, k])[1] = k
+        kranges[name][0] = min(kranges[name][0], k)
+    return tuple((name, *kranges[name], *agg[name])
+                 for name in ("small", "middle", "large") if name in agg)
+
+
+def lemma32_events_exhaustive(G, C: float, d: float) -> tuple:
+    """Regime rows of the three events over every nonempty proper subset,
+    from per-subset arrays of length 2^n."""
+    n = G.n
+    e_in_tab, _ = subset_tables(G)
+    full = (1 << n) - 1
+    masks = np.arange(1, full)
+    k = popcounts(n)[1:full]
+    e_in = e_in_tab[masks]
+    e_out = e_in_tab[full ^ masks]
+    e_cross = G.m - e_in - e_out
+    thr1, thr2, thr3 = _event_thresholds(n, d, C, np.arange(n + 1, dtype=float))
+    v1 = e_in > thr1[k]
+    v2 = e_out > thr2[k]
+    v3 = e_cross < thr3[k]
+    tallies = [np.bincount(k[sel], minlength=n)
+               for sel in (slice(None), v1, v2, v3)]
+    counts = {kk: [int(t[kk]) for t in tallies] for kk in range(1, n)}
+    return _summarize(counts, n)
+
+
+def lemma32_events_sampled(G, C: float, d: float, trials: int, seed: int,
+                           strategy: str = "stratified", schedule=None,
+                           batch: int = 512) -> tuple:
+    """Regime rows of the Monte Carlo check, tallied one trial at a time
+    into a dict keyed by subset size; the empty set is left out.
+    Stratified draws take their sizes round-robin from `schedule`."""
+    n = G.n
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
+    rng = generator(trial_seed(seed, 0))
+    if strategy == "stratified":
+        ks = np.array([schedule[i % len(schedule)] for i in range(trials)])
+    counts = {k: [0, 0, 0, 0] for k in range(0, n + 1)}
+    done = 0
+    while done < trials:
+        b = min(batch, trials - done)
+        if strategy == "uniform":
+            member = rng.random((b, n)) < 0.5
+            kb = member.sum(axis=1)
+        else:
+            kb = ks[done:done + b]
+            member = np.zeros((b, n), dtype=bool)
+            for i in range(b):
+                idx = rng.choice(n, size=int(kb[i]), replace=False)
+                member[i, idx] = True
+        rows = np.ascontiguousarray(member.T)
+        e_in = (rows[u] & rows[v]).sum(axis=0)
+        e_cross = member @ G.degrees - 2 * e_in
+        e_out = G.m - e_in - e_cross
+        thr1, thr2, thr3 = _event_thresholds(n, d, C, np.asarray(kb, dtype=float))
+        v1, v2, v3 = e_in > thr1, e_out > thr2, e_cross < thr3
+        for i in range(b):
+            c = counts[int(kb[i])]
+            c[0] += 1
+            c[1] += int(v1[i])
+            c[2] += int(v2[i])
+            c[3] += int(v3[i])
+        done += b
+    counts.pop(0, None)
+    return _summarize(counts, n)

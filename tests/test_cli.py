@@ -362,7 +362,9 @@ class TestErrorChannel:
          "exact_min_bisection n=40 exceeds cap 32"),
         ("1000000 1\n1 2\n", ["spectral", "--cap", "1000000"],
          "spectral_gap n=1000000 exceeds cap 4000"),
-    ], ids=["mod-exact", "bisect-exact", "spectral"])
+        ("25 1\n1 2\n", ["events", "--d", "2", "--mode", "exhaustive"],
+         "exhaustive event check n=25 exceeds cap 24"),
+    ], ids=["mod-exact", "bisect-exact", "spectral", "events-exhaustive"])
     def test_over_ceiling_exits_3(self, capsys, tmp_path, monkeypatch, graph, argv, named):
         """A --cap above a routine's fixed ceiling does not lift it."""
         (tmp_path / "g.txt").write_text(graph)
@@ -371,6 +373,22 @@ class TestErrorChannel:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == f"error: {named}\n"
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize("argv, count", [
+        (["--step", "1e-9"], "2.56e+20"),
+        (["--step", "1e-300"], "inf"),
+        (["--y-max", "1e300"], "inf"),
+        (["--step", "0.0001"], "25600000000.0"),
+    ], ids=["step-1e-9", "step-1e-300", "y-max-1e300", "step-1e-4"])
+    def test_appendix_grid_over_ceiling_exits_3(self, capsys, argv, count):
+        """The grid's evaluation count is refused before any array is built."""
+        code = main(["verify-appendix", *argv])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == (f"error: verify_appendix grid evaluations={count} "
+                                "exceeds cap 30000000\n")
         assert captured.out == ""
 
 

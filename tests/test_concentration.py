@@ -1,16 +1,24 @@
+import itertools
 import math
+import tracemalloc
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gnpmod import concentration
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.concentration import (F_THRESHOLD, G_THRESHOLD, GridSpec,
+from gnpmod.concentration import (EXHAUSTIVE_CAP, F_THRESHOLD, G_THRESHOLD,
+                                  GRID_EVALUATIONS_MAX, SAMPLE_BATCH, GridSpec,
                                   check_lemma32_events_exhaustive,
                                   check_lemma32_events_sampled, chernoff_lower,
                                   chernoff_upper, default_size_schedule, f, g,
                                   h1, h2, h3, phi, verify_appendix)
 from gnpmod.graph import Graph, sample_gnp
+
+from oracles import lemma32_events_exhaustive, lemma32_events_sampled
 
 pos = st.floats(0.01, 50.0, allow_nan=False)
 
@@ -87,6 +95,33 @@ class TestAppendixGrid:
             GridSpec(step=-0.01)
         with pytest.raises(ValidationError):
             GridSpec(y_min=5.0, y_max=4.0)
+        for bad in (dict(step=math.nan), dict(y_max=math.inf), dict(g_x_max=math.inf)):
+            with pytest.raises(ValidationError, match="malformed"):
+                GridSpec(**bad)
+
+    @pytest.mark.parametrize("spec", [dict(), dict(step=0.05, y_max=40.0),
+                                      dict(step=0.02, z_values=(2.0,), g_x_max=300.0)])
+    def test_evaluation_count(self, spec):
+        grid = GridSpec(**spec)
+        ys = np.arange(grid.y_min, grid.y_max + grid.step / 2, grid.step)
+        f_points = sum(len(np.arange(grid.step, y / 3.0, grid.step)) + 1 for y in ys)
+        g_points = len(np.arange(grid.g_x_min, grid.g_x_max + grid.step / 2, grid.step))
+        counted = len(grid.z_values) * (f_points + g_points) + 6 * grid.mono_points
+        assert abs(grid.evaluations - counted) <= len(grid.z_values) * len(ys)
+
+    @pytest.mark.parametrize("spec", [dict(step=1e-9), dict(step=1e-300),
+                                      dict(y_max=1e300), dict(step=1e-4),
+                                      dict(g_x_max=1e308)])
+    def test_grid_ceiling_refuses_before_allocating(self, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded) as exc:
+                GridSpec(**spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.cap == GRID_EVALUATIONS_MAX
+        assert peak < 1 << 20
 
 
 class TestEventChecks:
@@ -95,11 +130,9 @@ class TestEventChecks:
         d = 2 * G.m / 16
         ok = check_lemma32_events_exhaustive(G, 1.999, d)
         assert ok.total_violations == 0
-        assert ok.flagged == ()
         assert sum(r.trials for r in ok.regimes) == 2 ** 16 - 2
         bad = check_lemma32_events_exhaustive(G, 0.1, d)
         assert bad.total_violations == 25124
-        assert len(bad.flagged) > 0
 
     def test_regime_split(self):
         G = sample_gnp(16, 0.5, 42)
@@ -163,3 +196,93 @@ class TestEventChecks:
             assert any(r < k <= n // 3 for k in ks)
             assert any(k > n // 3 for k in ks)
             assert all(1 <= k <= n for k in ks)
+
+
+def _graph(kind: str, n: int, p: float, seed: int) -> Graph:
+    if kind == "gnp":
+        return sample_gnp(n, p, seed)
+    if kind == "clique":
+        return Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+    if kind == "star":
+        return Graph(n, [(1, v) for v in range(2, n + 1)])
+    return Graph(n, [])
+
+
+graph_kinds = st.sampled_from(["gnp", "edgeless", "clique", "star"])
+# 1.999 is the paper's constant; the small values flag most subsets
+event_C = st.sampled_from([1.999, 0.5, 0.1, 0.01])
+
+
+def rows(result):
+    return tuple(astuple(r) for r in result.regimes)
+
+
+class TestEventIdentity:
+    """The chunked tally gives the regime rows of the per-subset reference
+    in tests/oracles.py, whatever the chunk and batch boundaries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_kinds, st.integers(2, 12), st.floats(0.05, 0.95), st.integers(0, 999),
+           event_C, st.floats(0.5, 12.0), st.sampled_from([1, 3, 64, 1 << 16]))
+    def test_exhaustive_matches_reference(self, kind, n, p, seed, C, d, chunk):
+        G = _graph(kind, n, p, seed)
+        with mock.patch.object(concentration, "EXHAUSTIVE_CHUNK", chunk):
+            got = check_lemma32_events_exhaustive(G, C, d)
+        assert rows(got) == lemma32_events_exhaustive(G, C, d)
+        assert sum(r[3] for r in rows(got)) == 2 ** n - 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_kinds, st.integers(1, 60), st.floats(0.05, 0.95), st.integers(0, 999),
+           event_C, st.floats(0.5, 12.0), st.sampled_from(["uniform", "stratified"]),
+           st.sampled_from([1, 7, SAMPLE_BATCH - 1, SAMPLE_BATCH, SAMPLE_BATCH + 1,
+                            3 * SAMPLE_BATCH - 12]))
+    def test_sampled_matches_reference(self, kind, n, p, seed, C, d, strategy, trials):
+        G = _graph(kind, n, p, seed)
+        got = check_lemma32_events_sampled(G, C, d, trials, seed, strategy)
+        assert rows(got) == lemma32_events_sampled(G, C, d, trials, seed, strategy,
+                                                   default_size_schedule(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_uniform_draws_hit_both_ends(self, n):
+        """Tiny n draws the empty set and V itself: the empty set is left
+        out of the rows and V is counted in the large regime."""
+        G = Graph(n, [(1, 2)] if n > 1 else [])
+        got = check_lemma32_events_sampled(G, 0.01, 2.0, 700, 4, "uniform")
+        assert rows(got) == lemma32_events_sampled(G, 0.01, 2.0, 700, 4, "uniform")
+        assert rows(got)[-1][2] == n
+        assert sum(r[3] for r in rows(got)) < 700
+
+    def test_sampled_n2000_matches_reference(self):
+        G = sample_gnp(2000, 25 / 2000, 80_000)
+        for C in (1.999, 0.1):
+            got = check_lemma32_events_sampled(G, C, 25.0, 600, 0)
+            assert rows(got) == lemma32_events_sampled(G, C, 25.0, 600, 0, "stratified",
+                                                       default_size_schedule(2000))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEventMemory:
+    def test_exhaustive_flagging_peak(self):
+        G = sample_gnp(20, 0.5, 1)
+        res, peak = _traced_peak(check_lemma32_events_exhaustive, G, 0.01, 2 * G.m / 20)
+        assert res.total_violations > 2 ** 19
+        assert peak < 48 << 20
+
+    @pytest.mark.parametrize("n", [EXHAUSTIVE_CAP + 1, 10 ** 6])
+    def test_over_ceiling_refused_before_allocating(self, n):
+        G = Graph(n, [])
+
+        def refused():
+            with pytest.raises(CapExceeded, match=f"n={n} exceeds cap {EXHAUSTIVE_CAP}"):
+                check_lemma32_events_exhaustive(G, 1.999, 3.0)
+
+        _, peak = _traced_peak(refused)
+        assert peak < 1 << 20
