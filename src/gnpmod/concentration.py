@@ -288,10 +288,10 @@ class _Tally:
     def add(self, k: np.ndarray, e_in: np.ndarray, e_cross: np.ndarray) -> None:
         """Count a chunk of subsets, given by their sizes and edge counts."""
         e_out = self.m - e_in - e_cross
-        for row, keep in enumerate((None, e_in > self.thr1[k], e_out > self.thr2[k],
-                                    e_cross < self.thr3[k])):
-            self.table[row] += np.bincount(k if keep is None else k[keep],
-                                           minlength=self.n + 1)
+        counted = (k, k[e_in > self.thr1[k]], k[e_out > self.thr2[k]],
+                   k[e_cross < self.thr3[k]])
+        for row, sizes in enumerate(counted):
+            self.table[row] += np.bincount(sizes, minlength=self.n + 1)
 
     def regimes(self) -> tuple[RegimeSummary, ...]:
         """Rows for the sizes 1 <= k <= sqrt(n), sqrt(n) < k <= n/3 and

@@ -366,7 +366,7 @@ class TestErrorChannel:
          "exhaustive event check n=25 exceeds cap 24"),
     ], ids=["mod-exact", "bisect-exact", "spectral", "events-exhaustive"])
     def test_over_ceiling_exits_3(self, capsys, tmp_path, monkeypatch, graph, argv, named):
-        """A --cap above a routine's fixed ceiling does not lift it."""
+        """A fixed ceiling exits 3, and a --cap above it does not lift it."""
         (tmp_path / "g.txt").write_text(graph)
         monkeypatch.chdir(tmp_path)
         code = main([argv[0], "--graph", "g.txt", *argv[1:]])
@@ -374,7 +374,6 @@ class TestErrorChannel:
         assert code == 3
         assert captured.err == f"error: {named}\n"
         assert captured.out == ""
-
 
     @pytest.mark.parametrize("argv, count", [
         (["--step", "1e-9"], "2.56e+20"),
