@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapExceeded, ValidationError
 from .graph import (Graph, VertexSubset, bit_reversal, edge_counts, neighbour_masks,
-                    popcounts, subset_tables)
+                    subset_edges, subset_volumes)
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
 
@@ -91,15 +91,14 @@ def exact_min_bisection(G: Graph, cap: int = EXACT_BISECTION_CAP) -> Bisection:
     size = (n + 1) // 2
     L = min(n, EXACT_BISECTION_LOW)
     H = n - L
-    e_lo, vol_lo = subset_tables(G, 0, L)
-    e_hi, vol_hi = subset_tables(G, L, n)
-    c_lo, c_hi = vol_lo - 2 * e_lo, vol_hi - 2 * e_hi
+    c_lo = subset_volumes(G, 0, L) - 2 * subset_edges(G, 0, L)
+    c_hi = subset_volumes(G, L, n) - 2 * subset_edges(G, L, n)
     rev_lo, rev_hi = bit_reversal(L) << H, bit_reversal(H)
-    pc_lo, pc_hi = popcounts(L), popcounts(H)
     lo_masks = np.arange(1 << L)
+    pc_lo, pc_hi = np.bitwise_count(lo_masks), np.bitwise_count(np.arange(1 << H))
     # links[h, A] = |N(h) & A| for the high vertices h; bits[P, h] = [h in P].
     # Float products of these small counts are exact.
-    links = pc_lo[neighbour_masks(G, 0, L)[L:, None] & lo_masks].astype(float)
+    links = np.bitwise_count(neighbour_masks(G, 0, L)[L:, None] & lo_masks).astype(float)
     bits = ((np.arange(1 << H)[:, None] >> np.arange(H)) & 1).astype(float)
     best_key, best_cut, best_mask = None, 0, 0
     for j in range(max(0, size - L), min(H, size) + 1):

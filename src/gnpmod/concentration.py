@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .graph import Graph, subset_tables
+from .graph import Graph, subset_edges
 from .rng import generator, trial_seed
 
 EXHAUSTIVE_CAP = 24
@@ -331,7 +331,7 @@ def check_lemma32_events_exhaustive(G: Graph, C: float, d: float) -> EventCheckR
     if n > EXHAUSTIVE_CAP:
         raise CapExceeded("exhaustive event check n", n, EXHAUSTIVE_CAP)
     tally = _Tally(n, G.m, d, C)
-    e_in_tab, _ = subset_tables(G)
+    e_in_tab = subset_edges(G)
     full = (1 << n) - 1
     for lo in range(1, full, EXHAUSTIVE_CHUNK):
         masks = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, full))

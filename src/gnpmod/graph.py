@@ -1,5 +1,5 @@
-"""Simple undirected graphs on [n], seeded G(n,p) sampling, and subset
-edge/volume statistics.
+"""Simple undirected graphs on [n], seeded G(n,p) sampling, connected
+components, and subset edge/volume tables.
 
 Vertices are labeled 1..n in the public interface and the edge-list
 file format.  A Graph holds four read-only int64 arrays and nothing else:
@@ -10,7 +10,14 @@ file format.  A Graph holds four read-only int64 arrays and nothing else:
     degrees  (n,) with degrees[v-1] = deg(v), equal to np.diff(indptr)
 
 Graphs are immutable after construction and safe to share between
-parallel workers.
+parallel workers.  Every graph goes through one CSR builder fed sorted
+unique pairs, so its memory is O(n + m): `Graph(n, pairs)` validates,
+sorts and dedups its input first, while `sample_gnp`, whose pairs come
+out of the draw sorted and unique, hands them over directly.  The draw
+itself is streamed, SAMPLE_CHUNK uniforms at a time, and keeps only the
+indices of the pairs it accepts.  Connected components are found by
+min-label propagation over the CSR rows, so no step loops over vertices
+in Python.
 """
 
 from __future__ import annotations
@@ -24,10 +31,17 @@ from .errors import CapExceeded, ValidationError
 from .rng import generator
 
 # Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
-# is the largest accepted size.  The draw holds about 25 bytes per pair (an
-# 8-byte uniform, a 1-byte keep mask and two 8-byte triu_indices entries),
-# so the cap bounds its peak near 1.25 GiB.
+# is the largest accepted size.  The streamed draw holds one chunk of
+# uniforms plus about 80 bytes per kept edge (tracemalloc peak, 32 of them
+# in the finished Graph), so the cap no longer bounds memory, only the
+# draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
+# 2-vCPU box.
 MAX_PAIRS = 50_000_000
+# Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
+# A larger chunk can cost resident memory, since glibc's mmap threshold
+# follows a freed chunk upward: the desk-oracles benchmark's max RSS was
+# 142 MiB with this chunk, 148 MiB with 2^20 pairs.
+SAMPLE_CHUNK = 1 << 18
 # Largest vertex count a Graph accepts.  Its CSR offsets, degrees and row
 # counts take about 24 bytes per vertex, so a larger n (say from the
 # header of an edge-list file) is refused before anything is allocated.
@@ -81,16 +95,46 @@ class Graph:
         hi = np.maximum(u, v).astype(np.int64) - 1
         keys = np.sort(lo * n + hi)
         lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        # CSR: every edge in both directions, sorted by (row, column)
-        rows = np.concatenate((lo, hi))
-        cols = np.concatenate((hi, lo))
+        self._build(n, lo, hi)
+
+    @classmethod
+    def _from_sorted_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """Trusted constructor: 0-indexed int64 pairs lo < hi < n, already
+        in lexicographic order and unique, skip validation and sorting."""
+        G = cls.__new__(cls)
+        G._build(n, lo, hi)
+        return G
+
+    def _build(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Set the four arrays from sorted unique 0-indexed pairs lo < hi.
+
+        Row r of the CSR is the lo's of the edges with hi = r, then the
+        hi's of the edges with lo = r; both runs are ascending, the first
+        because a stable sort by hi keeps the lexicographic order of the
+        pairs within each hi.
+        """
+        m = len(lo)
+        n_lo = np.bincount(lo, minlength=n)
+        n_hi = np.bincount(hi, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        np.cumsum(n_lo + n_hi, out=indptr[1:])
+        rank = np.arange(m)
+        indices = np.empty(2 * m, dtype=np.int64)
+        # edge i is the (i - first_lo[r])-th of row r = lo[i]'s larger neighbours
+        first_lo = np.cumsum(n_lo) - n_lo
+        indices[(indptr[:-1] + n_hi - first_lo)[lo] + rank] = hi
+        by_hi = np.argsort(hi, kind="stable")
+        first_hi = np.cumsum(n_hi) - n_hi
+        indices[(indptr[:-1] - first_hi)[hi[by_hi]] + rank] = lo[by_hi]
+        edges = np.empty((m, 2), dtype=np.int64)
+        edges[:, 0] = lo
+        edges[:, 1] = hi
+        edges += 1
         self.n = n
-        self.edges = _frozen(np.column_stack((lo + 1, hi + 1)))
+        self.edges = _frozen(edges)
         self.indptr = _frozen(indptr)
-        self.indices = _frozen(cols[np.lexsort((cols, rows))])
-        self.degrees = _frozen(np.diff(indptr))
+        self.indices = _frozen(indices)
+        self.degrees = _frozen(n_lo + n_hi)
 
     @property
     def m(self) -> int:
@@ -162,8 +206,11 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     independently with probability p.
 
     Deterministic for fixed (n, p, seed); pairs are examined in
-    lexicographic order (1,2), (1,3), ..., (n-1,n) so samples are
-    bit-reproducible.  More than MAX_PAIRS pairs raise CapExceeded before
+    lexicographic order (1,2), (1,3), ..., (n-1,n), pair t (0-based) being
+    an edge iff the t-th uniform of the seed's stream is below p, so
+    samples are bit-reproducible.  The uniforms are drawn SAMPLE_CHUNK at
+    a time, which leaves the stream unchanged, and only the accepted pair
+    indices are kept.  More than MAX_PAIRS pairs raise CapExceeded before
     anything is allocated.
     """
     if n < 1:
@@ -175,9 +222,16 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
         raise CapExceeded("sample_gnp pairs n(n-1)/2", npairs, MAX_PAIRS)
     if npairs == 0 or p == 0.0:
         return Graph(n, [])
-    keep = generator(seed).random(npairs) < p
-    iu, iv = np.triu_indices(n, k=1)
-    return Graph(n, np.column_stack((iu[keep] + 1, iv[keep] + 1)))
+    rng = generator(seed)
+    flat = np.concatenate([
+        np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p) + start
+        for start in range(0, npairs, SAMPLE_CHUNK)])
+    # pair index of (r, r+1), the first pair of row r
+    r = np.arange(n - 1, dtype=np.int64)
+    row_start = r * (2 * n - r - 1) // 2
+    lo = np.searchsorted(row_start, flat, side="right") - 1
+    hi = flat - row_start[lo] + lo + 1
+    return Graph._from_sorted_pairs(n, lo, hi)
 
 
 def degree(G: Graph, v: int) -> int:
@@ -199,14 +253,6 @@ def edge_counts(G: Graph, S: VertexSubset) -> EdgeCounts:
     vol_S = 2 * e_in + e_cross
     return EdgeCounts(e_in=e_in, e_out=G.m - e_in - e_cross, e_cross=e_cross,
                       vol_S=vol_S, vol_Sbar=2 * G.m - vol_S)
-
-
-def popcounts(k: int) -> np.ndarray:
-    """popcounts(k)[mask] = the number of set bits of mask, 0 <= mask < 2^k."""
-    pc = np.zeros(1 << k, dtype=np.int64)
-    for i in range(k):
-        pc[1 << i:2 << i] = pc[:1 << i] + 1
-    return pc
 
 
 def bit_reversal(k: int) -> np.ndarray:
@@ -236,12 +282,10 @@ def neighbour_masks(G: Graph, start: int, stop: int) -> np.ndarray:
     return nbr
 
 
-def subset_tables(G: Graph, start: int = 0,
-                  stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Tables e_in[mask], vol[mask] over the subsets of the vertices
-    start+1..stop (all n by default), bit i for vertex start+i+1: e_in
-    counts the edges inside the subset, vol sums its degrees in G.  The
-    tables hold 2^(stop-start) int64 each.
+def subset_edges(G: Graph, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Table e_in[mask] of the edges inside each subset of the vertices
+    start+1..stop (all n by default), bit i for vertex start+i+1; it
+    holds 2^(stop-start) int64.
 
     Built one vertex at a time: for the masks whose highest vertex is i,
     e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|.
@@ -249,37 +293,58 @@ def subset_tables(G: Graph, start: int = 0,
     stop = G.n if stop is None else stop
     k = stop - start
     nbr = neighbour_masks(G, start, stop)[start:stop]
-    pc = popcounts(k)
     e_in = np.zeros(1 << k, dtype=np.int64)
-    vol = np.zeros(1 << k, dtype=np.int64)
     for i in range(k):
         lo = 1 << i
-        e_in[lo:2 * lo] = e_in[:lo] + pc[np.arange(lo) & nbr[i]]
+        e_in[lo:2 * lo] = e_in[:lo] + np.bitwise_count(np.arange(lo) & nbr[i])
+    return e_in
+
+
+def subset_volumes(G: Graph, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Table vol[mask] of the degree sums in G of the same subsets as
+    subset_edges."""
+    stop = G.n if stop is None else stop
+    vol = np.zeros(1 << (stop - start), dtype=np.int64)
+    for i in range(stop - start):
+        lo = 1 << i
         vol[lo:2 * lo] = vol[:lo] + G.degrees[start + i]
-    return e_in, vol
+    return vol
+
+
+def component_roots(G: Graph) -> np.ndarray:
+    """root[v-1] = the smallest vertex of v's component, 0-indexed.
+
+    Min-label propagation with pointer jumping, after FastSV (Zhang, Azad
+    & Hu 2020): each round every label is replaced by its label's label,
+    and then each vertex with neighbours lowers its old label's label to
+    the smallest of those among its neighbours (one np.minimum.reduceat
+    over the non-empty CSR rows).  Lowering the label's label hooks a
+    whole tree at once: a randomly labelled path of 10^5 vertices takes
+    20 rounds, where lowering only the vertex's own label took 33 880.
+    A label is always a vertex of the same component and never larger
+    than its vertex, so at the fixed point, where every label is its own
+    label's label and no edge joins unequal labels, each component
+    carries its smallest vertex.
+    """
+    label = np.arange(G.n)
+    rows = np.flatnonzero(G.degrees)
+    starts = G.indptr[rows]
+    while len(rows):
+        new = label[label]
+        low = np.minimum.reduceat(new[G.indices], starts)
+        np.minimum.at(new, label[rows], low)
+        if np.array_equal(new, label):
+            break
+        label = new
+    return label
 
 
 def connected_components(G: Graph) -> list[frozenset]:
     """Connected components as vertex sets, ordered by smallest member."""
-    indptr = G.indptr.tolist()
-    indices = G.indices.tolist()
-    seen = [False] * G.n
-    comps = []
-    for start in range(G.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v + 1)
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
+    roots = component_roots(G)
+    order = np.argsort(roots, kind="stable")
+    ends = np.flatnonzero(np.diff(roots[order])) + 1
+    return [frozenset(block.tolist()) for block in np.split(order + 1, ends)]
 
 
 def write_edge_list(G: Graph, out: TextIO) -> None:

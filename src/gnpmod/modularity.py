@@ -46,8 +46,8 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .graph import (Graph, _parse_ints, bit_reversal, connected_components, popcounts,
-                    subset_tables)
+from .graph import (Graph, _parse_ints, bit_reversal, component_roots, subset_edges,
+                    subset_volumes)
 from .rng import generator, trial_seed
 
 EXACT_CAP_DEFAULT = 13  # Bell(13) ~ 2.8e7 partitions
@@ -206,10 +206,10 @@ def exact_modularity(G: Graph, cap: int = EXACT_CAP_DEFAULT) -> ModularityResult
     m = G.m
     if m == 0:
         return ModularityResult(0.0, Partition.trivial(n), "exact")
-    e_in, vol = subset_tables(G)
-    w = 4 * m * e_in - vol * vol
+    vol = subset_volumes(G)
+    w = 4 * m * subset_edges(G) - vol * vol
     rev = bit_reversal(n)
-    pc = popcounts(n)
+    pc = np.bitwise_count(np.arange(1 << n))
     by_layer = np.argsort(pc, kind="stable")
     ends = np.cumsum(np.bincount(pc))
     f = np.zeros(1 << n, dtype=np.int64)
@@ -247,7 +247,7 @@ def score_components(G: Graph) -> ModularityResult:
     """Score of the connected-components partition."""
     if G.m < 1:
         raise ValidationError("score_components needs at least one edge")
-    P = Partition.of(connected_components(G), G.n)
+    P = Partition(component_roots(G))
     return ModularityResult(score_definition(G, P), P, "components")
 
 
@@ -349,10 +349,14 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     nnodes = len(strength)
     comm = np.arange(nnodes)
     vol = strength.copy()
-    # list mirrors: the dict path reads Python ints, the numpy path arrays
+    # list mirrors: the dict path reads Python ints, the numpy path arrays;
+    # the row lists are built only if some row takes the dict path
     comm_l, vol_l, str_l = comm.tolist(), vol.tolist(), strength.tolist()
-    ptr, idx_l = indptr.tolist(), indices.tolist()
-    wt_l = None if weights is None else weights.tolist()
+    ptr = indptr.tolist()
+    idx_l = wt_l = None
+    if (np.diff(indptr) < NUMPY_ROW_MIN).any():
+        idx_l = indices.tolist()
+        wt_l = None if weights is None else weights.tolist()
     table = None
     moved_any = True
     while moved_any:
@@ -380,7 +384,7 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
                 best_c = int(cr[j]) if gains[j] > stay else a
             else:
                 kv: dict[int, int] = {}
-                if wt_l is None:
+                if weights is None:
                     for w in idx_l[s:e]:
                         c = comm_l[w]
                         kv[c] = kv.get(c, 0) + 1

@@ -19,6 +19,12 @@ CSR kernel must give identical labels.
 3.2 event checks with one array per subset and a per-trial dict tally;
 they return the regime rows as (regime, k_min, k_max, trials, v1, v2,
 v3) tuples, which the library's chunked tally must reproduce.
+
+`gnp_edges_triu` draws G(n,p) with all n(n-1)/2 uniforms at once over
+`np.triu_indices`, `csr_lexsort` builds the CSR arrays by sorting every
+edge in both directions, and `components_dfs` finds components by depth
+first search: the library's streamed sampler, its CSR builder and its
+label-propagation components must give the same arrays and sets.
 """
 
 import math
@@ -27,10 +33,55 @@ from itertools import combinations
 import numpy as np
 
 from gnpmod.errors import ValidationError
-from gnpmod.graph import popcounts, subset_tables
+from gnpmod.graph import subset_edges
 from gnpmod.rng import generator, trial_seed
 
 JACOBI_TOL = 1e-10
+
+
+def gnp_edges_triu(n: int, p: float, seed: int) -> np.ndarray:
+    """The (m, 2) 1-indexed edges of G(n,p) from one draw of n(n-1)/2
+    uniforms, pair (u, v) kept when its uniform, in lexicographic pair
+    order, is below p."""
+    keep = generator(seed).random(n * (n - 1) // 2) < p
+    iu, iv = np.triu_indices(n, k=1)
+    return np.column_stack((iu[keep] + 1, iv[keep] + 1)).astype(np.int64)
+
+
+def csr_lexsort(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the simple graph on the 1-indexed `edges`,
+    which must be distinct u < v pairs: every edge in both directions,
+    sorted by (row, column)."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2) - 1
+    rows = np.concatenate((e[:, 0], e[:, 1]))
+    cols = np.concatenate((e[:, 1], e[:, 0]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[np.lexsort((cols, rows))]
+
+
+def components_dfs(G) -> list[frozenset]:
+    """Connected components as vertex sets, ordered by smallest member,
+    by depth-first search over Python lists."""
+    indptr = G.indptr.tolist()
+    indices = G.indices.tolist()
+    seen = [False] * G.n
+    comps = []
+    for start in range(G.n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v + 1)
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return comps
 
 
 def enumerate_partitions_rgs(n: int):
@@ -362,10 +413,10 @@ def lemma32_events_exhaustive(G, C: float, d: float) -> tuple:
     """Regime rows of the three events over every nonempty proper subset,
     from per-subset arrays of length 2^n."""
     n = G.n
-    e_in_tab, _ = subset_tables(G)
+    e_in_tab = subset_edges(G)
     full = (1 << n) - 1
     masks = np.arange(1, full)
-    k = popcounts(n)[1:full]
+    k = np.bitwise_count(masks).astype(np.int64)
     e_in = e_in_tab[masks]
     e_out = e_in_tab[full ^ masks]
     e_cross = G.m - e_in - e_out

@@ -1,15 +1,42 @@
+import hashlib
 import io
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gnpmod import graph
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_PAIRS, MAX_VERTICES, Graph, VertexSubset,
+from gnpmod.graph import (MAX_PAIRS, MAX_VERTICES, Graph, VertexSubset, component_roots,
                           connected_components, degree, edge_counts, read_edge_list,
-                          sample_gnp, subset_tables, write_edge_list)
+                          sample_gnp, subset_edges, subset_volumes, write_edge_list)
+from gnpmod.rng import generator
+
+import oracles
+
+PER_CASE = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_csr_matches_reference(G):
+    indptr, indices = oracles.csr_lexsort(G.n, G.edges)
+    assert np.array_equal(G.indptr, indptr)
+    assert np.array_equal(G.indices, indices)
+    assert np.array_equal(G.degrees, np.diff(indptr))
+    assert all(a.dtype == np.int64 and not a.flags.writeable
+               for a in (G.edges, G.indptr, G.indices, G.degrees))
+
+
+def traced_peak_mib(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def small_graphs(max_n=10):
@@ -37,6 +64,19 @@ class TestConstruction:
     def test_dedupes_orientation(self):
         G = Graph(3, [(1, 2), (2, 1)])
         assert G.m == 1
+
+    @PER_CASE
+    @given(st.integers(1, 30), st.data())
+    def test_csr_from_shuffled_reversed_duplicated_pairs(self, n, data):
+        pairs = sorted(data.draw(st.sets(
+            st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1]))))
+        given_pairs = [data.draw(st.sampled_from([(u, v), (v, u)])) for u, v in pairs]
+        given_pairs += data.draw(st.lists(st.sampled_from(given_pairs), max_size=10)
+                                 if given_pairs else st.just([]))
+        given_pairs = data.draw(st.permutations(given_pairs))
+        G = Graph(n, given_pairs)
+        assert G.edges.tolist() == [list(e) for e in pairs]
+        assert_csr_matches_reference(G)
 
 
 class TestSampling:
@@ -82,6 +122,40 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @PER_CASE
+    @given(n=st.integers(1, 40), p=st.sampled_from([0.0, 1e-3, 0.5, 1.0]),
+           seed=st.integers(0, 2**32), chunk=st.sampled_from([1, 7, graph.SAMPLE_CHUNK]))
+    def test_streamed_draw_matches_one_draw(self, monkeypatch, n, p, seed, chunk):
+        # chunks of 1 and 7 pairs end inside rows and across row boundaries
+        monkeypatch.setattr(graph, "SAMPLE_CHUNK", chunk)
+        G = sample_gnp(n, p, seed)
+        assert np.array_equal(G.edges, oracles.gnp_edges_triu(n, p, seed))
+        assert_csr_matches_reference(G)
+
+    def test_chunked_uniforms_equal_one_call(self):
+        rng = generator(5)
+        parts = np.concatenate([rng.random(3), rng.random(2**20), rng.random(77)])
+        assert np.array_equal(parts, generator(5).random(3 + 2**20 + 77))
+
+    # sha256 of edges.tobytes() for the two benchmark corridor graphs, taken
+    # from the single-draw sampler.  A sampler that draws a different
+    # stream (a geometric skip draw, say) must change these on purpose.
+    CORRIDOR_DIGESTS = {
+        25: "4bec5c30aa7c9cbd671b92d672a26a153d7b7e40b8860246c2176d2052ec7138",
+        400: "b6c36d230354ae65b618605fe74f377e8a442745191259397bb1ca420f87cb7e",
+    }
+
+    @pytest.mark.parametrize("d", sorted(CORRIDOR_DIGESTS))
+    def test_corridor_stream_pinned(self, d):
+        G = sample_gnp(4000, d / 4000, 1)
+        assert hashlib.sha256(G.edges.tobytes()).hexdigest() == self.CORRIDOR_DIGESTS[d]
+
+    # tracemalloc peaks measured on the streamed draw: 62 MiB at d = 400 and
+    # 4 MiB at d = 25 (221 and 145 MiB when the draw held every pair).
+    @pytest.mark.parametrize("p, bound_mib", [(0.1, 96), (25 / 4000, 16)])
+    def test_draw_memory_is_linear_in_edges(self, p, bound_mib):
+        assert traced_peak_mib(sample_gnp, 4000, p, 3) < bound_mib
+
     def test_edge_count_moments(self):
         # e(G) ~ Bin(4950, 0.1): mean 495, var 445.5
         counts = np.array([sample_gnp(100, 0.1, s).m for s in range(10_000)])
@@ -122,7 +196,7 @@ class TestEdgeCounts:
 
     def test_exhaustive_partition_identity(self):
         G = sample_gnp(12, 0.5, 7)
-        e_in, vol = subset_tables(G)
+        e_in, vol = subset_edges(G), subset_volumes(G)
         full = (1 << 12) - 1
         for mask in range(full + 1):
             assert e_in[mask] + e_in[full ^ mask] <= G.m
@@ -160,6 +234,42 @@ class TestComponents:
     def test_isolated_vertices(self):
         assert connected_components(Graph(3, [])) == [
             frozenset({1}), frozenset({2}), frozenset({3})]
+
+    @staticmethod
+    def assert_matches_dfs(G):
+        comps = oracles.components_dfs(G)
+        assert connected_components(G) == comps
+        roots = np.empty(G.n, dtype=np.int64)
+        for comp in comps:
+            roots[np.array(sorted(comp)) - 1] = min(comp) - 1
+        assert np.array_equal(component_roots(G), roots)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 1000])
+    def test_reversed_path_and_star(self, n):
+        self.assert_matches_dfs(Graph(n, [(v + 1, v) for v in range(n - 1, 0, -1)]))
+        self.assert_matches_dfs(Graph(n + 3, [(n, v) for v in range(1, n)]))
+
+    @PER_CASE
+    @given(st.integers(1, 60), st.integers(1, 4), st.data())
+    def test_relabelled_paths_and_stars(self, n, pieces, data):
+        # disjoint paths and stars under a random vertex labelling, plus
+        # isolated vertices; a randomly labelled path is the slow case of
+        # plain min-label propagation
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=pieces, max_size=pieces)))
+        edges = []
+        for a, b in zip([0] + cuts, cuts + [n]):
+            part = perm[a:b]
+            if data.draw(st.booleans()):
+                edges += list(zip(part, part[1:]))
+            else:
+                edges += [(part[0], v) for v in part[1:]]
+        self.assert_matches_dfs(Graph(n, edges))
+
+    @PER_CASE
+    @given(st.integers(1, 200), st.floats(0.0, 0.05), st.integers(0, 10**6))
+    def test_gnp(self, n, p, seed):
+        self.assert_matches_dfs(sample_gnp(n, p, seed))
 
 
 class TestEdgeListFormat:
