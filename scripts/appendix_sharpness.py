@@ -21,8 +21,8 @@ def main():
     for z in np.arange(2.1, 1.39, -0.05):
         z = round(float(z), 2)
         rep = verify_appendix(GridSpec(z_values=(z,)))
-        print(f"{z},{rep.min_f:.6f},{int(rep.min_f > 0.001)},"
-              f"{rep.min_g:.6f},{int(rep.min_g > 0.70315)},{int(rep.passed)}")
+        print(f"{z},{rep.min_f:.6f},{int(rep.min_f > rep.f_threshold)},"
+              f"{rep.min_g:.6f},{int(rep.min_g > rep.g_threshold)},{int(rep.passed)}")
 
 
 if __name__ == "__main__":

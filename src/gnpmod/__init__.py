@@ -13,9 +13,8 @@ from .concentration import (EventCheckResult, GridReport, GridSpec,
                             chernoff_upper, f, g, h1, h2, h3, phi,
                             verify_appendix)
 from .errors import CapExceeded, ValidationError
-from .graph import (EdgeCounts, Graph, VertexSubset, connected_components,
-                    degree, edge_counts, read_edge_list, sample_gnp,
-                    write_edge_list)
+from .graph import (EdgeCounts, Graph, component_roots, degree, edge_counts,
+                    read_edge_list, sample_gnp, write_edge_list)
 from .modularity import (ModularityResult, Partition, exact_modularity,
                          heuristic_modularity, read_partition,
                          score_components, score_definition, score_edge_form,

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .graph import (Graph, VertexSubset, bit_reversal, edge_counts, neighbour_masks,
+from .graph import (Graph, bit_reversal, check_subset, edge_counts, neighbour_masks,
                     subset_edges, subset_volumes)
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
@@ -33,19 +33,24 @@ EXACT_BISECTION_LOW = 16
 EXACT_BISECTION_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bisection:
-    """A balanced split: |S| - |Sbar| in {0, 1}, cut = e(S, Sbar)."""
+    """A balanced split: |S| - |Sbar| in {0, 1}, cut = e(S, Sbar).  S is
+    held as a read-only view of the boolean subset array."""
 
-    S: VertexSubset
+    S: np.ndarray
     cut: int
 
     def __post_init__(self):
-        if 2 * self.S.size - self.S.n not in (0, 1):
+        check_subset(self.S, np.size(self.S))
+        if 2 * np.count_nonzero(self.S) - len(self.S) not in (0, 1):
             raise ValidationError("bisection must satisfy |S| - |Sbar| in {0,1}")
+        S = self.S.view()
+        S.flags.writeable = False
+        object.__setattr__(self, "S", S)
 
     def partition(self) -> Partition:
-        return Partition(self.S.indicator().astype(np.int64))
+        return Partition(self.S.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -119,18 +124,22 @@ def exact_min_bisection(G: Graph, cap: int = EXACT_BISECTION_CAP) -> Bisection:
             if best_key is None or key.flat[i] < best_key:
                 best_key, best_cut = key.flat[i], int(cut.flat[i])
                 best_mask = int(A[i % len(A)]) | int(P[i // len(A)]) << L
-    members = [v + 1 for v in range(n) if best_mask >> v & 1]
-    return Bisection(VertexSubset.of(members, n), best_cut)
+    return Bisection((best_mask >> np.arange(n)) & 1 == 1, best_cut)
 
 
-def _canonical_side(side: np.ndarray, n: int) -> tuple[int, ...]:
-    """The S block as a sorted vertex tuple: for even n the side holding
-    vertex 1, for odd n the larger side."""
+def _canonical_side(side: np.ndarray, n: int) -> np.ndarray:
+    """The S block: for even n the side holding vertex 1, for odd n the
+    larger side."""
     if n % 2 == 0:
-        chosen = side if side[0] else ~side
-    else:
-        chosen = side if side.sum() > n // 2 else ~side
-    return tuple(int(i) + 1 for i in np.nonzero(chosen)[0])
+        return side if side[0] else ~side
+    return side if 2 * np.count_nonzero(side) > n else ~side
+
+
+def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether subset a sorts before subset b of the same size as a
+    sorted vertex tuple: a holds the first vertex at which they differ."""
+    i = int(np.argmax(a != b))
+    return bool(a[i] > b[i])
 
 
 def _swap_gains(G: Graph, D: np.ndarray, cand_a: np.ndarray,
@@ -201,23 +210,21 @@ def local_search_bisection(G: Graph, seed: int = 0, restarts: int = 10) -> Bisec
         raise ValidationError("restarts must be >= 1")
     if G.n < 2:
         raise ValidationError("bisection needs n >= 2")
-    best: tuple[int, tuple[int, ...]] | None = None
+    best_cut, best_S = None, None
     for r in range(restarts):
         side, cut = _single_local_search(G, generator(trial_seed(seed, r)))
-        key = (cut, _canonical_side(side, G.n))
-        if best is None or key < best:
-            best = key
-    cut, members = best
-    return Bisection(VertexSubset.of(members, G.n), cut)
+        S = _canonical_side(side, G.n)
+        if best_S is None or cut < best_cut or (cut == best_cut and _precedes(S, best_S)):
+            best_cut, best_S = cut, S
+    return Bisection(best_S, best_cut)
 
 
-def error_decomposition(G: Graph, S: VertexSubset, d: float) -> ErrorDecomposition:
-    """err0/err1/err2 for a balanced subset, with the reconstruction
-    identity e(S,Sbar) = nd/4 - (err1 + err2) checked in exact rational
-    arithmetic."""
-    if S.n != G.n:
-        raise ValidationError("subset/graph size mismatch")
-    if 2 * S.size - G.n not in (0, 1):
+def error_decomposition(G: Graph, S: np.ndarray, d: float) -> ErrorDecomposition:
+    """err0/err1/err2 for a balanced subset S (a boolean array of length
+    n), with the reconstruction identity e(S,Sbar) = nd/4 - (err1 + err2)
+    checked in exact rational arithmetic."""
+    check_subset(S, G.n)
+    if 2 * np.count_nonzero(S) - G.n not in (0, 1):
         raise ValidationError("error_decomposition requires a balanced subset")
     ec = edge_counts(G, S)
     n = G.n

@@ -18,6 +18,8 @@ itself is streamed, SAMPLE_CHUNK uniforms at a time, and keeps only the
 indices of the pairs it accepts.  Connected components are found by
 min-label propagation over the CSR rows, so no step loops over vertices
 in Python.
+
+A vertex subset S is a boolean array of length n, S[v-1] for vertex v.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ from .rng import generator
 # draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
 # 2-vCPU box.
 MAX_PAIRS = 50_000_000
+# Largest expected edge count p n(n-1)/2 that sample_gnp draws.  At about
+# 80 bytes per kept edge this keeps the draw's peak under 1 GiB; the
+# drawn m exceeds its expectation by more than a few standard deviations
+# sqrt(m (1-p)) (about 3 500 edges here) only with negligible probability.
+MAX_EXPECTED_EDGES = 12_000_000
 # Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
 # A larger chunk can cost resident memory, since glibc's mmap threshold
 # follows a freed chunk upward: the desk-oracles benchmark's max RSS was
@@ -153,40 +160,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class VertexSubset:
-    """A subset S of the vertices of a graph on [n]."""
-
-    members: frozenset
-    n: int
-
-    def __post_init__(self):
-        if not all(isinstance(v, int) and 1 <= v <= self.n for v in self.members):
-            raise ValidationError(f"subset members must lie in 1..{self.n}")
-
-    @classmethod
-    def of(cls, members: Iterable[int], n: int) -> "VertexSubset":
-        return cls(frozenset(members), n)
-
-    def complement(self) -> "VertexSubset":
-        return VertexSubset(frozenset(range(1, self.n + 1)) - self.members, self.n)
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def fraction(self) -> float:
-        """s = |S| / n."""
-        return len(self.members) / self.n
-
-    def indicator(self) -> np.ndarray:
-        """Boolean membership array, position v-1 for vertex v."""
-        ind = np.zeros(self.n, dtype=bool)
-        ind[np.fromiter(self.members, dtype=np.int64, count=self.size) - 1] = True
-        return ind
-
-
-@dataclass(frozen=True)
 class EdgeCounts:
     """Edge statistics of a subset S: e(S), e(S̄), e(S,S̄) and volumes."""
 
@@ -195,10 +168,6 @@ class EdgeCounts:
     e_cross: int
     vol_S: int
     vol_Sbar: int
-
-    @property
-    def total(self) -> int:
-        return self.e_in + self.e_out + self.e_cross
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -210,8 +179,9 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     an edge iff the t-th uniform of the seed's stream is below p, so
     samples are bit-reproducible.  The uniforms are drawn SAMPLE_CHUNK at
     a time, which leaves the stream unchanged, and only the accepted pair
-    indices are kept.  More than MAX_PAIRS pairs raise CapExceeded before
-    anything is allocated.
+    indices are kept.  More than MAX_PAIRS pairs, or more than
+    MAX_EXPECTED_EDGES expected edges, raise CapExceeded before anything
+    is allocated.
     """
     if n < 1:
         raise ValidationError(f"n={n} must be a positive integer")
@@ -220,6 +190,9 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     npairs = n * (n - 1) // 2
     if npairs > MAX_PAIRS:
         raise CapExceeded("sample_gnp pairs n(n-1)/2", npairs, MAX_PAIRS)
+    if p * npairs > MAX_EXPECTED_EDGES:
+        raise CapExceeded("sample_gnp expected edges p n(n-1)/2", round(p * npairs),
+                          MAX_EXPECTED_EDGES)
     if npairs == 0 or p == 0.0:
         return Graph(n, [])
     rng = generator(seed)
@@ -241,13 +214,19 @@ def degree(G: Graph, v: int) -> int:
     return int(G.degrees[v - 1])
 
 
-def edge_counts(G: Graph, S: VertexSubset) -> EdgeCounts:
-    """Exact integer counts e(S), e(S̄), e(S,S̄), vol(S), vol(S̄)."""
-    if S.n != G.n:
-        raise ValidationError(f"subset is over [{S.n}], graph over [{G.n}]")
-    ind = S.indicator()
-    inu = ind[G.edges[:, 0] - 1]
-    inv = ind[G.edges[:, 1] - 1]
+def check_subset(S, n: int) -> None:
+    """Refuse S unless it is a vertex subset of [n]: a boolean array of
+    length n, True at position v-1 for each member v."""
+    if not (isinstance(S, np.ndarray) and S.dtype == bool and S.shape == (n,)):
+        raise ValidationError(f"a vertex subset of [{n}] is a boolean array of length {n}")
+
+
+def edge_counts(G: Graph, S: np.ndarray) -> EdgeCounts:
+    """Exact integer counts e(S), e(S̄), e(S,S̄), vol(S), vol(S̄) of the
+    subset S, a boolean array of length n."""
+    check_subset(S, G.n)
+    inu = S[G.edges[:, 0] - 1]
+    inv = S[G.edges[:, 1] - 1]
     e_in = int(np.count_nonzero(inu & inv))
     e_cross = int(np.count_nonzero(inu ^ inv))
     vol_S = 2 * e_in + e_cross
@@ -288,7 +267,8 @@ def subset_edges(G: Graph, start: int = 0, stop: int | None = None) -> np.ndarra
     holds 2^(stop-start) int64.
 
     Built one vertex at a time: for the masks whose highest vertex is i,
-    e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|.
+    e(S) = e(S - {i}) + |N(i) ∩ (S - {i})|, with the second term built
+    in the table's new half itself, so the table is the only allocation.
     """
     stop = G.n if stop is None else stop
     k = stop - start
@@ -296,7 +276,12 @@ def subset_edges(G: Graph, start: int = 0, stop: int | None = None) -> np.ndarra
     e_in = np.zeros(1 << k, dtype=np.int64)
     for i in range(k):
         lo = 1 << i
-        e_in[lo:2 * lo] = e_in[:lo] + np.bitwise_count(np.arange(lo) & nbr[i])
+        layer = e_in[lo:2 * lo]
+        # layer[mask] = |N(i) ∩ mask|, one lower vertex j at a time, in place;
+        # layer[0] = 0 from the zeroed table
+        for j in range(i):
+            np.add(layer[:1 << j], int(nbr[i]) >> j & 1, out=layer[1 << j:2 << j])
+        layer += e_in[:lo]
     return e_in
 
 
@@ -337,14 +322,6 @@ def component_roots(G: Graph) -> np.ndarray:
             break
         label = new
     return label
-
-
-def connected_components(G: Graph) -> list[frozenset]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    roots = component_roots(G)
-    order = np.argsort(roots, kind="stable")
-    ends = np.flatnonzero(np.diff(roots[order])) + 1
-    return [frozenset(block.tolist()) for block in np.split(order + 1, ends)]
 
 
 def write_edge_list(G: Graph, out: TextIO) -> None:

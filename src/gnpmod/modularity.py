@@ -89,10 +89,6 @@ class Partition:
         self.n = len(lab)
 
     @classmethod
-    def from_labels(cls, labels) -> "Partition":
-        return cls(labels)
-
-    @classmethod
     def of(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
         """Partition from its blocks, which must be nonempty, disjoint and
         cover 1..n."""

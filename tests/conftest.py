@@ -1,8 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from gnpmod.graph import Graph, sample_gnp
+from gnpmod.graph import Graph, component_roots, sample_gnp
 
 
 @pytest.fixture
@@ -49,9 +50,15 @@ def pytest_terminal_summary(terminalreporter):
 
 def connected_gnp(n: int, p: float, seed: int) -> Graph:
     """First connected G(n,p) sample at seed, seed+1000, seed+2000, ..."""
-    from gnpmod.graph import connected_components
     for off in itertools.count(0, 1000):
         G = sample_gnp(n, p, seed + off)
-        if len(connected_components(G)) == 1:
+        if not component_roots(G).any():
             return G
     raise AssertionError("unreachable")
+
+
+def subset(members, n: int) -> np.ndarray:
+    """The boolean subset array of the 1-indexed `members` in [n]."""
+    S = np.zeros(n, dtype=bool)
+    S[np.fromiter(members, dtype=np.int64) - 1] = True
+    return S

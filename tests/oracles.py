@@ -25,6 +25,10 @@ v3) tuples, which the library's chunked tally must reproduce.
 edge in both directions, and `components_dfs` finds components by depth
 first search: the library's streamed sampler, its CSR builder and its
 label-propagation components must give the same arrays and sets.
+
+`best_restart` is the rule by which local search picks among its
+restarts, on sorted member tuples: the library compares the boolean
+sides directly and must pick the same cut and S.
 """
 
 import math
@@ -82,6 +86,21 @@ def components_dfs(G) -> list[frozenset]:
                     stack.append(w)
         comps.append(frozenset(comp))
     return comps
+
+
+def best_restart(n: int, runs) -> tuple[int, tuple[int, ...]]:
+    """(cut, S) of the best of the restarts' (side, cut) runs: each side
+    becomes its S block (the side holding vertex 1 for even n, the
+    larger side for odd n) as a sorted vertex tuple, and the minimum over
+    (cut, tuple) wins."""
+    keys = []
+    for side, cut in runs:
+        if n % 2 == 0:
+            chosen = side if side[0] else ~side
+        else:
+            chosen = side if side.sum() > n // 2 else ~side
+        keys.append((cut, tuple(int(i) + 1 for i in np.nonzero(chosen)[0])))
+    return min(keys)
 
 
 def enumerate_partitions_rgs(n: int):

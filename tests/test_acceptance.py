@@ -19,7 +19,7 @@ from gnpmod.bounds import SUPREMUM_VALUE, asymptotic_constants, supremum_check
 from gnpmod.cli import main as cli_main
 from gnpmod.concentration import (chernoff_lower, chernoff_upper,
                                   check_lemma32_events_sampled, verify_appendix)
-from gnpmod.graph import Graph, VertexSubset, sample_gnp
+from gnpmod.graph import Graph, sample_gnp
 from gnpmod.modularity import (Partition, exact_modularity,
                                heuristic_modularity, score_components,
                                score_definition, score_edge_form)
@@ -27,7 +27,7 @@ from gnpmod.rng import generator
 from gnpmod.spectral import spectral_gap
 
 import conftest
-from conftest import connected_gnp
+from conftest import connected_gnp, subset
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "exact_corpus.json"
 
@@ -176,7 +176,7 @@ def test_c07_error_decomposition():
         d = 2 * G.m / n
         import itertools
         for S in itertools.combinations(range(1, n + 1), n // 2):
-            dec = error_decomposition(G, VertexSubset.of(S, n), d)
+            dec = error_decomposition(G, subset(S, n), d)
             bad += not dec.exact
     # sampled bisections at n = 2000
     rng = generator(91_000)
@@ -184,7 +184,7 @@ def test_c07_error_decomposition():
     d = 2 * G.m / 2000
     for _ in range(1000):
         side = rng.permutation(2000)[:1000] + 1
-        dec = error_decomposition(G, VertexSubset.of(side.tolist(), 2000), d)
+        dec = error_decomposition(G, subset(side, 2000), d)
         bad += not dec.exact
     el = time.perf_counter() - t0
     report(7, bad == 0,

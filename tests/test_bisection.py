@@ -1,15 +1,26 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gnpmod.bisection import (Bisection, bisection_modularity_certificate,
-                              error_decomposition, exact_min_bisection,
-                              local_search_bisection)
+from gnpmod.bisection import (Bisection, _single_local_search,
+                              bisection_modularity_certificate, error_decomposition,
+                              exact_min_bisection, local_search_bisection)
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import Graph, VertexSubset, edge_counts, sample_gnp
+from gnpmod.graph import Graph, edge_counts, sample_gnp
 from gnpmod.modularity import score_edge_form
+from gnpmod.rng import generator, trial_seed
+
+import oracles
+from conftest import subset
+
+
+def members(S) -> list[int]:
+    return (np.flatnonzero(S) + 1).tolist()
 
 
 def brute_min_cut(G):
@@ -17,7 +28,7 @@ def brute_min_cut(G):
     n = G.n
     best = None
     for S in itertools.combinations(range(1, n + 1), (n + 1) // 2):
-        cut = edge_counts(G, VertexSubset.of(S, n)).e_cross
+        cut = edge_counts(G, subset(S, n)).e_cross
         if best is None or cut < best:
             best = cut
     return best
@@ -27,12 +38,12 @@ class TestExact:
     def test_two_edges(self, two_edges):
         r = exact_min_bisection(two_edges)
         assert r.cut == 0
-        assert sorted(r.S.members) == [1, 2]
+        assert members(r.S) == [1, 2]
 
     def test_path4(self, path4):
         r = exact_min_bisection(path4)
         assert r.cut == 1
-        assert sorted(r.S.members) == [1, 2]
+        assert members(r.S) == [1, 2]
 
     def test_k4(self, k4):
         assert exact_min_bisection(k4).cut == 4
@@ -44,12 +55,12 @@ class TestExact:
         P5 = Graph(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
         r = exact_min_bisection(P5)
         assert r.cut == 1
-        assert r.S.size == 3
+        assert np.count_nonzero(r.S) == 3
 
     def test_balanced_invariant(self):
         for n in (7, 10, 13):
             r = exact_min_bisection(sample_gnp(n, 0.4, n))
-            assert 2 * r.S.size - n in (0, 1)
+            assert 2 * np.count_nonzero(r.S) - n in (0, 1)
             assert edge_counts(sample_gnp(n, 0.4, n),
                                r.S).e_cross == r.cut
 
@@ -65,7 +76,19 @@ class TestExact:
 
     def test_unbalanced_rejected(self, k4):
         with pytest.raises(ValidationError):
-            Bisection(VertexSubset.of([1], 4), 3)
+            Bisection(subset([1], 4), 3)
+
+    @pytest.mark.parametrize("S", [[True, True, False, False], np.array([1, 1, 0, 0])])
+    def test_non_subset_rejected(self, S):
+        with pytest.raises(ValidationError):
+            Bisection(S, 0)
+
+    def test_side_is_read_only(self, path4):
+        S = exact_min_bisection(path4).S
+        assert S.dtype == bool and not S.flags.writeable
+        side = subset([1, 2], 4)
+        assert not Bisection(side, 1).S.flags.writeable
+        assert side.flags.writeable
 
 
 class TestLocalSearch:
@@ -76,7 +99,7 @@ class TestLocalSearch:
             G = sample_gnp(n, 0.5, 8_000 + i)
             ex = exact_min_bisection(G).cut
             ls = local_search_bisection(G, seed=i, restarts=10)
-            assert 2 * ls.S.size - n in (0, 1)
+            assert 2 * np.count_nonzero(ls.S) - n in (0, 1)
             assert ls.cut >= ex
             hits += ls.cut == ex
         assert hits >= 54  # at least 90 percent optimal
@@ -85,7 +108,19 @@ class TestLocalSearch:
         G = sample_gnp(60, 0.2, 4)
         a = local_search_bisection(G, seed=5, restarts=8)
         b = local_search_bisection(G, seed=5, restarts=8)
-        assert a.cut == b.cut and a.S.members == b.S.members
+        assert a.cut == b.cut and np.array_equal(a.S, b.S)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(4, 14), st.sampled_from([0.2, 0.35, 0.5]), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1), st.integers(20, 32))
+    def test_restart_choice_matches_reference(self, n, p, graph_seed, seed, restarts):
+        # small graphs with many restarts: distinct sides of the same cut are
+        # common, so the lexicographic tie-break decides the answer
+        G = sample_gnp(n, p, graph_seed)
+        runs = [_single_local_search(G, generator(trial_seed(seed, r)))
+                for r in range(restarts)]
+        got = local_search_bisection(G, seed=seed, restarts=restarts)
+        assert (got.cut, tuple(members(got.S))) == oracles.best_restart(n, runs)
 
     def test_cut_matches_side(self):
         G = sample_gnp(80, 0.1, 2)
@@ -124,7 +159,7 @@ class TestErrorDecomposition:
 
     def test_rejects_unbalanced(self, k4):
         with pytest.raises(ValidationError):
-            error_decomposition(k4, VertexSubset.of([1], 4), 1.5)
+            error_decomposition(k4, subset([1], 4), 1.5)
 
 
 class TestCertificate:
@@ -150,6 +185,14 @@ class TestCertificate:
     def test_needs_an_edge(self):
         with pytest.raises(ValidationError):
             bisection_modularity_certificate(Graph(4, []))
+
+    def test_corridor_certificate_pinned(self):
+        # sha256 of the corridor-d25 certificate's labels, taken while the
+        # restarts were still ranked by sorted member tuples
+        G = sample_gnp(4000, 25 / 4000, 1)
+        r = bisection_modularity_certificate(G, seed=1, restarts=3)
+        assert (hashlib.sha256(r.partition.labels.tobytes()).hexdigest()
+                == "29d616c7688c6b5e52d2fe6082dc5d6b1e4f4b3f484306495e4d8d2edd8f6c7e")
 
     def test_sqrt_d_scaling(self):
         n, d = 500, 64

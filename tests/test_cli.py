@@ -49,6 +49,11 @@ class TestSample:
         assert code == 3
         assert out == ""
 
+    def test_dense_graph_exits_3(self, capsys):
+        code, out = run(capsys, "sample", "--n", "10000", "--p", "0.9")
+        assert code == 3
+        assert out == ""
+
 
 class TestScoring:
     def test_mod_exact(self, capsys):

@@ -55,7 +55,7 @@ def assert_modularity_matches(G):
 def assert_bisection_matches(G):
     got = exact_min_bisection(G, cap=G.n)
     cut, S = min_bisection_combinations(G.n, G.edges.tolist())
-    assert (got.cut, tuple(sorted(got.S.members))) == (cut, S)
+    assert (got.cut, tuple(v + 1 for v in range(G.n) if got.S[v])) == (cut, S)
 
 
 class TestExactModularity:

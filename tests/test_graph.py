@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gnpmod import graph
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_PAIRS, MAX_VERTICES, Graph, VertexSubset, component_roots,
-                          connected_components, degree, edge_counts, read_edge_list,
+from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, Graph,
+                          component_roots, degree, edge_counts, read_edge_list,
                           sample_gnp, subset_edges, subset_volumes, write_edge_list)
 from gnpmod.rng import generator
 
 import oracles
+from conftest import subset
 
 PER_CASE = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -111,6 +112,19 @@ class TestSampling:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_expected_edge_cap_refuses_before_allocating(self):
+        # 4.5e7 expected edges would hold about 3.6 GB at 80 bytes an edge
+        assert 10_000 * 9_999 // 2 <= MAX_PAIRS
+        assert 8 * 10**5 < MAX_EXPECTED_EDGES <= 2**30 // 80
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match="expected edges"):
+                sample_gnp(10_000, 0.9, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_vertex_cap_refuses_before_allocating(self):
         tracemalloc.start()
         try:
@@ -187,11 +201,11 @@ class TestDegree:
 
 class TestEdgeCounts:
     def test_k3_pair(self, k3):
-        ec = edge_counts(k3, VertexSubset.of([1, 2], 3))
+        ec = edge_counts(k3, subset([1, 2], 3))
         assert (ec.e_in, ec.e_cross, ec.e_out, ec.vol_S) == (1, 2, 0, 4)
 
     def test_full_subset(self, k4):
-        ec = edge_counts(k4, VertexSubset.of(range(1, 5), 4))
+        ec = edge_counts(k4, subset(range(1, 5), 4))
         assert (ec.e_in, ec.e_cross, ec.e_out) == (k4.m, 0, 0)
 
     def test_exhaustive_partition_identity(self):
@@ -207,7 +221,7 @@ class TestEdgeCounts:
     @given(small_graphs(), st.data())
     def test_invariants(self, G, data):
         members = data.draw(st.sets(st.integers(1, G.n)))
-        S = VertexSubset.of(members, G.n)
+        S = subset(members, G.n)
         ec = edge_counts(G, S)
         assert ec.e_in + ec.e_out + ec.e_cross == G.m
         assert ec.vol_S == 2 * ec.e_in + ec.e_cross
@@ -216,29 +230,37 @@ class TestEdgeCounts:
     @given(small_graphs(), st.data())
     def test_complement_symmetry(self, G, data):
         members = data.draw(st.sets(st.integers(1, G.n)))
-        S = VertexSubset.of(members, G.n)
+        S = subset(members, G.n)
         a = edge_counts(G, S)
-        b = edge_counts(G, S.complement())
+        b = edge_counts(G, ~S)
         assert (a.e_in, a.e_out) == (b.e_out, b.e_in)
         assert a.e_cross == b.e_cross
         assert (a.vol_S, a.vol_Sbar) == (b.vol_Sbar, b.vol_S)
 
+    @pytest.mark.parametrize("S", [
+        [True, False, True],                      # a list, not an array
+        np.array([1, 0, 1]),                      # integer dtype
+        np.array([True, False]),                  # too short
+        np.array([[True, False, True]]),          # two-dimensional
+    ])
+    def test_rejects_non_subset(self, k3, S):
+        with pytest.raises(ValidationError):
+            edge_counts(k3, S)
+
 
 class TestComponents:
     def test_two_edges(self, two_edges):
-        assert connected_components(two_edges) == [frozenset({1, 2}), frozenset({3, 4})]
+        assert component_roots(two_edges).tolist() == [0, 0, 2, 2]
 
     def test_connected(self, k4):
-        assert connected_components(k4) == [frozenset({1, 2, 3, 4})]
+        assert component_roots(k4).tolist() == [0, 0, 0, 0]
 
     def test_isolated_vertices(self):
-        assert connected_components(Graph(3, [])) == [
-            frozenset({1}), frozenset({2}), frozenset({3})]
+        assert component_roots(Graph(3, [])).tolist() == [0, 1, 2]
 
     @staticmethod
     def assert_matches_dfs(G):
         comps = oracles.components_dfs(G)
-        assert connected_components(G) == comps
         roots = np.empty(G.n, dtype=np.int64)
         for comp in comps:
             roots[np.array(sorted(comp)) - 1] = min(comp) - 1

@@ -1,0 +1,25 @@
+"""The names gnpmod exports: adding or removing one is a deliberate edit here."""
+
+import gnpmod
+
+PUBLIC_API = [
+    "Bisection", "BoundReport", "CapExceeded", "ConstantAudit", "EdgeCounts",
+    "ErrorDecomposition", "EventCheckResult", "Graph", "GridReport", "GridSpec",
+    "ModularityResult", "Partition", "SpectrumResult", "SupremumResult",
+    "ValidationError", "asymptotic_constants", "bisection",
+    "bisection_modularity_certificate", "bound_report", "bounds",
+    "check_lemma32_events_exhaustive", "check_lemma32_events_sampled",
+    "chernoff_lower", "chernoff_upper", "component_roots", "concentration",
+    "degree", "edge_counts", "error_decomposition", "errors",
+    "exact_min_bisection", "exact_modularity", "f", "g", "generator", "graph",
+    "h1", "h2", "h3", "heuristic_modularity", "local_search_bisection",
+    "modularity", "normalized_laplacian", "phi", "read_edge_list",
+    "read_partition", "rng", "sample_gnp", "score_components",
+    "score_definition", "score_edge_form", "spectral", "spectral_gap",
+    "splitmix64", "supremum_check", "trial_seed", "verify_appendix",
+    "write_edge_list", "write_partition",
+]
+
+
+def test_public_api_is_pinned():
+    assert sorted(gnpmod.__all__) == PUBLIC_API

@@ -74,7 +74,7 @@ def test_from_labels_matches_oracle(labels, data):
     for v, lab in enumerate(labels, start=1):
         groups.setdefault(lab, []).append(v)
     blocks = sorted(groups.values(), key=lambda b: b[0])
-    P = Partition.from_labels(labels)
+    P = Partition(labels)
     assert P.canonical_blocks() == blocks
     assert P == Partition.of(reversed(blocks), n)
     pairs = data.draw(st.lists(pairs_on(n), max_size=30)) if n > 1 else []
@@ -100,7 +100,7 @@ def test_edge_list_round_trip(case):
 
 @given(st.lists(st.integers(0, 6), min_size=1, max_size=12))
 def test_partition_round_trip(labels):
-    P = Partition.from_labels(labels)
+    P = Partition(labels)
     buf = io.StringIO()
     write_partition(P, buf)
     buf.seek(0)
