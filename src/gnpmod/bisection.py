@@ -4,8 +4,7 @@ decomposition of a bisection, and the resulting two-block modularity
 lower-bound certificate.
 
 The exact search scores every balanced subset from subset tables of
-edge counts and volumes, with numpy (n <= 26 by default, never above
-EXACT_BISECTION_MAX = 32).
+edge counts and volumes, with numpy (n <= EXACT_BISECTION_MAX = 32).
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from .graph import (Graph, bit_reversal, check_subset, edge_counts, neighbour_ma
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
 
-EXACT_BISECTION_CAP = 26
-# exact_min_bisection refuses n above this whatever its cap says.  At
-# n = 32 it took 3 s on a 2-vCPU box, with a tracemalloc peak of 32 MiB;
-# the time about doubles with each further vertex.
+# exact_min_bisection refuses n above this.  At n = 32 it took 3 s on a
+# 2-vCPU box, with a tracemalloc peak of 32 MiB; the time about doubles
+# with each further vertex.
 EXACT_BISECTION_MAX = 32
 # Vertices held in exact_min_bisection's subset tables (2^16 int64 each);
 # the subsets of the remaining vertices are enumerated as patterns.
@@ -70,7 +68,7 @@ class ErrorDecomposition:
         return self.residual == 0
 
 
-def exact_min_bisection(G: Graph, cap: int = EXACT_BISECTION_CAP) -> Bisection:
+def exact_min_bisection(G: Graph) -> Bisection:
     """Global minimum balanced cut, exactly.
 
     S is the half holding vertex 1 for even n and the larger half for
@@ -85,12 +83,11 @@ def exact_min_bisection(G: Graph, cap: int = EXACT_BISECTION_CAP) -> Bisection:
     one matrix product, at most EXACT_BISECTION_CELLS subsets at once.
     The first minimum of cut * 2^n - bit_reversal(S) is the minimum cut
     with the lexicographically smallest S.  n is refused above
-    min(cap, EXACT_BISECTION_MAX).
+    EXACT_BISECTION_MAX.
     """
     n = G.n
-    limit = min(cap, EXACT_BISECTION_MAX)
-    if n > limit:
-        raise CapExceeded("exact_min_bisection n", n, limit)
+    if n > EXACT_BISECTION_MAX:
+        raise CapExceeded("exact_min_bisection n", n, EXACT_BISECTION_MAX)
     if n < 2:
         raise ValidationError("bisection needs n >= 2")
     size = (n + 1) // 2

@@ -141,7 +141,7 @@ def _emit_modularity(args: argparse.Namespace, result: modularity.ModularityResu
 
 def cmd_mod_exact(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    _emit_modularity(args, modularity.exact_modularity(G, cap=args.cap))
+    _emit_modularity(args, modularity.exact_modularity(G))
     return 0
 
 
@@ -154,7 +154,7 @@ def cmd_mod_heuristic(args: argparse.Namespace) -> int:
 
 def cmd_spectral(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    res = spectral.spectral_gap(G, cap=args.cap)
+    res = spectral.spectral_gap(G)
     out = _Output(args)
     _header(out, args)
     out.row("n,m,lambda_min,lambda_1,lambda_max,gap")
@@ -227,7 +227,7 @@ def cmd_events(args: argparse.Namespace) -> int:
 def cmd_bisect(args: argparse.Namespace) -> int:
     G = _load_graph(args)
     if args.exact:
-        bis = bisection.exact_min_bisection(G, cap=args.cap)
+        bis = bisection.exact_min_bisection(G)
         method = "exact"
     else:
         bis = bisection.local_search_bisection(G, seed=args.seed, restarts=args.restarts)
@@ -341,8 +341,6 @@ _OPTIONS = {
     "seed": {"type": int, "default": 0},
     "trials": {"type": int, "default": 1},
     "restarts": {"type": int, "default": 10},
-    "cap": {"type": int, "help": "size cap of the exact or dense routine; each "
-                                  "routine also has a fixed ceiling"},
     "format": {"choices": ("csv", "table"), "default": "csv"},
     "jobs": {"type": int, "default": 1, "help": "worker processes, at most the CPU count"},
     "exact-seed": {"action": "store_true",
@@ -368,17 +366,14 @@ _SOURCE = "n p d seed graph"  # a graph read from --graph or sampled from G(n,p)
 _COMMANDS = {
     "sample": (cmd_sample, "n p d seed out", {}),
     "score": (cmd_score, "graph partition out timestamp", {}),
-    "mod-exact": (cmd_mod_exact, f"{_SOURCE} cap format out timestamp",
-                  {"cap": {"default": modularity.EXACT_CAP_DEFAULT}}),
+    "mod-exact": (cmd_mod_exact, f"{_SOURCE} format out timestamp", {}),
     "mod-heuristic": (cmd_mod_heuristic, f"{_SOURCE} restarts format out timestamp", {}),
-    "spectral": (cmd_spectral, f"{_SOURCE} cap out timestamp",
-                 {"cap": {"default": spectral.DENSE_CAP_DEFAULT}}),
+    "spectral": (cmd_spectral, f"{_SOURCE} out timestamp", {}),
     "bounds": (cmd_bounds, "n p d C format out timestamp", {}),
     "chernoff": (cmd_chernoff, "mu t out timestamp", {}),
     "verify-appendix": (cmd_verify_appendix, "step y-max x-max out timestamp", {}),
     "events": (cmd_events, f"{_SOURCE} C trials mode strategy out timestamp", {}),
-    "bisect": (cmd_bisect, f"{_SOURCE} exact cap restarts out timestamp",
-               {"cap": {"default": bisection.EXACT_BISECTION_CAP}}),
+    "bisect": (cmd_bisect, f"{_SOURCE} exact restarts out timestamp", {}),
     "certificate": (cmd_certificate, f"{_SOURCE} restarts out timestamp", {}),
     "sweep": (cmd_sweep, "n d seed trials restarts jobs exact-seed out timestamp",
               {"d": {"type": _reals, "help": "comma-separated densities d = n*p"}}),

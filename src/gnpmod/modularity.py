@@ -11,10 +11,10 @@ can never flip an argmax decision:
     edge form:        sum_S (4 e(S) e(Sbar) - e(S,Sbar)^2) / (4 e(G)^2)
 
 Exact maximization is a dynamic program over vertex subsets, run with
-numpy one popcount layer at a time (cap n <= 13 by default, never above
-EXACT_CAP_MAX = 20); the heuristic is a local-move + merge scheme
-(Louvain) that always returns the score of a genuine partition, hence a
-lower bound on the true modularity.
+numpy one popcount layer at a time (n <= EXACT_CAP_MAX = 20); the
+heuristic is a local-move + merge scheme (Louvain) that always returns
+the score of a genuine partition, hence a lower bound on the true
+modularity.
 
 Louvain runs on CSR arrays, one level graph per merge.  A node v with
 weighted degree d_v joins the neighbouring community c that maximises
@@ -50,10 +50,9 @@ from .graph import (Graph, _parse_ints, bit_reversal, component_roots, subset_ed
                     subset_volumes)
 from .rng import generator, trial_seed
 
-EXACT_CAP_DEFAULT = 13  # Bell(13) ~ 2.8e7 partitions
-# exact_modularity refuses n above this whatever its cap says.  The
-# DP's 3^n/2 candidate blocks took 32 s at n = 20 on a 2-vCPU box, with
-# a tracemalloc peak of 82 MiB; each further vertex triples the time.
+# exact_modularity refuses n above this.  The DP's 3^n/2 candidate
+# blocks took 32 s at n = 20 on a 2-vCPU box, with a tracemalloc peak of
+# 82 MiB; each further vertex triples the time.
 EXACT_CAP_MAX = 20
 # Candidate blocks scored at once by exact_modularity; a chunk's arrays
 # hold this many int64 each, or one row of 2^(n-1) if that is more.
@@ -179,7 +178,7 @@ def score_edge_form(G: Graph, P: Partition) -> float:
     return int((4 * e_in * e_out - cross * cross).sum()) / (4 * m * m)
 
 
-def exact_modularity(G: Graph, cap: int = EXACT_CAP_DEFAULT) -> ModularityResult:
+def exact_modularity(G: Graph) -> ModularityResult:
     """True maximum modularity by a dynamic program over vertex subsets.
 
     f(S) is the best numerator sum over partitions of S: the block of S's
@@ -193,12 +192,11 @@ def exact_modularity(G: Graph, cap: int = EXACT_CAP_DEFAULT) -> ModularityResult
     the rest) are built by doubling, and one argmax over
     score * 2^n + bit_reversal(block) takes the best score and, among
     equal scores, the block RGS order reaches first.  n is refused above
-    min(cap, EXACT_CAP_MAX).
+    EXACT_CAP_MAX.
     """
     n = G.n
-    limit = min(cap, EXACT_CAP_MAX)
-    if n > limit:
-        raise CapExceeded("exact_modularity n", n, limit)
+    if n > EXACT_CAP_MAX:
+        raise CapExceeded("exact_modularity n", n, EXACT_CAP_MAX)
     m = G.m
     if m == 0:
         return ModularityResult(0.0, Partition.trivial(n), "exact")

@@ -15,10 +15,9 @@ import numpy as np
 from .errors import CapExceeded, ValidationError
 from .graph import Graph
 
-DENSE_CAP_DEFAULT = 2000
-# spectral_gap refuses n above this whatever its cap says.  At n = 4000
-# eigvalsh took 6.3 s with one BLAS thread, and the tracemalloc peak was
-# 123 MiB (the Laplacian and LAPACK's copy); both grow as n^3 and n^2.
+# spectral_gap refuses n above this.  At n = 4000 eigvalsh took 6.3 s
+# with one BLAS thread, and the tracemalloc peak was 123 MiB (the
+# Laplacian and LAPACK's copy); both grow as n^3 and n^2.
 DENSE_CAP_MAX = 4000
 
 
@@ -46,18 +45,16 @@ def normalized_laplacian(G: Graph) -> np.ndarray:
     return L
 
 
-def spectral_gap(G: Graph, cap: int = DENSE_CAP_DEFAULT,
-                 method: str = "lapack") -> SpectrumResult:
+def spectral_gap(G: Graph, method: str = "lapack") -> SpectrumResult:
     """Full spectrum of the normalized Laplacian and the spectral gap.
 
     `method` names the eigensolver; LAPACK is the only one.  n is
-    refused above min(cap, DENSE_CAP_MAX) before the matrix is built.
+    refused above DENSE_CAP_MAX before the matrix is built.
     """
     if method != "lapack":
         raise ValidationError(f"unknown eigensolver method {method!r}")
-    limit = min(cap, DENSE_CAP_MAX)
-    if G.n > limit:
-        raise CapExceeded("spectral_gap n", G.n, limit)
+    if G.n > DENSE_CAP_MAX:
+        raise CapExceeded("spectral_gap n", G.n, DENSE_CAP_MAX)
     eig = np.linalg.eigvalsh(normalized_laplacian(G))
     if G.n == 1:
         gap = 0.0

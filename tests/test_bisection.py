@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gnpmod.bisection import (Bisection, _single_local_search,
                               bisection_modularity_certificate, error_decomposition,
                               exact_min_bisection, local_search_bisection)
-from gnpmod.errors import CapExceeded, ValidationError
+from gnpmod.errors import ValidationError
 from gnpmod.graph import Graph, edge_counts, sample_gnp
 from gnpmod.modularity import score_edge_form
 from gnpmod.rng import generator, trial_seed
@@ -69,10 +69,6 @@ class TestExact:
             n = 6 + i % 7
             G = sample_gnp(n, 0.5, 7_000 + i)
             assert exact_min_bisection(G).cut == brute_min_cut(G)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            exact_min_bisection(sample_gnp(27, 0.1, 0))
 
     def test_unbalanced_rejected(self, k4):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -57,16 +58,13 @@ class TestSample:
 
 class TestScoring:
     def test_mod_exact(self, capsys):
-        code, out = run(capsys, "mod-exact", "--n", "8", "--p", "0.4", "--seed", "3")
-        assert code == 0
-        rows = data_rows(out)
-        assert rows[0] == "score,method,partition"
-        score = float(rows[1].split(",")[0])
-        assert score == modularity.exact_modularity(sample_gnp(8, 0.4, 3)).score
-
-    def test_mod_exact_cap_exit_code(self, capsys):
-        code, _ = run(capsys, "mod-exact", "--n", "20", "--p", "0.4", "--seed", "0")
-        assert code == 3
+        for n in (8, 14):  # only the ceiling, n = 20, limits mod-exact
+            code, out = run(capsys, "mod-exact", "--n", str(n), "--p", "0.4", "--seed", "3")
+            assert code == 0
+            rows = data_rows(out)
+            assert rows[0] == "score,method,partition"
+            score = float(rows[1].split(",")[0])
+            assert score == modularity.exact_modularity(sample_gnp(n, 0.4, 3)).score
 
     def test_mod_heuristic_deterministic(self, capsys):
         args = ("mod-heuristic", "--n", "100", "--d", "8", "--seed", "2")
@@ -316,6 +314,11 @@ class TestErrorChannel:
         ({"c.json": '{"n": null, "p": 0.5}'}, ["mod-exact", "--config", "c.json"], "'n'"),
         ({"c.json": '{"n": 14, "p": 0.4, "exact": "yes"}'}, ["bisect", "--config", "c.json"],
          "'exact'"),
+        ({}, ["mod-exact", "--n", "8", "--p", "0.4", "--cap", "5"], "--cap"),
+        ({}, ["spectral", "--n", "8", "--p", "0.4", "--cap", "5"], "--cap"),
+        ({}, ["bisect", "--n", "8", "--p", "0.4", "--exact", "--cap", "5"], "--cap"),
+        ({"c.json": '{"n": 8, "p": 0.4, "cap": 13}'}, ["mod-exact", "--config", "c.json"],
+         "'cap'"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--jobs", "2"], "--jobs"),
         ({"g.txt": GRAPH}, ["mod-heuristic", "--graph", "g.txt", "--restarts", "-2"],
          "budget"),
@@ -344,7 +347,8 @@ class TestErrorChannel:
             "missing-graph-for-score", "missing-partition", "partition-token",
             "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
             "config-unknown-key", "config-key-not-taken", "config-null-value",
-            "config-flag-not-bool", "flag-not-taken", "restarts-below-1",
+            "config-flag-not-bool", "mod-exact-cap-removed", "spectral-cap-removed",
+            "bisect-cap-removed", "config-cap-removed", "flag-not-taken", "restarts-below-1",
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
             "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
             "C-inf", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
@@ -362,16 +366,14 @@ class TestErrorChannel:
         assert captured.out == ""
 
     @pytest.mark.parametrize("graph, argv, named", [
-        ("40 1\n1 2\n", ["mod-exact", "--cap", "40"], "exact_modularity n=40 exceeds cap 20"),
-        ("40 1\n1 2\n", ["bisect", "--exact", "--cap", "40"],
-         "exact_min_bisection n=40 exceeds cap 32"),
-        ("1000000 1\n1 2\n", ["spectral", "--cap", "1000000"],
-         "spectral_gap n=1000000 exceeds cap 4000"),
+        ("40 1\n1 2\n", ["mod-exact"], "exact_modularity n=40 exceeds cap 20"),
+        ("40 1\n1 2\n", ["bisect", "--exact"], "exact_min_bisection n=40 exceeds cap 32"),
+        ("1000000 1\n1 2\n", ["spectral"], "spectral_gap n=1000000 exceeds cap 4000"),
         ("25 1\n1 2\n", ["events", "--d", "2", "--mode", "exhaustive"],
          "exhaustive event check n=25 exceeds cap 24"),
     ], ids=["mod-exact", "bisect-exact", "spectral", "events-exhaustive"])
     def test_over_ceiling_exits_3(self, capsys, tmp_path, monkeypatch, graph, argv, named):
-        """A fixed ceiling exits 3, and a --cap above it does not lift it."""
+        """A fixed ceiling exits 3."""
         (tmp_path / "g.txt").write_text(graph)
         monkeypatch.chdir(tmp_path)
         code = main([argv[0], "--graph", "g.txt", *argv[1:]])
@@ -406,3 +408,19 @@ class TestEntryPoint:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert bounds.BoundReport.CSV_COLUMNS in proc.stdout
+
+
+class TestDocs:
+    def test_readme_option_table_matches_parser(self):
+        """Each row of the README's `| subcommand | options |` table lists
+        exactly the options that subcommand declares, in order."""
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| subcommand | options |") + 2  # skip the |---| row
+        table = {}
+        for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+            name, flags = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            table[name] = flags.split()
+        declared = {name: [f"--{opt}" for opt in options.split()]
+                    for name, (_, options, _) in cli._COMMANDS.items()}
+        assert table == declared

@@ -123,6 +123,25 @@ class TestAppendixGrid:
         assert exc.value.cap == GRID_EVALUATIONS_MAX
         assert peak < 1 << 20
 
+    def test_long_row_memory_is_bounded(self):
+        """A 2e6-point g row is evaluated a slice at a time: the peak is
+        its x array (16 MiB), not 46 bytes a point of temporaries."""
+        tracemalloc.start()
+        try:
+            rep = verify_appendix(GridSpec(z_values=(2.0,), g_x_max=2e4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+        assert rep.argmin_g == (1.34, 2.0)
+
+    @pytest.mark.parametrize("spec", [dict(), dict(step=0.05, z_values=(1.5, 2.0))])
+    def test_slicing_keeps_the_report(self, spec):
+        whole = verify_appendix(GridSpec(**spec))
+        with mock.patch.object(concentration, "GRID_SLICE", 7):
+            sliced = verify_appendix(GridSpec(**spec))
+        assert astuple(sliced) == astuple(whole)
+
 
 class TestEventChecks:
     def test_exhaustive_counts_frozen(self):

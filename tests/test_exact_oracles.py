@@ -7,7 +7,7 @@ included.  Tie-heavy families (edgeless graphs, a single edge, cliques,
 cycles, stars, matchings) come at odd and even n.  The bisection also
 runs with its subset tables narrowed to a few low vertices, so that
 many high-vertex patterns are scored at small n.  Above their fixed
-ceilings both refuse before allocating, whatever cap they are given.
+ceilings both refuse before allocating.
 """
 
 import itertools
@@ -46,14 +46,14 @@ def gnp(draw, n_max):
 
 
 def assert_modularity_matches(G):
-    got = exact_modularity(G, cap=G.n)
+    got = exact_modularity(G)
     num, blocks = exact_modularity_dp(G.n, G.edges.tolist())
     assert got.score == (num / (4 * G.m * G.m) if G.m else 0.0)
     assert got.partition.canonical_blocks() == blocks
 
 
 def assert_bisection_matches(G):
-    got = exact_min_bisection(G, cap=G.n)
+    got = exact_min_bisection(G)
     cut, S = min_bisection_combinations(G.n, G.edges.tolist())
     assert (got.cut, tuple(v + 1 for v in range(G.n) if got.S[v])) == (cut, S)
 
@@ -77,10 +77,9 @@ class TestExactModularity:
         G = Graph(EXACT_CAP_MAX + 1, [(1, 2)])
         tracemalloc.start()
         try:
-            for cap in (EXACT_CAP_MAX + 1, 40, 10**9):
-                with pytest.raises(CapExceeded) as exc:
-                    exact_modularity(G, cap=cap)
-                assert exc.value.cap == EXACT_CAP_MAX
+            with pytest.raises(CapExceeded) as exc:
+                exact_modularity(G)
+            assert exc.value.cap == EXACT_CAP_MAX
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -111,10 +110,9 @@ class TestExactBisection:
         G = Graph(EXACT_BISECTION_MAX + 1, [(1, 2)])
         tracemalloc.start()
         try:
-            for cap in (EXACT_BISECTION_MAX + 1, 40, 10**9):
-                with pytest.raises(CapExceeded) as exc:
-                    exact_min_bisection(G, cap=cap)
-                assert exc.value.cap == EXACT_BISECTION_MAX
+            with pytest.raises(CapExceeded) as exc:
+                exact_min_bisection(G)
+            assert exc.value.cap == EXACT_BISECTION_MAX
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnpmod.errors import CapExceeded, ValidationError
+from gnpmod.errors import ValidationError
 from gnpmod.graph import Graph, sample_gnp
 from gnpmod.modularity import (Partition, exact_modularity,
                                heuristic_modularity, read_partition,
@@ -76,10 +76,6 @@ class TestExact:
         r = exact_modularity(two_edges)
         assert r.score == 0.5
         assert r.partition.canonical_blocks() == [[1, 2], [3, 4]]
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            exact_modularity(sample_gnp(14, 0.5, 0))
 
     def test_matches_brute_force_rgs(self):
         # Independent oracle: direct enumeration of all partitions in

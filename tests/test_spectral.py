@@ -92,8 +92,6 @@ class TestSpectrum:
         assert dense < sparse
 
     def test_cap_and_bad_method(self, k2):
-        with pytest.raises(CapExceeded):
-            spectral_gap(sample_gnp(10, 0.5, 0), cap=9)
         for method in ("powers", "jacobi"):
             with pytest.raises(ValidationError):
                 spectral_gap(k2, method=method)
@@ -103,10 +101,9 @@ class TestSpectrum:
         G = Graph(DENSE_CAP_MAX + 1, [(1, 2)])
         tracemalloc.start()
         try:
-            for cap in (DENSE_CAP_MAX + 1, 10**9):
-                with pytest.raises(CapExceeded) as exc:
-                    spectral_gap(G, cap=cap)
-                assert exc.value.cap == DENSE_CAP_MAX
+            with pytest.raises(CapExceeded) as exc:
+                spectral_gap(G)
+            assert exc.value.cap == DENSE_CAP_MAX
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
