@@ -27,15 +27,22 @@ shorter one with a dict loop; both give the same choice, and the
 threshold only sets the speed (the two cost the same at 36-48
 neighbours in G(2000, d) on a 2-vCPU box).
 
-Late sweeps move few nodes, so once a level has so few communities that
-a node x community table of edge weights is no larger than the level's
-CSR (_stay_table_fits), the level builds one (_StayTable) and checks
-whole windows of the sweep order against it at once: a node stays put
-iff no neighbouring community's gain beats its stay gain, which is the
-visit's own move condition on the same integers.  Only the first node
-it cannot clear gets the exact visit, which then always moves it, so
-the visit order, the state and the labels are those of visiting every
-node.
+Late sweeps move few nodes, so once a sweep has moved at most a quarter
+of a level's nodes (STAY_MOVED_SHARE), and the level has so few
+communities that a node x community table of edge weights is no larger
+than its CSR (_stay_table_fits), the level builds one (_StayTable) and
+checks whole windows of the sweep order against it at once: a node
+stays put iff no neighbouring community's gain beats its stay gain,
+which is the visit's own move condition on the same integers.  Only the
+first node it cannot clear gets the exact visit, which then always
+moves it, so the visit order, the state and the labels are those of
+visiting every node.  The table's columns are the communities present
+when it is built, which is why it waits for the busy first sweeps to
+end.
+
+The two bulk passes over a level's CSR, building the table and merging
+the level into the next (_coarsen), read it in row slices of about
+CSR_SLICE entries, so their temporaries do not grow with the level.
 """
 
 from __future__ import annotations
@@ -67,6 +74,15 @@ NUMPY_ROW_MIN = 48
 # The stay table checks at least this many nodes of a sweep at once: a
 # check's fixed numpy cost is about that of 30 more rows.
 STAY_WINDOW_MIN = 32
+# A level builds its stay table only after a sweep in which at most
+# 1/STAY_MOVED_SHARE of its nodes moved: the table's columns are the
+# communities present when it is built, and each later check pays for
+# every column.
+STAY_MOVED_SHARE = 4
+# Louvain's bulk passes over a level's CSR (coarsening, building the
+# stay table) read it in row slices of about this many entries, so their
+# temporaries stay O(CSR_SLICE) whatever the level's size.
+CSR_SLICE = 1 << 16
 _NO_GAIN = np.iinfo(np.int64).min
 
 
@@ -80,10 +96,20 @@ class Partition:
         lab = np.asarray(labels)
         if lab.ndim != 1 or lab.size == 0 or lab.dtype.kind not in "iu":
             raise ValidationError("a partition needs one integer label per vertex")
-        # numbering labels by first appearance numbers blocks by smallest member
-        first: dict[int, int] = {}
-        self.labels = np.array([first.setdefault(x, len(first)) for x in lab.tolist()],
-                               dtype=np.int64)
+        # numbering labels by first appearance numbers blocks by smallest
+        # member.  After a stable sort each label's run starts at its first
+        # appearance.  (Only stable sorts: np.unique and numpy's default
+        # sort page in about 0.4 MiB more of numpy's code on first use.)
+        order = np.argsort(lab, kind="stable")
+        srt = lab[order]
+        starts = np.empty(len(lab), dtype=bool)
+        starts[0] = True
+        np.not_equal(srt[1:], srt[:-1], out=starts[1:])
+        first = order[starts]
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+        self.labels = np.empty(len(lab), dtype=np.int64)
+        self.labels[order] = rank[np.cumsum(starts) - 1]
         self.labels.flags.writeable = False
         self.n = len(lab)
 
@@ -249,10 +275,29 @@ def score_components(G: Graph) -> ModularityResult:
 # Heuristic maximization: greedy local moves + block merges, with restarts.
 
 
-def _stay_table_fits(nnodes: int, k: int, nnz: int) -> bool:
+def _stay_table_fits(nnodes: int, k: int, nnz: int, moved: int) -> bool:
     """Whether a level of `nnodes` nodes, `k` communities and `nnz` CSR
-    entries builds a stay table: only if it is no larger than the CSR."""
-    return nnodes * k <= nnz
+    entries builds a stay table before its next sweep, `moved` nodes
+    having moved in the sweep before (all of them before the first).
+
+    The table's columns are fixed when it is built, so it waits for a
+    sweep that moved at most 1/STAY_MOVED_SHARE of the nodes, and it is
+    never larger than the CSR."""
+    return moved * STAY_MOVED_SHARE <= nnodes and nnodes * k <= nnz
+
+
+def _row_slices(indptr: np.ndarray, per_row: int = 0):
+    """Contiguous row ranges (r0, r1) of a CSR that together cover its
+    rows, each holding at most CSR_SLICE entries plus `per_row` per row,
+    or a single row that alone holds more."""
+    nrows = len(indptr) - 1
+    cost = indptr + per_row * np.arange(nrows + 1) if per_row else indptr
+    r0 = 0
+    while r0 < nrows:
+        r1 = int(np.searchsorted(cost, cost[r0] + CSR_SLICE, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
 
 
 class _StayTable:
@@ -262,9 +307,9 @@ class _StayTable:
     Column j stands for the community `cols[j]`, the j-th one present
     when the table is built; within a level communities only empty, so
     the columns stay valid.  `K[v, j]` is v's int64 edge weight into
-    column j; `move` keeps it current, while the level's own `comm` and
-    `vol` arrays, read in place, give each node's community and each
-    community's volume.
+    column j, written one slice of rows at a time; `move` keeps it
+    current, while the level's own `comm` and `vol` arrays, read in
+    place, give each node's community and each community's volume.
     """
 
     def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
@@ -274,12 +319,18 @@ class _StayTable:
         self.cols = np.flatnonzero(present)
         self.colmap = np.cumsum(present) - 1  # community -> column
         k = len(self.cols)
-        row = np.repeat(np.arange(nnodes), np.diff(indptr))
-        K = np.bincount(row * k + self.colmap[comm[indices]], weights,
-                        minlength=nnodes * k)
-        # float sums of integers below 2^53 are exact
-        self.K = (K if weights is None else K.astype(np.int64)).reshape(nnodes, k)
+        self.K = np.empty((nnodes, k), dtype=np.int64)
+        for r0, r1 in _row_slices(indptr, k):
+            s, e = indptr[r0], indptr[r1]
+            row = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+            cells = np.bincount(row * k + self.colmap[comm[indices[s:e]]],
+                                None if weights is None else weights[s:e],
+                                minlength=(r1 - r0) * k)
+            # float sums of integers below 2^53 are exact
+            self.K[r0:r1] = cells.reshape(r1 - r0, k)
         self.strength, self.comm, self.vol, self.two_m = strength, comm, vol, two_m
+        # windows of at most about CSR_SLICE table cells
+        self.win_max = max(STAY_WINDOW_MIN, CSR_SLICE // k)
         self.win = STAY_WINDOW_MIN
 
     def unproven(self, order: np.ndarray):
@@ -288,8 +339,8 @@ class _StayTable:
 
         A window of the order is checked at once; every node before its
         first unproven one stays.  The window doubles after a window in
-        which all stay and shrinks to the gap before the last move, but
-        never below STAY_WINDOW_MIN.
+        which all stay, up to `win_max`, and shrinks to the gap before the
+        last move, but never below STAY_WINDOW_MIN.
         """
         i = 0
         while i < len(order):
@@ -304,7 +355,7 @@ class _StayTable:
             moves = np.flatnonzero(best > stay)
             if len(moves) == 0:
                 i += len(w)
-                self.win *= 2
+                self.win = min(2 * self.win, self.win_max)
                 continue
             j = int(moves[0])
             yield int(w[j])
@@ -333,12 +384,15 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     shorter one by a dict loop in row order.  Returns each node's
     community (a node index).
 
-    From the first sweep that starts with _stay_table_fits true, a
-    _StayTable skips the nodes it proves stay put and hands on the others
-    in sweep order.  Its test is the move condition above, so each node
-    handed on must move and each node skipped would have stayed: the
-    sweeps draw the same permutations and make the same moves as visiting
-    every node, and a handed-on node that stays is an internal error.
+    Before each sweep, until it has one, the level asks _stay_table_fits
+    whether to build a _StayTable, given the nodes moved in the sweep
+    before; the first sweep follows none, so it counts as every node
+    moving.  From then on the table skips the nodes it proves stay put
+    and hands on the others in sweep order.  Its test is the move
+    condition above, so each node handed on must move and each node
+    skipped would have stayed: the sweeps draw the same permutations and
+    make the same moves as visiting every node, and a handed-on node that
+    stays is an internal error.
     """
     nnodes = len(strength)
     comm = np.arange(nnodes)
@@ -352,13 +406,13 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
         idx_l = indices.tolist()
         wt_l = None if weights is None else weights.tolist()
     table = None
-    moved_any = True
-    while moved_any:
-        moved_any = False
+    moved = nnodes  # the first sweep follows none
+    while moved:
         order = rng.permutation(nnodes)
         if table is None and _stay_table_fits(
-                nnodes, np.count_nonzero(np.bincount(comm)), len(indices)):
+                nnodes, np.count_nonzero(np.bincount(comm)), len(indices), moved):
             table = _StayTable(indptr, indices, weights, strength, comm, vol, two_m)
+        moved = 0
         for v in order.tolist() if table is None else table.unproven(order):
             s, e = ptr[v], ptr[v + 1]
             if s == e:
@@ -399,13 +453,24 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
                 vol_l[best_c] += dv
                 vol[a] -= dv
                 vol[best_c] += dv
-                moved_any = True
+                moved += 1
                 if table is not None:
                     table.move(a, best_c, indices[s:e],
                                1 if weights is None else weights[s:e])
             elif table is not None:
                 raise RuntimeError(f"Louvain stay table flagged node {v}, which stays put")
     return comm
+
+
+def _sum_by_key(key: np.ndarray, pos: np.ndarray, w):
+    """The distinct values of `key` in ascending order, each with its
+    first entry's `pos` and the sum of its entries' weights `w` (None:
+    its entry count)."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    wsum = np.diff(starts, append=len(key)) if w is None else np.add.reduceat(w[order], starts)
+    return key[starts], pos[order[starts]], wsum
 
 
 def _coarsen(indptr: np.ndarray, indices: np.ndarray, weights,
@@ -415,18 +480,25 @@ def _coarsen(indptr: np.ndarray, indices: np.ndarray, weights,
     Coarse edge weights sum the fine ones and self loops are dropped.
     Each coarse row is ordered by where its entry first occurs in the
     fine CSR traversal, which keeps first-appearance tie-breaks stable.
+
+    The fine CSR is read in row slices of about CSR_SLICE entries (see
+    _row_slices), each reduced to its distinct coarse entries: key
+    src * k + dst, first traversal position and summed weight.  One
+    merge of the slices' entries then sums each key over the slices.
     """
-    src = np.repeat(node, np.diff(indptr))
-    dst = node[indices]
-    off = np.flatnonzero(src != dst)
-    key = src[off] * k + dst[off]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    first = order[starts]  # traversal rank of each coarse entry's first term
-    w = np.ones(len(off), dtype=np.int64) if weights is None else weights[off]
-    wsum = np.add.reduceat(w[order], starts) if len(starts) else w[:0]
-    csrc, cdst = np.divmod(key[starts], k)
+    parts = []
+    for r0, r1 in _row_slices(indptr):
+        s, e = indptr[r0], indptr[r1]
+        src = np.repeat(node[r0:r1], np.diff(indptr[r0:r1 + 1]))
+        dst = node[indices[s:e]]
+        off = np.flatnonzero(src != dst)
+        key, first, wsum = _sum_by_key(src[off] * k + dst[off], off,
+                                       None if weights is None else weights[s:e][off])
+        parts.append((key, s + first, wsum))
+    # the slices come in traversal order, so each key's first entry in
+    # the merge is its first in the traversal
+    key, first, wsum = _sum_by_key(*(np.concatenate(a) for a in zip(*parts)))
+    csrc, cdst = np.divmod(key, k)
     rows = np.lexsort((first, csrc))
     new_indptr = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(csrc, minlength=k), out=new_indptr[1:])

@@ -13,7 +13,11 @@ spectrum must agree with them.
 
 `louvain_labels` is the reference Louvain hierarchy: per-vertex dicts
 and float gains with a 1e-12 tolerance, against which the library's
-CSR kernel must give identical labels.
+CSR kernel must give identical labels.  `coarsen_one_shot` merges a
+level graph with one sort over all of its CSR entries, as the library
+did before it read the CSR in slices; the sliced merge must return the
+same arrays.  `first_appearance_labels` numbers labels by first
+appearance with a dict, as `Partition` must.
 
 `lemma32_events_exhaustive` and `lemma32_events_sampled` are the Lemma
 3.2 event checks with one array per subset and a per-trial dict tally;
@@ -243,6 +247,36 @@ def louvain_labels(G, rng) -> list[int]:
         for v in mem:
             labels[v] = i
     return labels
+
+
+def coarsen_one_shot(indptr, indices, weights, strength, node, k):
+    """A level graph collapsed into the coarse nodes `node[v]` (0..k-1):
+    (indptr, indices, weights, strength) of the coarse CSR, self loops
+    dropped, each row in order of its entries' first appearance in the
+    fine traversal.  One stable sort over every entry at once."""
+    src = np.repeat(node, np.diff(indptr))
+    dst = node[indices]
+    off = np.flatnonzero(src != dst)
+    key = src[off] * k + dst[off]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    first = order[starts]  # traversal rank of each coarse entry's first term
+    w = np.ones(len(off), dtype=np.int64) if weights is None else weights[off]
+    wsum = np.add.reduceat(w[order], starts) if len(starts) else w[:0]
+    csrc, cdst = np.divmod(key[starts], k)
+    rows = np.lexsort((first, csrc))
+    new_indptr = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(csrc, minlength=k), out=new_indptr[1:])
+    new_strength = np.bincount(node, strength, minlength=k).astype(np.int64)
+    return new_indptr, cdst[rows], wsum[rows], new_strength
+
+
+def first_appearance_labels(labels) -> list[int]:
+    """Each label replaced by the number of distinct labels seen before
+    its first appearance."""
+    first: dict[int, int] = {}
+    return [first.setdefault(x, len(first)) for x in np.asarray(labels).tolist()]
 
 
 def _prefers(a: int, b: int) -> bool:

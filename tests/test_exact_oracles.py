@@ -70,7 +70,7 @@ class TestExactModularity:
         assert_modularity_matches(Graph(n, FAMILIES[family](n)))
 
     @pytest.mark.parametrize("n, p, seed", [(12, 0.3, 1), (13, 0.5, 2)])
-    def test_largest_default_sizes_match_reference(self, n, p, seed):
+    def test_gnp_sizes_12_and_13_match_reference(self, n, p, seed):
         assert_modularity_matches(sample_gnp(n, p, seed))
 
     def test_ceiling_refuses_before_allocating(self):

@@ -5,11 +5,17 @@ every row on the dict path (a huge threshold), and at the default
 threshold, where long and short rows mix; and, for each of those, with
 the stay table built from the first sweep of every level, never built,
 and built when _stay_table_fits says so.  The labels and the chosen
-partition must equal the reference's exactly.
+partition must equal the reference's exactly, also with CSR_SLICE cut
+to a few entries, so that every coarsening and table build crosses many
+slices.  The sliced coarsening must return the same arrays as the
+one-sort reference, and its memory must follow the slice, not the CSR.
 """
 
 import itertools
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -116,6 +122,91 @@ def test_tie_heavy_families_match_reference(monkeypatch, row_min, fits, G, seed)
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
     monkeypatch.setattr(modularity, "_stay_table_fits", fits)
     assert_matches_reference(G, seed)
+
+
+@MODES
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(G=gnp_graphs(), seed=st.integers(0, 10**6), slice_=st.integers(1, 16))
+def test_small_slices_match_reference(monkeypatch, row_min, fits, G, seed, slice_):
+    monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
+    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
+    monkeypatch.setattr(modularity, "CSR_SLICE", slice_)
+    assert_matches_reference(G, seed)
+
+
+@st.composite
+def level_graphs(draw):
+    """A level graph as Louvain holds it: CSR rows in arbitrary order, no
+    self loops, int64 weights or None (all ones), strengths that count
+    self loops, and a map `node` onto k coarse nodes."""
+    nn = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    iu, iv = np.triu_indices(nn, 1)
+    keep = rng.random(len(iu)) < draw(st.floats(0, 1))
+    w = rng.integers(1, 50, np.count_nonzero(keep))
+    src = np.concatenate([iu[keep], iv[keep]])
+    dst = np.concatenate([iv[keep], iu[keep]])
+    wts = np.concatenate([w, w])
+    # shuffle the entries, then group them by row, keeping the shuffle
+    entries = rng.permutation(len(src))
+    entries = entries[np.argsort(src[entries], kind="stable")]
+    indptr = np.zeros(nn + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=nn), out=indptr[1:])
+    strength = np.bincount(src, wts, minlength=nn).astype(np.int64)
+    strength += 2 * rng.integers(0, 5, nn)
+    k = draw(st.integers(1, nn))
+    node = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, nn - k)]))
+    weights = None if draw(st.booleans()) else wts[entries]
+    return indptr, dst[entries], weights, strength, node, k
+
+
+@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]))
+def test_sliced_coarsen_matches_one_shot(level, slice_):
+    want = oracles.coarsen_one_shot(*level)
+    with mock.patch.object(modularity, "CSR_SLICE", slice_):
+        got = modularity._coarsen(*level)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]))
+def test_sliced_stay_table_matches_dense_sum(level, slice_):
+    indptr, indices, weights, strength, comm, _ = level
+    with mock.patch.object(modularity, "CSR_SLICE", slice_):
+        table = modularity._StayTable(indptr, indices, weights, strength, comm,
+                                      strength.copy(), int(strength.sum()))
+    want = np.zeros(table.K.shape, dtype=np.int64)
+    row = np.repeat(np.arange(len(strength)), np.diff(indptr))
+    np.add.at(want, (row, table.colmap[comm[indices]]), 1 if weights is None else weights)
+    assert np.array_equal(table.cols, np.unique(comm))
+    assert np.array_equal(table.K, want)
+
+
+def test_louvain_memory_follows_the_slice():
+    # per slice the coarsening holds about six int64 arrays of the
+    # slice's length (50 bytes an entry, measured); the rest of a level
+    # is O(nodes).  One pass over all 4e5 CSR entries at once peaked at
+    # 18.8 MiB.
+    G = sample_gnp(2000, 0.1, 1)
+    for slice_ in (modularity.CSR_SLICE // 4, modularity.CSR_SLICE):
+        with mock.patch.object(modularity, "CSR_SLICE", slice_):
+            tracemalloc.start()
+            try:
+                modularity._louvain_labels(G, generator(1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 64 * slice_ + 2**20
+
+
+def test_stay_table_start_rule():
+    fits = modularity._stay_table_fits
+    share = modularity.STAY_MOVED_SHARE
+    assert fits(4000, 15, 1_600_000, 4000 // share)
+    assert not fits(4000, 15, 1_600_000, 4000 // share + 1)
+    assert not fits(4000, 15, 1_600_000, 4000)  # a level's first sweep
+    assert fits(100, 10, 1000, 0) and not fits(100, 11, 1000, 0)
 
 
 def test_mixed_rows_at_scale():

@@ -1,7 +1,8 @@
 """Property tests of the array representation: Graph against a
 set-based reference, input validation, label-array partitions against
-the brute-force oracle's scorer, and the two text readers (round trips,
-and fuzzed text that must parse or raise ValidationError)."""
+the brute-force oracle's scorer, label numbering against a dict
+reference, and the two text readers (round trips, and fuzzed text that
+must parse or raise ValidationError)."""
 
 import io
 
@@ -14,7 +15,7 @@ from gnpmod.graph import Graph, read_edge_list, write_edge_list
 from gnpmod.modularity import (Partition, read_partition, score_definition,
                                score_edge_form, write_partition)
 
-from oracles import score_numerators
+from oracles import first_appearance_labels, score_numerators
 
 
 def pairs_on(n):
@@ -87,6 +88,28 @@ def test_from_labels_matches_oracle(labels, data):
     den = 4 * len(ref) ** 2
     assert score_definition(G, P) == definition / den
     assert score_edge_form(G, P) == edge_form / den
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@st.composite
+def label_arrays(draw):
+    """Labels of one integer dtype: a few values from its whole range,
+    each repeated at random positions."""
+    info = np.iinfo(draw(st.sampled_from(INT_DTYPES)))
+    pool = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    return np.array([pool[i] for i in picks], dtype=info.dtype)
+
+
+@given(label_arrays())
+def test_label_numbering_matches_dict_reference(labels):
+    P = Partition(labels)
+    assert P.labels.dtype == np.int64 and not P.labels.flags.writeable
+    assert P.labels.tolist() == first_appearance_labels(labels)
 
 
 @given(raw_graphs())

@@ -91,7 +91,7 @@ class TestSpectrum:
         sparse = spectral_gap(sample_gnp(300, 0.05, 1)).gap
         assert dense < sparse
 
-    def test_cap_and_bad_method(self, k2):
+    def test_only_lapack_method_accepted(self, k2):
         for method in ("powers", "jacobi"):
             with pytest.raises(ValidationError):
                 spectral_gap(k2, method=method)
