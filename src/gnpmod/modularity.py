@@ -329,8 +329,6 @@ class _StayTable:
             # float sums of integers below 2^53 are exact
             self.K[r0:r1] = cells.reshape(r1 - r0, k)
         self.strength, self.comm, self.vol, self.two_m = strength, comm, vol, two_m
-        # windows of at most about CSR_SLICE table cells
-        self.win_max = max(STAY_WINDOW_MIN, CSR_SLICE // k)
         self.win = STAY_WINDOW_MIN
 
     def unproven(self, order: np.ndarray):
@@ -339,8 +337,8 @@ class _StayTable:
 
         A window of the order is checked at once; every node before its
         first unproven one stays.  The window doubles after a window in
-        which all stay, up to `win_max`, and shrinks to the gap before the
-        last move, but never below STAY_WINDOW_MIN.
+        which all stay and shrinks to the gap before the last move, but
+        never below STAY_WINDOW_MIN.
         """
         i = 0
         while i < len(order):
@@ -355,7 +353,7 @@ class _StayTable:
             moves = np.flatnonzero(best > stay)
             if len(moves) == 0:
                 i += len(w)
-                self.win = min(2 * self.win, self.win_max)
+                self.win *= 2
                 continue
             j = int(moves[0])
             yield int(w[j])
