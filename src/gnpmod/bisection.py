@@ -161,8 +161,15 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     """One run: random balanced start, then repeatedly apply the best
     cut-reducing swap until none improves.  The swap search is exact:
     gain(a,b) = D[a] + D[b] - 2*[a~b] with D = external - internal
-    degree, and only vertices within 2 of each side's max D can host the
-    best swap.  Ties go to the first maximum in (a, b) order."""
+    degree, and ties go to the first maximum in (a, b) order.
+
+    Let a and b be the first vertex of each side with that side's
+    largest D.  No gain exceeds D[a] + D[b], so the run stops when that
+    is <= 0.  If a and b are not adjacent, (a, b) reaches the bound and
+    no earlier row or column does, so it is the first maximum.  Only
+    when they are adjacent is the gain matrix over the vertices within 2
+    of each side's largest D built, as only they can host the best
+    swap."""
     n = G.n
     u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     perm = rng.permutation(n)
@@ -180,14 +187,21 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     while True:
         DS = np.where(side, D, neg)
         DT = np.where(side, neg, D)
-        cand_a = np.nonzero(DS >= DS.max() - 2)[0]
-        cand_b = np.nonzero(DT >= DT.max() - 2)[0]
-        gain = _swap_gains(G, D, cand_a, cand_b)
-        best = int(np.argmax(gain))
-        if gain.flat[best] <= 0:
+        a, b = int(DS.argmax()), int(DT.argmax())
+        if D[a] + D[b] <= 0:
             break
-        i, j = divmod(best, len(cand_b))
-        for x in (int(cand_a[i]), int(cand_b[j])):
+        row = G.indices[G.indptr[a]:G.indptr[a + 1]]
+        k = int(np.searchsorted(row, b))
+        if k < len(row) and row[k] == b:
+            cand_a = np.nonzero(DS >= D[a] - 2)[0]
+            cand_b = np.nonzero(DT >= D[b] - 2)[0]
+            gain = _swap_gains(G, D, cand_a, cand_b)
+            best = int(np.argmax(gain))
+            if gain.flat[best] <= 0:
+                break
+            i, j = divmod(best, len(cand_b))
+            a, b = int(cand_a[i]), int(cand_b[j])
+        for x in (a, b):
             cut -= int(D[x])
             ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
             same = side[ns] == side[x]

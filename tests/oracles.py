@@ -32,7 +32,11 @@ label-propagation components must give the same arrays and sets.
 
 `best_restart` is the rule by which local search picks among its
 restarts, on sorted member tuples: the library compares the boolean
-sides directly and must pick the same cut and S.
+sides directly and must pick the same cut and S.  `local_search_matrix`
+is one restart that picks every swap from the full gain matrix of the
+candidate vertices, as the library did before it tried the two sides'
+first maxima alone; the library's restart must end at the same side and
+cut.
 """
 
 import math
@@ -105,6 +109,48 @@ def best_restart(n: int, runs) -> tuple[int, tuple[int, ...]]:
             chosen = side if side.sum() > n // 2 else ~side
         keys.append((cut, tuple(int(i) + 1 for i in np.nonzero(chosen)[0])))
     return min(keys)
+
+
+def local_search_matrix(G, rng) -> tuple[np.ndarray, int]:
+    """(side, cut) of one local-search restart that picks every swap
+    from the full gain matrix gain[i, j] = D[a] + D[b] - 2*[a~b] over
+    the vertices a, b within 2 of their side's largest D, taking its
+    first maximum, until no gain is positive."""
+    n = G.n
+    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
+    perm = rng.permutation(n)
+    side = np.zeros(n, dtype=bool)
+    side[perm[: (n + 1) // 2]] = True
+    if G.m == 0:
+        return side, 0
+    cross = side[u] != side[v]
+    sign = np.where(cross, 1, -1)
+    D = np.zeros(n, dtype=np.int64)
+    np.add.at(D, u, sign)
+    np.add.at(D, v, sign)
+    cut = int(cross.sum())
+    neg = np.int64(-(1 << 40))
+    while True:
+        DS = np.where(side, D, neg)
+        DT = np.where(side, neg, D)
+        cand_a = np.nonzero(DS >= DS.max() - 2)[0]
+        cand_b = np.nonzero(DT >= DT.max() - 2)[0]
+        gain = D[cand_a][:, None] + D[cand_b][None, :]
+        for i, a in enumerate(cand_a):
+            nbrs = G.indices[G.indptr[a]:G.indptr[a + 1]]
+            gain[i, np.isin(cand_b, nbrs)] -= 2
+        best = int(np.argmax(gain))
+        if gain.flat[best] <= 0:
+            break
+        i, j = divmod(best, len(cand_b))
+        for x in (int(cand_a[i]), int(cand_b[j])):
+            cut -= int(D[x])
+            ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
+            same = side[ns] == side[x]
+            D[ns] += np.where(same, 2, -2)
+            D[x] = -D[x]
+            side[x] = not side[x]
+    return side, cut
 
 
 def enumerate_partitions_rgs(n: int):

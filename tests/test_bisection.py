@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gnpmod import bisection
 from gnpmod.bisection import (Bisection, _single_local_search,
                               bisection_modularity_certificate, error_decomposition,
                               exact_min_bisection, local_search_bisection)
@@ -135,6 +136,75 @@ class TestLocalSearch:
         assert sum(vals) / len(vals) < 0.0
 
 
+def same_restart(G, seed: int) -> None:
+    got = _single_local_search(G, generator(seed))
+    want = oracles.local_search_matrix(G, generator(seed))
+    assert got[1] == want[1]
+    assert np.array_equal(got[0], want[0])
+
+
+def count_matrix_builds(monkeypatch) -> list[int]:
+    """Patch bisection._swap_gains to count its calls in calls[0]."""
+    calls, gains = [0], bisection._swap_gains
+
+    def spy(*args):
+        calls[0] += 1
+        return gains(*args)
+
+    monkeypatch.setattr(bisection, "_swap_gains", spy)
+    return calls
+
+
+class TestSwapSelection:
+    """Each restart's swaps are the first maxima of the full gain matrix
+    in oracles.local_search_matrix, whichever way they are found."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 60), st.floats(0, 1), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_gnp_matches_matrix_reference(self, n, p, graph_seed, seeds):
+        G = sample_gnp(n, p, graph_seed)
+        for seed in seeds:
+            same_restart(G, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.data(), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    def test_isolated_vertices_match_matrix_reference(self, n, data, graph_seed, seed):
+        # edges among the first k vertices only; k <= 1 gives m = 0
+        k = data.draw(st.integers(0, n))
+        H = sample_gnp(max(k, 1), data.draw(st.floats(0, 1)), graph_seed)
+        G = Graph(n, H.edges)
+        assert G.m == H.m
+        same_restart(G, seed)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_complete_graph_uses_the_matrix(self, monkeypatch, n):
+        # every balanced split of K_n leaves the two first maxima adjacent
+        calls = count_matrix_builds(monkeypatch)
+        G = Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
+        for seed in range(5):
+            calls[0] = 0
+            same_restart(G, seed)
+            assert calls[0] >= 1
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 3), (3, 3), (4, 7), (10, 10), (6, 15)])
+    def test_complete_bipartite_uses_the_matrix(self, monkeypatch, a, b):
+        calls = count_matrix_builds(monkeypatch)
+        G = Graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
+        for seed in range(10):
+            same_restart(G, seed)
+        assert calls[0] >= 1
+
+    def test_shortcut_skips_the_matrix(self, monkeypatch):
+        # the first corridor-d25 restart built the matrix at each of its 697
+        # swaps while every swap was taken from it; the shortcut leaves 12
+        calls = count_matrix_builds(monkeypatch)
+        G = sample_gnp(4000, 25 / 4000, 1)
+        _single_local_search(G, generator(trial_seed(1, 0)))
+        assert 1 <= calls[0] <= 20
+
+
 class TestErrorDecomposition:
     def test_exact_residual(self):
         for i in range(20):
@@ -189,6 +259,15 @@ class TestCertificate:
         r = bisection_modularity_certificate(G, seed=1, restarts=3)
         assert (hashlib.sha256(r.partition.labels.tobytes()).hexdigest()
                 == "29d616c7688c6b5e52d2fe6082dc5d6b1e4f4b3f484306495e4d8d2edd8f6c7e")
+
+    def test_corridor_d400_certificate_pinned(self):
+        # sha256 of the corridor-d400 certificate's labels, taken while every
+        # swap was picked from the full gain matrix; its restarts take the
+        # matrix path more often than any other corridor graph's
+        G = sample_gnp(4000, 0.1, 1)
+        r = bisection_modularity_certificate(G, seed=1, restarts=3)
+        assert (hashlib.sha256(r.partition.labels.tobytes()).hexdigest()
+                == "db7c99bd18b889c9cbcf361c18cb42adeea80d01874ae46329752dfed022e07f")
 
     def test_sqrt_d_scaling(self):
         n, d = 500, 64
