@@ -180,7 +180,8 @@ class TestSwapSelection:
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_complete_graph_uses_the_matrix(self, monkeypatch, n):
-        # every balanced split of K_n leaves the two first maxima adjacent
+        # in K_n every pair is adjacent and D[a] + D[b] = 2 on any balanced
+        # split, so each restart builds the matrix at least once
         calls = count_matrix_builds(monkeypatch)
         G = Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
         for seed in range(5):
@@ -197,8 +198,9 @@ class TestSwapSelection:
         assert calls[0] >= 1
 
     def test_shortcut_skips_the_matrix(self, monkeypatch):
-        # the first corridor-d25 restart built the matrix at each of its 697
-        # swaps while every swap was taken from it; the shortcut leaves 12
+        # outputs stay the same if the shortcut stops firing, so count: the
+        # full matrix would be built at each of this restart's 697 swaps,
+        # and the two sides' first maxima are adjacent at 12 of them
         calls = count_matrix_builds(monkeypatch)
         G = sample_gnp(4000, 25 / 4000, 1)
         _single_local_search(G, generator(trial_seed(1, 0)))
