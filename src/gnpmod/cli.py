@@ -4,15 +4,20 @@ Each subcommand declares, once, the options it reads, with their types,
 choices and defaults.  A JSON config file (--config) holds values for
 those same options, keyed by dest name, and argparse checks them against
 the same declarations; flags override it.  Every value is validated before
-any work is done, and the output is CSV or a table.  Identical configs
-produce byte-identical output; timestamps are emitted only when
---timestamp is given.  Exit codes: 0 success, 2 validation error, 3
-size-cap refusal, 1 internal error.
+any work is done.  A subcommand computes all of its rows first and then
+writes them in one go: `_emit` writes the `#` header followed by CSV or
+table rows, and `sample` writes its bare edge list.  Both go through
+`_output`, the one place that opens --out, so a command that fails
+writes nothing.  Identical configs produce byte-identical output;
+timestamps are emitted only when --timestamp is given.  Exit codes: 0
+success, 2 validation error (an unwritable --out included), 3 size-cap
+refusal, 1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -65,34 +70,36 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return sample_gnp(args.n, p, args.seed)
 
 
-class _Output:
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.lines: list[str] = []
-
-    def meta(self, text: str) -> None:
-        self.lines.append(f"# {text}")
-
-    def row(self, text: str) -> None:
-        self.lines.append(text)
-
-    def flush(self) -> None:
-        body = "\n".join(self.lines) + "\n"
-        if self.args.out:
-            with open(self.args.out, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    """Stdout, or the --out file; failing to write it is a validation
+    error (exit 2), as for an input file."""
+    if not args.out:
+        yield sys.stdout  # read now: callers may have redirected it
+        return
+    try:
+        with open(args.out, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from exc
 
 
-def _header(out: _Output, args: argparse.Namespace) -> None:
+def _emit(args: argparse.Namespace, rows: list[str]) -> None:
+    """Write the `#` header (version, config echo, optional timestamp)
+    and then the rows, all computed before anything is written."""
     # The echo is itself a valid --config file for the same subcommand.
     echo = {k: v for k, v in vars(args).items()
             if v is not None and k not in ("config", "out", "timestamp")}
-    out.meta(f"gnpmod {VERSION}")
-    out.meta(f"config {json.dumps(echo, sort_keys=True)}")
+    lines = [f"# gnpmod {VERSION}", f"# config {json.dumps(echo, sort_keys=True)}"]
     if args.timestamp:
-        out.meta(f"timestamp {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+        lines.append(f"# timestamp {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+    with _output(args) as fh:
+        fh.write("\n".join(lines + rows) + "\n")
+
+
+def _block_lines(P: modularity.Partition) -> list[str]:
+    """The blocks of P, one space-separated line each."""
+    return [" ".join(str(v) for v in block) for block in P.canonical_blocks()]
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +109,8 @@ def _header(out: _Output, args: argparse.Namespace) -> None:
 def cmd_sample(args: argparse.Namespace) -> int:
     p, _ = resolve_density(args)
     G = sample_gnp(args.n, p, args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_edge_list(G, fh)
-    else:
-        write_edge_list(G, sys.stdout)
+    with _output(args) as fh:
+        write_edge_list(G, fh)
     return 0
 
 
@@ -116,27 +120,18 @@ def cmd_score(args: argparse.Namespace) -> int:
     G = _load_graph(args)
     with _open_input(args.partition) as fh:
         P = modularity.read_partition(fh, G.n)
-    out = _Output(args)
-    _header(out, args)
-    out.row("score_definition,score_edge_form")
-    out.row(f"{modularity.score_definition(G, P)!r},{modularity.score_edge_form(G, P)!r}")
-    out.flush()
+    _emit(args, ["score_definition,score_edge_form",
+                 f"{modularity.score_definition(G, P)!r},{modularity.score_edge_form(G, P)!r}"])
     return 0
 
 
 def _emit_modularity(args: argparse.Namespace, result: modularity.ModularityResult) -> None:
-    out = _Output(args)
-    _header(out, args)
+    blocks = _block_lines(result.partition)
     if args.format == "table":
-        out.row(f"score = {result.score!r}  method = {result.method}")
-        for block in result.partition.canonical_blocks():
-            out.row(" ".join(str(v) for v in block))
+        _emit(args, [f"score = {result.score!r}  method = {result.method}", *blocks])
     else:
-        out.row("score,method,partition")
-        blocks = ";".join(" ".join(str(v) for v in b)
-                          for b in result.partition.canonical_blocks())
-        out.row(f"{result.score!r},{result.method},{blocks}")
-    out.flush()
+        _emit(args, ["score,method,partition",
+                     f"{result.score!r},{result.method},{';'.join(blocks)}"])
 
 
 def cmd_mod_exact(args: argparse.Namespace) -> int:
@@ -155,27 +150,20 @@ def cmd_mod_heuristic(args: argparse.Namespace) -> int:
 def cmd_spectral(args: argparse.Namespace) -> int:
     G = _load_graph(args)
     res = spectral.spectral_gap(G)
-    out = _Output(args)
-    _header(out, args)
-    out.row("n,m,lambda_min,lambda_1,lambda_max,gap")
     ev = res.eigenvalues
     lam1 = float(ev[1]) if G.n > 1 else float("nan")
-    out.row(f"{G.n},{G.m},{float(ev[0])!r},{lam1!r},{float(ev[-1])!r},{res.gap!r}")
-    out.flush()
+    _emit(args, ["n,m,lambda_min,lambda_1,lambda_max,gap",
+                 f"{G.n},{G.m},{float(ev[0])!r},{lam1!r},{float(ev[-1])!r},{res.gap!r}"])
     return 0
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     _, d = resolve_density(args)
     rep = bounds.bound_report(args.n, d, args.C)
-    out = _Output(args)
-    _header(out, args)
     if args.format == "table":
-        out.row(rep.table())
+        _emit(args, [rep.table()])
     else:
-        out.row(bounds.BoundReport.CSV_COLUMNS)
-        out.row(rep.csv_row())
-    out.flush()
+        _emit(args, [bounds.BoundReport.CSV_COLUMNS, rep.csv_row()])
     return 0
 
 
@@ -185,23 +173,16 @@ def cmd_chernoff(args: argparse.Namespace) -> int:
         raise ValidationError("chernoff needs --mu and --t")
     bp, bq = concentration.chernoff_upper(mu, t)
     lo = concentration.chernoff_lower(mu, t)
-    out = _Output(args)
-    _header(out, args)
-    out.row("mu,t,upper_phi,upper_quad,lower")
-    out.row(f"{mu!r},{t!r},{bp!r},{bq!r},{lo!r}")
-    out.flush()
+    _emit(args, ["mu,t,upper_phi,upper_quad,lower", f"{mu!r},{t!r},{bp!r},{bq!r},{lo!r}"])
     return 0
 
 
 def cmd_verify_appendix(args: argparse.Namespace) -> int:
     grid = concentration.GridSpec(step=args.step, y_max=args.y_max, g_x_max=args.x_max)
     rep = concentration.verify_appendix(grid)
-    out = _Output(args)
-    _header(out, args)
-    out.row("min_f,argmin_f,min_g,argmin_g,monotonicity_violations,passed")
-    out.row(f"{rep.min_f!r},{rep.argmin_f},{rep.min_g!r},{rep.argmin_g},"
-            f"{rep.monotonicity_violations},{int(rep.passed)}")
-    out.flush()
+    _emit(args, ["min_f,argmin_f,min_g,argmin_g,monotonicity_violations,passed",
+                 f"{rep.min_f!r},{rep.argmin_f},{rep.min_g!r},{rep.argmin_g},"
+                 f"{rep.monotonicity_violations},{int(rep.passed)}"])
     return 0 if rep.passed else 1
 
 
@@ -215,12 +196,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     else:
         res = concentration.check_lemma32_events_sampled(
             G, args.C, d, trials=args.trials, seed=args.seed, strategy=args.strategy)
-    out = _Output(args)
-    _header(out, args)
-    for row in res.csv_rows():
-        out.row(row)
-    out.meta(f"total_violations {res.total_violations}")
-    out.flush()
+    _emit(args, [*res.csv_rows(), f"# total_violations {res.total_violations}"])
     return 0
 
 
@@ -232,13 +208,8 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     else:
         bis = bisection.local_search_bisection(G, seed=args.seed, restarts=args.restarts)
         method = "local_search"
-    out = _Output(args)
-    _header(out, args)
-    out.row("n,m,cut,method")
-    out.row(f"{G.n},{G.m},{bis.cut},{method}")
-    for block in bis.partition().canonical_blocks():
-        out.row(" ".join(str(v) for v in block))
-    out.flush()
+    _emit(args, ["n,m,cut,method", f"{G.n},{G.m},{bis.cut},{method}",
+                 *_block_lines(bis.partition())])
     return 0
 
 
@@ -246,11 +217,7 @@ def cmd_certificate(args: argparse.Namespace) -> int:
     G = _load_graph(args)
     res = bisection.bisection_modularity_certificate(
         G, seed=args.seed, restarts=args.restarts)
-    out = _Output(args)
-    _header(out, args)
-    out.row("score,method")
-    out.row(f"{res.score!r},{res.method}")
-    out.flush()
+    _emit(args, ["score,method", f"{res.score!r},{res.method}"])
     return 0
 
 
@@ -292,19 +259,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         rows = [_sweep_trial(t) for t in tasks]
     wall = time.perf_counter() - t0
-    out = _Output(args)
-    _header(out, args)
-    out.row(SWEEP_COLUMNS)
-    for r in rows:
-        out.row(f"{r[0]},{r[1]!r},{r[2]},{r[3]!r},{r[4]!r},{r[5]!r},{r[6]!r},{r[7]!r}")
+    lines = [SWEEP_COLUMNS]
+    lines += [f"{r[0]},{r[1]!r},{r[2]},{r[3]!r},{r[4]!r},{r[5]!r},{r[6]!r},{r[7]!r}"
+              for r in rows]
     for d in ds:
         hs = [r[3] for r in rows if r[1] == d]
         mean = sum(hs) / len(hs)
         se = (sum((x - mean) ** 2 for x in hs) / max(1, len(hs) - 1)) ** 0.5 / len(hs) ** 0.5
-        out.meta(f"aggregate d={d!r} mean_heuristic={mean!r} se={se!r}")
+        lines.append(f"# aggregate d={d!r} mean_heuristic={mean!r} se={se!r}")
     if args.timestamp:
-        out.meta(f"wall_clock_s {wall:.3f}")
-    out.flush()
+        lines.append(f"# wall_clock_s {wall:.3f}")
+    _emit(args, lines)
     return 0
 
 

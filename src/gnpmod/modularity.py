@@ -115,8 +115,8 @@ class Partition:
 
     @classmethod
     def of(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
-        """Partition from its blocks, which must be nonempty, disjoint and
-        cover 1..n."""
+        """Partition from its blocks, which must be nonempty, disjoint,
+        free of repeated members and cover 1..n."""
         lab = np.full(n, -1, dtype=np.int64)
         for i, block in enumerate(blocks):
             members = list(block)
@@ -125,6 +125,8 @@ class Partition:
             if not all(isinstance(v, (int, np.integer)) and 1 <= v <= n
                        for v in members):
                 raise ValidationError(f"block members must lie in 1..{n}")
+            if len(set(members)) < len(members):
+                raise ValidationError("a block repeats a vertex")
             idx = np.array(members, dtype=np.int64) - 1
             if (lab[idx] >= 0).any():
                 raise ValidationError("blocks overlap")

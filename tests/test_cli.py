@@ -343,6 +343,15 @@ class TestErrorChannel:
          "C=-1.0"),
         ({}, ["events", "--n", "12", "--p", "0", "--seed", "3"], "d=0.0"),
         ({}, ["spectral", "--n", "30", "--p", "0.3", "--method", "jacobi"], "--method"),
+        ({"g.txt": GRAPH, "p.txt": "1 1 2\n3\n"},
+         ["score", "--graph", "g.txt", "--partition", "p.txt"], "repeats a vertex"),
+        ({}, ["bounds", "--n", "100", "--d", "9", "--out", "missing/b.csv"],
+         "cannot write missing/b.csv"),
+        ({}, ["sample", "--n", "10", "--d", "3", "--out", "missing/g.txt"],
+         "cannot write missing/g.txt"),
+        ({}, ["sweep", "--n", "30", "--d", "4", "--restarts", "1", "--out", "missing/s.csv"],
+         "cannot write missing/s.csv"),
+        ({}, ["sample", "--n", "10", "--d", "3", "--out", "."], "cannot write ."),
     ], ids=["edge-token", "header-token", "trailing-edge-line", "missing-graph",
             "missing-graph-for-score", "missing-partition", "partition-token",
             "missing-config", "config-not-json", "config-n-not-int", "config-seed-not-int",
@@ -353,7 +362,8 @@ class TestErrorChannel:
             "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
             "C-inf", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
             "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero",
-            "spectral-method-removed"])
+            "spectral-method-removed", "partition-repeated-vertex", "bounds-out-missing-dir",
+            "sample-out-missing-dir", "sweep-out-missing-dir", "sample-out-is-directory"])
     def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, named):
         for name, text in files.items():
             (tmp_path / name).write_text(text)

@@ -77,6 +77,20 @@ def test_replay_byte_identical(i, tmp_path, monkeypatch):
     assert out == entry["stdout"]
 
 
+@pytest.mark.parametrize("i", range(len(COMMANDS)),
+                         ids=[" ".join(argv) for argv in COMMANDS])
+def test_out_file_holds_the_stdout(i, tmp_path, monkeypatch):
+    """With --out, the file gets the golden stdout byte for byte and
+    stdout gets nothing (the config echo leaves --out out)."""
+    entry = load()[i]
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out = replay([*entry["argv"], "--out", "out.txt"])
+    assert code == 0
+    assert out == ""
+    assert (tmp_path / "out.txt").read_bytes() == entry["stdout"].encode()
+
+
 @pytest.mark.parametrize("i", [i for i, argv in enumerate(COMMANDS) if argv[0] != "sample"],
                          ids=[" ".join(argv) for argv in COMMANDS if argv[0] != "sample"])
 def test_config_echo_replays(i, tmp_path, monkeypatch):

@@ -166,3 +166,5 @@ class TestPartitionFormat:
             Partition.of([[1, 2]], 3)
         with pytest.raises(ValidationError):
             Partition.of([[1, 2, 3], []], 3)
+        with pytest.raises(ValidationError, match="repeats"):
+            Partition.of([[1, 1, 2], [3]], 3)
