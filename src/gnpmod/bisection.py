@@ -171,18 +171,17 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     of each side's largest D built, as only they can host the best
     swap."""
     n = G.n
-    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     perm = rng.permutation(n)
     side = np.zeros(n, dtype=bool)
     side[perm[: (n + 1) // 2]] = True
     if G.m == 0:
         return side, 0
-    cross = side[u] != side[v]
-    sign = np.where(cross, 1, -1)
-    D = np.zeros(n, dtype=np.int64)
-    np.add.at(D, u, sign)
-    np.add.at(D, v, sign)
-    cut = int(cross.sum())
+    # running count of cross entries over the CSR, so row x has
+    # ext = cross[indptr[x+1]] - cross[indptr[x]] and D = ext - (deg - ext)
+    cross = np.zeros(len(G.indices) + 1, dtype=np.int64)
+    np.cumsum(np.repeat(side, G.degrees) != side[G.indices], out=cross[1:])
+    D = 2 * np.diff(cross[G.indptr]) - G.degrees
+    cut = int(cross[-1]) // 2
     neg = np.int64(-(1 << 40))
     while True:
         DS = np.where(side, D, neg)

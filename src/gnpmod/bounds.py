@@ -85,6 +85,8 @@ def bound_report(n: int, d: float, C: float = C_MIN_MAIN) -> BoundReport:
         raise ValidationError(f"n={n} must be a positive integer")
     if not (0.0 < d < n):
         raise ValidationError(f"d={d} must lie in (0, n)")
+    if not (math.isfinite(C) and C > 0):
+        raise ValidationError(f"C={C!r} must be finite and > 0")
     p = d / n
     rd = math.sqrt(d)
     log_n = math.log(n) if n > 1 else 0.0

@@ -11,7 +11,8 @@ table rows, and `sample` writes its bare edge list.  Both go through
 writes nothing.  Identical configs produce byte-identical output;
 timestamps are emitted only when --timestamp is given.  Exit codes: 0
 success, 2 validation error (an unwritable --out included), 3 size-cap
-refusal, 1 internal error.
+refusal, 1 internal error or a failed `verify-appendix` grid check (its
+row, with passed 0, is still written).
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 components, and subset edge/volume tables.
 
 Vertices are labeled 1..n in the public interface and the edge-list
-file format.  A Graph holds four read-only int64 arrays and nothing else:
+file format.  A Graph stores only its CSR, three read-only int64 arrays:
 
-    edges    (m, 2) pairs u < v, 1-indexed, in lexicographic order
     indptr   (n+1,) CSR row offsets; the neighbours of vertex v are
     indices  indices[indptr[v-1]:indptr[v]], 0-indexed and ascending
     degrees  (n,) with degrees[v-1] = deg(v), equal to np.diff(indptr)
+
+`G.edges` builds the (m, 2) pairs u < v, 1-indexed, in lexicographic
+order, from the upper half of each row anew on every call.
 
 Graphs are immutable after construction and safe to share between
 parallel workers.  Every graph goes through one CSR builder fed sorted
@@ -34,7 +36,7 @@ from .rng import generator
 
 # Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
 # is the largest accepted size.  The streamed draw holds one chunk of
-# uniforms plus about 80 bytes per kept edge (tracemalloc peak, 32 of them
+# uniforms plus about 80 bytes per kept edge (tracemalloc peak, 16 of them
 # in the finished Graph), so the cap no longer bounds memory, only the
 # draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
 # 2-vCPU box.
@@ -113,7 +115,7 @@ class Graph:
         return G
 
     def _build(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Set the four arrays from sorted unique 0-indexed pairs lo < hi.
+        """Set the CSR from sorted unique 0-indexed pairs lo < hi.
 
         Row r of the CSR is the lo's of the edges with hi = r, then the
         hi's of the edges with lo = r; both runs are ascending, the first
@@ -133,12 +135,7 @@ class Graph:
         by_hi = np.argsort(hi, kind="stable")
         first_hi = np.cumsum(n_hi) - n_hi
         indices[(indptr[:-1] - first_hi)[hi[by_hi]] + rank] = lo[by_hi]
-        edges = np.empty((m, 2), dtype=np.int64)
-        edges[:, 0] = lo
-        edges[:, 1] = hi
-        edges += 1
         self.n = n
-        self.edges = _frozen(edges)
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
         self.degrees = _frozen(n_lo + n_hi)
@@ -146,14 +143,23 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges e(G)."""
-        return len(self.edges)
+        return len(self.indices) // 2
+
+    @property
+    def edges(self) -> np.ndarray:
+        """A new read-only (m, 2) int64 array of the pairs u < v, 1-indexed,
+        in lexicographic order: the upper half of each CSR row."""
+        src = np.repeat(np.arange(1, self.n + 1), self.degrees)
+        upper = self.indices >= src
+        return _frozen(np.column_stack((src[upper], self.indices[upper] + 1)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
-                and np.array_equal(self.edges, other.edges))
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.indptr, other.indptr))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges.tobytes()))
+        return hash((self.n, self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -225,11 +231,11 @@ def edge_counts(G: Graph, S: np.ndarray) -> EdgeCounts:
     """Exact integer counts e(S), e(S̄), e(S,S̄), vol(S), vol(S̄) of the
     subset S, a boolean array of length n."""
     check_subset(S, G.n)
-    inu = S[G.edges[:, 0] - 1]
-    inv = S[G.edges[:, 1] - 1]
-    e_in = int(np.count_nonzero(inu & inv))
-    e_cross = int(np.count_nonzero(inu ^ inv))
-    vol_S = 2 * e_in + e_cross
+    inu = np.repeat(S, G.degrees)
+    # each edge inside S is seen from both ends
+    e_in = int(np.count_nonzero(inu & S[G.indices])) // 2
+    vol_S = int(np.count_nonzero(inu))
+    e_cross = vol_S - 2 * e_in
     return EdgeCounts(e_in=e_in, e_out=G.m - e_in - e_cross, e_cross=e_cross,
                       vol_S=vol_S, vol_Sbar=2 * G.m - vol_S)
 

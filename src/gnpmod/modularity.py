@@ -3,7 +3,7 @@
 A Partition is one canonical label array: `labels[v-1]` is the block of
 vertex v, and blocks are numbered 0, 1, ... in order of their smallest
 member, so equal partitions have equal arrays.  Scores are computed
-from per-block counts (np.bincount over the edge array), accumulated as
+from per-block counts (np.bincount over the CSR entries), accumulated as
 exact integer numerators with a single final division so floating error
 can never flip an argmax decision:
 
@@ -173,18 +173,16 @@ class ModularityResult:
 
 def _block_stats(G: Graph, P: Partition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(e_in, e_cross, vol) per block as exact int64 arrays, from one
-    pass over the edges; vol(S) = 2 e(S) + e(S,Sbar)."""
+    pass over the CSR entries, which see each edge from both ends: vol(S)
+    counts the entries in S's rows and e(S,Sbar) = vol(S) - 2 e(S)."""
     if P.n != G.n:
         raise ValidationError(f"partition over [{P.n}], graph over [{G.n}]")
     if G.m > SCORE_M_CAP:
         raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
-    lu = P.labels[G.edges[:, 0] - 1]
-    lv = P.labels[G.edges[:, 1] - 1]
-    same = lu == lv
-    k = P.k
-    e_in = np.bincount(lu[same], minlength=k)
-    cross = np.bincount(lu[~same], minlength=k) + np.bincount(lv[~same], minlength=k)
-    return e_in, cross, 2 * e_in + cross
+    lu = np.repeat(P.labels, G.degrees)
+    e_in = np.bincount(lu[lu == P.labels[G.indices]], minlength=P.k) // 2
+    vol = np.bincount(lu, minlength=P.k)
+    return e_in, vol - 2 * e_in, vol
 
 
 def score_definition(G: Graph, P: Partition) -> float:

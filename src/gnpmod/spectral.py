@@ -38,10 +38,8 @@ def normalized_laplacian(G: Graph) -> np.ndarray:
     inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
     L = np.zeros((n, n))
     np.fill_diagonal(L, np.where(deg > 0, 1.0, 0.0))
-    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
-    w = -inv_sqrt[u] * inv_sqrt[v]
-    L[u, v] = w
-    L[v, u] = w
+    src = np.repeat(np.arange(n), G.degrees)  # row of each CSR entry
+    L[src, G.indices] = -inv_sqrt[src] * inv_sqrt[G.indices]
     return L
 
 

@@ -83,6 +83,11 @@ class TestBoundReport:
         with pytest.raises(ValidationError):
             bound_report(10, 10.0)
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_C_not_finite_positive(self, C):
+        with pytest.raises(ValidationError, match="C="):
+            bound_report(100, 9.0, C=C)
+
     def test_csv_row_roundtrips(self):
         r = bound_report(2000, 25.0)
         cols = r.CSV_COLUMNS.split(",")

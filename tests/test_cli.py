@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from gnpmod import bounds, cli, modularity
+from gnpmod import bounds, cli, concentration, modularity
 from gnpmod.cli import main
 from gnpmod.graph import read_edge_list, sample_gnp
 from gnpmod.spectral import normalized_laplacian
@@ -127,6 +127,17 @@ class TestAnalysis:
                         "--y-max", "8", "--x-max", "8")
         assert code == 0
         assert "passed" in out
+
+    def test_verify_appendix_failing_grid_exits_1(self, capsys, monkeypatch):
+        """A grid check that fails still prints its row, with passed 0."""
+        def failing(grid):
+            return concentration.GridReport(grid=grid, min_f=-1.0, argmin_f=(1.0, 2.0, 3.0),
+                                            min_g=1.0, argmin_g=(1.0, 2.0),
+                                            monotonicity_violations=0)
+        monkeypatch.setattr(concentration, "verify_appendix", failing)
+        code, out = run(capsys, "verify-appendix")
+        assert code == 1
+        assert data_rows(out)[1].endswith(",0")
 
     def test_events_exhaustive(self, capsys):
         code, out = run(capsys, "events", "--n", "12", "--d", "6", "--seed", "3",
@@ -332,6 +343,7 @@ class TestErrorChannel:
         ({}, ["verify-appendix", "--x-max", "-inf"], "--x-max"),
         ({}, ["bounds", "--n", "100", "--p", "nan"], "--p"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--C", "inf"], "--C"),
+        ({}, ["bounds", "--n", "100", "--d", "9", "--C", "-1"], "C="),
         ({}, ["sweep", "--n", "50", "--d", "5,nan", "--trials", "1"], "--d"),
         ({"c.json": '{"mu": 1, "t": NaN}'}, ["chernoff", "--config", "c.json"], "--t"),
         ({"c.json": '{"step": Infinity}'}, ["verify-appendix", "--config", "c.json"],
@@ -360,7 +372,7 @@ class TestErrorChannel:
             "bisect-cap-removed", "config-cap-removed", "flag-not-taken", "restarts-below-1",
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
             "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
-            "C-inf", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
+            "C-inf", "bounds-C-negative", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
             "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero",
             "spectral-method-removed", "partition-repeated-vertex", "bounds-out-missing-dir",
             "sample-out-missing-dir", "sweep-out-missing-dir", "sample-out-is-directory"])

@@ -9,8 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gnpmod import graph
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, Graph,
-                          component_roots, degree, edge_counts, read_edge_list,
+from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, EdgeCounts,
+                          Graph, component_roots, degree, edge_counts, read_edge_list,
                           sample_gnp, subset_edges, subset_volumes, write_edge_list)
 from gnpmod.rng import generator
 
@@ -170,6 +170,19 @@ class TestSampling:
     def test_draw_memory_is_linear_in_edges(self, p, bound_mib):
         assert traced_peak_mib(sample_gnp, 4000, p, 3) < bound_mib
 
+    def test_graph_holds_one_copy_of_its_edges(self):
+        # 800k edges: the graph holds 13.0 MiB, 12.2 of them its 1.6M CSR
+        # indices; with a stored (m, 2) edge array as well it held 25.2 MiB
+        tracemalloc.start()
+        try:
+            G = sample_gnp(4000, 0.1, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(isinstance(a, np.ndarray) and a.shape == (G.m, 2)
+                       for a in vars(G).values())
+        assert held < 14 * 2**20
+
     def test_edge_count_moments(self):
         # e(G) ~ Bin(4950, 0.1): mean 495, var 445.5
         counts = np.array([sample_gnp(100, 0.1, s).m for s in range(10_000)])
@@ -236,6 +249,23 @@ class TestEdgeCounts:
         assert (a.e_in, a.e_out) == (b.e_out, b.e_in)
         assert a.e_cross == b.e_cross
         assert (a.vol_S, a.vol_Sbar) == (b.vol_Sbar, b.vol_S)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1])),
+        st.sets(st.integers(1, n)))))
+    def test_matches_a_count_over_the_pairs(self, case):
+        """Every field against a loop over the drawn pairs, so the counts
+        read from the CSR are checked against the edges themselves;
+        vertices on no pair stay isolated."""
+        n, pairs, members = case
+        ec = edge_counts(Graph(n, pairs), subset(members, n))
+        inside = [(u in members) + (v in members) for u, v in pairs]
+        vol_S = sum(inside)
+        assert ec == EdgeCounts(e_in=inside.count(2), e_out=inside.count(0),
+                                e_cross=inside.count(1), vol_S=vol_S,
+                                vol_Sbar=2 * len(pairs) - vol_S)
 
     @pytest.mark.parametrize("S", [
         [True, False, True],                      # a list, not an array
