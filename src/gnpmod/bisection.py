@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapExceeded, ValidationError
-from .graph import (Graph, bit_reversal, check_subset, edge_counts, neighbour_masks,
-                    subset_edges, subset_volumes)
+from .errors import CapExceeded, ValidationError, require_reals
+from .graph import (Graph, _frozen, bit_reversal, check_subset, edge_counts,
+                    neighbour_masks, subset_edges, subset_volumes)
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
 
@@ -43,9 +43,7 @@ class Bisection:
         check_subset(self.S, np.size(self.S))
         if 2 * np.count_nonzero(self.S) - len(self.S) not in (0, 1):
             raise ValidationError("bisection must satisfy |S| - |Sbar| in {0,1}")
-        S = self.S.view()
-        S.flags.writeable = False
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S", _frozen(self.S.view()))
 
     def partition(self) -> Partition:
         return Partition(self.S.astype(np.int64))
@@ -132,13 +130,6 @@ def _canonical_side(side: np.ndarray, n: int) -> np.ndarray:
     return side if 2 * np.count_nonzero(side) > n else ~side
 
 
-def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether subset a sorts before subset b of the same size as a
-    sorted vertex tuple: a holds the first vertex at which they differ."""
-    i = int(np.argmax(a != b))
-    return bool(a[i] > b[i])
-
-
 def _swap_gains(G: Graph, D: np.ndarray, cand_a: np.ndarray,
                 cand_b: np.ndarray) -> np.ndarray:
     """gain[i, j] = D[a] + D[b] - 2*[a~b] for a = cand_a[i], b = cand_b[j],
@@ -214,25 +205,25 @@ def local_search_bisection(G: Graph, seed: int = 0, restarts: int = 10) -> Bisec
     """Best balanced cut over seeded local-search restarts.
 
     The reduction over restarts is a deterministic (cut, lexicographic-S)
-    minimum, so parallel restart order cannot change the result.
+    minimum, so parallel restart order cannot change the result; the
+    bytes of ~S order equal cuts by the first vertex in one S only.
     """
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
     if G.n < 2:
         raise ValidationError("bisection needs n >= 2")
-    best_cut, best_S = None, None
-    for r in range(restarts):
-        side, cut = _single_local_search(G, generator(trial_seed(seed, r)))
-        S = _canonical_side(side, G.n)
-        if best_S is None or cut < best_cut or (cut == best_cut and _precedes(S, best_S)):
-            best_cut, best_S = cut, S
-    return Bisection(best_S, best_cut)
+    runs = (_single_local_search(G, generator(trial_seed(seed, r)))
+            for r in range(restarts))
+    cut, S = min(((cut, _canonical_side(side, G.n)) for side, cut in runs),
+                 key=lambda run: (run[0], (~run[1]).tobytes()))
+    return Bisection(S, cut)
 
 
 def error_decomposition(G: Graph, S: np.ndarray, d: float) -> ErrorDecomposition:
     """err0/err1/err2 for a balanced subset S (a boolean array of length
     n), with the reconstruction identity e(S,Sbar) = nd/4 - (err1 + err2)
     checked in exact rational arithmetic."""
+    require_reals(d=d)
     check_subset(S, G.n)
     if 2 * np.count_nonzero(S) - G.n not in (0, 1):
         raise ValidationError("error_decomposition requires a balanced subset")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_reals
 
 SQRT2 = math.sqrt(2.0)
 UPPER_MAIN_COEFF = (3.0 + 2.0 * SQRT2) / 2.0        # ~2.9142135
@@ -85,8 +85,7 @@ def bound_report(n: int, d: float, C: float = C_MIN_MAIN) -> BoundReport:
         raise ValidationError(f"n={n} must be a positive integer")
     if not (0.0 < d < n):
         raise ValidationError(f"d={d} must lie in (0, n)")
-    if not (math.isfinite(C) and C > 0):
-        raise ValidationError(f"C={C!r} must be finite and > 0")
+    require_reals(C=C)
     p = d / n
     rd = math.sqrt(d)
     log_n = math.log(n) if n > 1 else 0.0

@@ -98,11 +98,6 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
         fh.write("\n".join(lines + rows) + "\n")
 
 
-def _block_lines(P: modularity.Partition) -> list[str]:
-    """The blocks of P, one space-separated line each."""
-    return [" ".join(str(v) for v in block) for block in P.canonical_blocks()]
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations.
 
@@ -127,7 +122,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def _emit_modularity(args: argparse.Namespace, result: modularity.ModularityResult) -> None:
-    blocks = _block_lines(result.partition)
+    blocks = modularity.block_lines(result.partition)
     if args.format == "table":
         _emit(args, [f"score = {result.score!r}  method = {result.method}", *blocks])
     else:
@@ -210,7 +205,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
         bis = bisection.local_search_bisection(G, seed=args.seed, restarts=args.restarts)
         method = "local_search"
     _emit(args, ["n,m,cut,method", f"{G.n},{G.m},{bis.cut},{method}",
-                 *_block_lines(bis.partition())])
+                 *modularity.block_lines(bis.partition())])
     return 0
 
 

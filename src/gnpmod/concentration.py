@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ValidationError
+from .bounds import C_MIN_MAIN, LN2_PLUS_001
+from .errors import CapExceeded, ValidationError, require_reals
 from .graph import Graph, subset_edges
 from .rng import generator, trial_seed
 
@@ -40,96 +41,78 @@ SAMPLE_BATCH = 512
 # Rate functions.
 
 
+def _value(out: np.ndarray):
+    """A 0-d result as a float, any other as the array."""
+    return float(out) if out.ndim == 0 else out
+
+
 def phi(y):
     """Chernoff rate function (1+y) ln(1+y) - y, for y >= 0.
 
     Accepts scalars or numpy arrays.
     """
-    arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0):
-        raise ValidationError("phi requires y >= 0")
-    out = (1.0 + arr) * np.log1p(arr) - arr
-    return float(out) if np.isscalar(y) or arr.ndim == 0 else out
+    (y,) = require_reals(zero_ok=True, y=y)
+    return _value((1.0 + y) * np.log1p(y) - y)
+
+
+def _finite(mu: float, t: float, bound: float) -> float:
+    """bound, or ValidationError naming mu and t if it or t/mu overflowed."""
+    if not (math.isfinite(bound) and math.isfinite(t / mu)):
+        raise ValidationError(f"mu={mu!r}, t={t!r} overflow the Chernoff bounds")
+    return bound
 
 
 def chernoff_upper(mu: float, t: float) -> tuple[float, float]:
     """Upper-tail bounds for Bin with mean mu: P(X >= mu + t) is at most
     exp(-mu phi(t/mu)), which is at most exp(-t^2 / (2(mu + t/3)))."""
-    if mu <= 0:
-        raise ValidationError("chernoff_upper requires mu > 0")
-    if t < 0:
-        raise ValidationError("chernoff_upper requires t >= 0")
-    bound_phi = math.exp(-mu * phi(t / mu))
-    bound_quad = math.exp(-t * t / (2.0 * (mu + t / 3.0)))
-    return bound_phi, bound_quad
+    require_reals(mu=mu)
+    require_reals(zero_ok=True, t=t)
+    bound_quad = _finite(mu, t, math.exp(-t * t / (2.0 * (mu + t / 3.0))))
+    return math.exp(-mu * phi(t / mu)), bound_quad
 
 
 def chernoff_lower(mu: float, t: float) -> float:
     """Lower-tail bound: P(X <= mu - t) <= exp(-t^2 / (2 mu))."""
-    if mu <= 0:
-        raise ValidationError("chernoff_lower requires mu > 0")
-    if t < 0:
-        raise ValidationError("chernoff_lower requires t >= 0")
-    return math.exp(-t * t / (2.0 * mu))
-
-
-def _require_positive(**kwargs) -> None:
-    for name, val in kwargs.items():
-        if not np.all(np.asarray(val) > 0):
-            raise ValidationError(f"{name} must be strictly positive")
-
-
-def _require_finite_positive(**kwargs) -> None:
-    for name, val in kwargs.items():
-        if not (math.isfinite(val) and val > 0):
-            raise ValidationError(f"{name}={val!r} must be finite and > 0")
+    require_reals(mu=mu)
+    require_reals(zero_ok=True, t=t)
+    return _finite(mu, t, math.exp(-t * t / (2.0 * mu)))
 
 
 def f(x, y, z):
     """(xy/2) phi(z/x) - (ln(y/x) + 1)."""
-    _require_positive(x=x, y=y, z=z)
-    x, y, z = (np.asarray(a, dtype=float) for a in (x, y, z))
-    out = x * y / 2.0 * phi(z / x) - (np.log(y / x) + 1.0)
-    return float(out) if out.ndim == 0 else out
+    x, y, z = require_reals(x=x, y=y, z=z)
+    return _value(x * y / 2.0 * phi(z / x) - (np.log(y / x) + 1.0))
 
 
 def g(x, z):
     """(x^2/2) phi(z/x)."""
-    _require_positive(x=x, z=z)
-    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
-    out = x * x / 2.0 * phi(z / x)
-    return float(out) if out.ndim == 0 else out
+    x, z = require_reals(x=x, z=z)
+    return _value(x * x / 2.0 * phi(z / x))
 
 
 def h1(x, z):
     """x (ln(1 + z/x) - z/x); increasing in x for fixed z > 0."""
-    _require_positive(x=x, z=z)
-    x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
-    out = x * (np.log1p(z / x) - z / x)
-    return float(out) if out.ndim == 0 else out
+    x, z = require_reals(x=x, z=z)
+    return _value(x * (np.log1p(z / x) - z / x))
 
 
 def h2(y, z):
     """y^2 (ln(1 + 3z/y) - 3z/y); decreasing in y for fixed z > 0."""
-    _require_positive(y=y, z=z)
-    y, z = np.asarray(y, dtype=float), np.asarray(z, dtype=float)
-    out = y * y * (np.log1p(3.0 * z / y) - 3.0 * z / y)
-    return float(out) if out.ndim == 0 else out
+    y, z = require_reals(y=y, z=z)
+    return _value(y * y * (np.log1p(3.0 * z / y) - 3.0 * z / y))
 
 
 def h3(t):
     """ln(1+t) - t; decreasing in t > 0."""
-    _require_positive(t=t)
-    t = np.asarray(t, dtype=float)
-    out = np.log1p(t) - t
-    return float(out) if out.ndim == 0 else out
+    (t,) = require_reals(t=t)
+    return _value(np.log1p(t) - t)
 
 
 # ---------------------------------------------------------------------------
 # Grid verification of the rate-function inequalities.
 
 F_THRESHOLD = 0.001
-G_THRESHOLD = math.log(2.0) + 0.01
+G_THRESHOLD = LN2_PLUS_001
 GRID_EVALUATIONS_MAX = 3 * 10**7
 # Points of one f or g row evaluated at once; their temporaries take
 # about 46 bytes a point.
@@ -145,18 +128,19 @@ class GridSpec:
     step: float = 0.01
     y_min: float = 3.95
     y_max: float = 20.0
-    z_values: tuple[float, ...] = (1.999, 2.5, 5.0, 20.0)
+    z_values: tuple[float, ...] = (C_MIN_MAIN, 2.5, 5.0, 20.0)
     g_x_min: float = 1.34
     g_x_max: float = 20.0
     mono_points: int = 10_000
 
     def __post_init__(self):
         bounds = (self.step, self.y_min, self.y_max, self.g_x_min, self.g_x_max)
-        if (not all(map(math.isfinite, bounds)) or self.step <= 0
+        if (not all(map(math.isfinite, bounds)) or self.step <= 0 or not self.z_values
                 or self.y_max <= self.y_min or self.g_x_max <= self.g_x_min):
             raise ValidationError("malformed grid specification")
-        if not self.z_values or min(self.z_values) <= 0:
-            raise ValidationError("z_values must be positive and nonempty")
+        require_reals(z_values=self.z_values)
+        if not isinstance(self.mono_points, (int, np.integer)) or self.mono_points < 2:
+            raise ValidationError(f"mono_points={self.mono_points!r} must be an integer >= 2")
         if self.evaluations > GRID_EVALUATIONS_MAX:
             raise CapExceeded("verify_appendix grid evaluations",
                               float(f"{self.evaluations:.3g}"), GRID_EVALUATIONS_MAX)
@@ -338,7 +322,7 @@ def default_size_schedule(n: int) -> list[int]:
 def check_lemma32_events_exhaustive(G: Graph, C: float, d: float) -> EventCheckResult:
     """Check the three events for every nonempty proper subset of V,
     EXHAUSTIVE_CHUNK masks at a time."""
-    _require_finite_positive(C=C, d=d)
+    require_reals(C=C, d=d)
     n = G.n
     if n > EXHAUSTIVE_CAP:
         raise CapExceeded("exhaustive event check n", n, EXHAUSTIVE_CAP)
@@ -361,7 +345,7 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     strategy "stratified": trials spread round-robin over
     default_size_schedule(n), drawing uniformly among subsets of each size.
     """
-    _require_finite_positive(C=C, d=d)
+    require_reals(C=C, d=d)
     if strategy not in ("uniform", "stratified"):
         raise ValidationError(f"unknown sampling strategy {strategy!r}")
     if trials < 1:

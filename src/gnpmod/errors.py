@@ -1,4 +1,6 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the check of real arguments."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -13,3 +15,17 @@ class CapExceeded(ValidationError):
         self.value = value
         self.cap = cap
         super().__init__(f"{what}={value} exceeds cap {cap}")
+
+
+def require_reals(zero_ok: bool = False, **values) -> list[np.ndarray]:
+    """Each value (a scalar or an array) as a float array; ValidationError
+    names the first that is not finite and > 0, or >= 0 with zero_ok."""
+    out = []
+    for name, val in values.items():
+        a = np.asarray(val, dtype=float)
+        low = a.min(initial=np.inf)
+        if not ((low >= 0 if zero_ok else low > 0) and a.max(initial=0.0) < np.inf):
+            raise ValidationError(
+                f"{name}={val!r} must be finite and {'>=' if zero_ok else '>'} 0")
+        out.append(a)
+    return out

@@ -49,7 +49,8 @@ MAX_EXPECTED_EDGES = 12_000_000
 # Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
 # A larger chunk can cost resident memory, since glibc's mmap threshold
 # follows a freed chunk upward: the desk-oracles benchmark's max RSS was
-# 142 MiB with this chunk, 148 MiB with 2^20 pairs.
+# 142 MiB with this chunk, 148 MiB with 2^20 pairs.  write_edge_list
+# formats this many edges at a time, so its Python lists stay bounded.
 SAMPLE_CHUNK = 1 << 18
 # Largest vertex count a Graph accepts.  Its CSR offsets, degrees and row
 # counts take about 24 bytes per vertex, so a larger n (say from the
@@ -333,7 +334,9 @@ def component_roots(G: Graph) -> np.ndarray:
 def write_edge_list(G: Graph, out: TextIO) -> None:
     """Write the `n m` / `u v` edge-list text format (1-indexed, u < v)."""
     out.write(f"{G.n} {G.m}\n")
-    out.writelines(f"{u} {v}\n" for u, v in G.edges.tolist())
+    edges = G.edges
+    for lo in range(0, len(edges), SAMPLE_CHUNK):
+        out.writelines(f"{u} {v}\n" for u, v in edges[lo:lo + SAMPLE_CHUNK].tolist())
 
 
 def _parse_ints(tokens: list[str], what: str) -> list[int]:

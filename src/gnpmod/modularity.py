@@ -556,9 +556,13 @@ def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> Modularity
 # Partition text format: one line per block, blocks sorted by smallest member.
 
 
+def block_lines(P: Partition) -> list[str]:
+    """The blocks of P, one space-separated line each."""
+    return [" ".join(str(v) for v in block) for block in P.canonical_blocks()]
+
+
 def write_partition(P: Partition, out: TextIO) -> None:
-    for block in P.canonical_blocks():
-        out.write(" ".join(str(v) for v in block) + "\n")
+    out.writelines(line + "\n" for line in block_lines(P))
 
 
 def read_partition(inp: TextIO, n: int) -> Partition:

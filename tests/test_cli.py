@@ -338,6 +338,8 @@ class TestErrorChannel:
         ({}, ["sweep", "--n", "50", "--d", "3,5,5.0", "--trials", "1"], "d=5.0 twice"),
         ({}, ["chernoff", "--mu", "1", "--t", "nan"], "--t"),
         ({}, ["chernoff", "--mu", "inf", "--t", "1"], "--mu"),
+        ({}, ["chernoff", "--mu", "1e308", "--t", "1e308"], "mu=1e+308, t=1e+308 overflow"),
+        ({}, ["chernoff", "--mu", "1e-320", "--t", "1"], "mu=1e-320, t=1.0 overflow"),
         ({}, ["verify-appendix", "--step", "nan"], "--step"),
         ({}, ["verify-appendix", "--y-max", "inf"], "--y-max"),
         ({}, ["verify-appendix", "--x-max", "-inf"], "--x-max"),
@@ -371,7 +373,7 @@ class TestErrorChannel:
             "config-flag-not-bool", "mod-exact-cap-removed", "spectral-cap-removed",
             "bisect-cap-removed", "config-cap-removed", "flag-not-taken", "restarts-below-1",
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
-            "t-nan", "mu-inf", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
+            "t-nan", "mu-inf", "chernoff-overflow", "chernoff-t-over-mu-overflow", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
             "C-inf", "bounds-C-negative", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
             "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero",
             "spectral-method-removed", "partition-repeated-vertex", "bounds-out-missing-dir",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 from unittest import mock
@@ -16,6 +17,8 @@ from gnpmod.concentration import (EXHAUSTIVE_CAP, F_THRESHOLD, G_THRESHOLD,
                                   check_lemma32_events_sampled, chernoff_lower,
                                   chernoff_upper, default_size_schedule, f, g,
                                   h1, h2, h3, phi, verify_appendix)
+from gnpmod.bisection import error_decomposition
+from gnpmod.bounds import bound_report
 from gnpmod.graph import Graph, sample_gnp
 
 from oracles import lemma32_events_exhaustive, lemma32_events_sampled
@@ -49,6 +52,65 @@ class TestChernoff:
             chernoff_upper(0.0, 1.0)
         with pytest.raises(ValidationError):
             chernoff_lower(1.0, -1.0)
+
+    @pytest.mark.parametrize("mu, t", [(1e308, 1e308), (1e-320, 1.0)],
+                             ids=["square-overflows", "t-over-mu-overflows"])
+    def test_overflow_is_refused(self, mu, t):
+        """t^2 and 2(mu + t/3) both overflow in the first pair, t/mu in
+        the second; each bound used to come out nan."""
+        for bound in (chernoff_upper, chernoff_lower):
+            with pytest.raises(ValidationError, match=re.escape(f"mu={mu!r}, t={t!r} overflow")):
+                bound(mu, t)
+
+
+# Each function that takes real arguments, one argument at a time with
+# the others valid; zero_ok marks the arguments that may be 0.
+PATH4 = Graph(4, [(1, 2), (2, 3), (3, 4)])
+REAL_ARGUMENTS = {
+    "phi-y": (phi, True),
+    "chernoff_upper-mu": (lambda v: chernoff_upper(v, 1.0), False),
+    "chernoff_upper-t": (lambda v: chernoff_upper(1.0, v), True),
+    "chernoff_lower-mu": (lambda v: chernoff_lower(v, 1.0), False),
+    "chernoff_lower-t": (lambda v: chernoff_lower(1.0, v), True),
+    "f-x": (lambda v: f(v, 6.0, 2.0), False),
+    "f-y": (lambda v: f(1.0, v, 2.0), False),
+    "f-z": (lambda v: f(1.0, 6.0, v), False),
+    "g-x": (lambda v: g(v, 2.0), False),
+    "g-z": (lambda v: g(2.0, v), False),
+    "h1-x": (lambda v: h1(v, 2.0), False),
+    "h1-z": (lambda v: h1(2.0, v), False),
+    "h2-y": (lambda v: h2(v, 2.0), False),
+    "h2-z": (lambda v: h2(2.0, v), False),
+    "h3-t": (h3, False),
+    "events-exhaustive-C": (lambda v: check_lemma32_events_exhaustive(PATH4, v, 2.0), False),
+    "events-exhaustive-d": (lambda v: check_lemma32_events_exhaustive(PATH4, 2.0, v), False),
+    "events-sampled-C": (lambda v: check_lemma32_events_sampled(PATH4, v, 2.0, 10, 0), False),
+    "events-sampled-d": (lambda v: check_lemma32_events_sampled(PATH4, 2.0, v, 10, 0), False),
+    "bound_report-C": (lambda v: bound_report(100, 9.0, v), False),
+    "error_decomposition-d": (
+        lambda v: error_decomposition(PATH4, np.array([True, True, False, False]), v), False),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", list(REAL_ARGUMENTS))
+def test_real_arguments_refuse_nonfinite_and_nonpositive(name, bad):
+    call, zero_ok = REAL_ARGUMENTS[name]
+    if bad == 0.0 and zero_ok:
+        call(bad)
+    else:
+        with pytest.raises(ValidationError, match=f"={bad!r} must be finite and >=? 0"):
+            call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("name", ["f-x", "f-y", "f-z", "g-x", "g-z", "h1-x", "h1-z",
+                                  "h2-y", "h2-z", "h3-t"])
+def test_rate_functions_refuse_one_bad_entry(name, bad):
+    """An array argument is refused for any one bad entry among good ones."""
+    call, _ = REAL_ARGUMENTS[name]
+    with pytest.raises(ValidationError, match="must be finite and > 0"):
+        call(np.array([1.0, bad, 2.0]))
 
 
 class TestAuxiliaryFunctions:
@@ -98,6 +160,17 @@ class TestAppendixGrid:
         for bad in (dict(step=math.nan), dict(y_max=math.inf), dict(g_x_max=math.inf)):
             with pytest.raises(ValidationError, match="malformed"):
                 GridSpec(**bad)
+        with pytest.raises(ValidationError, match="malformed"):
+            GridSpec(z_values=())
+        # a grid of fewer than two monotonicity points, or a z that is not
+        # finite and > 0, used to pass unchecked
+        for points in (1, 0, -3, 2.5, True, None):
+            with pytest.raises(ValidationError, match=f"mono_points={points!r} must be"):
+                GridSpec(mono_points=points)
+        for z in (math.inf, math.nan, -math.inf, 0.0, -2.0):
+            with pytest.raises(ValidationError, match="z_values=.* must be finite and > 0"):
+                GridSpec(z_values=(2.0, z))
+        assert verify_appendix(GridSpec(step=0.05, mono_points=2)).passed
 
     @pytest.mark.parametrize("spec", [dict(), dict(step=0.05, y_max=40.0),
                                       dict(step=0.02, z_values=(2.0,), g_x_max=300.0)])

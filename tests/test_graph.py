@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gnpmod import graph
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, EdgeCounts,
-                          Graph, component_roots, degree, edge_counts, read_edge_list,
-                          sample_gnp, subset_edges, subset_volumes, write_edge_list)
+from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, SAMPLE_CHUNK,
+                          EdgeCounts, Graph, component_roots, degree, edge_counts,
+                          read_edge_list, sample_gnp, subset_edges, subset_volumes,
+                          write_edge_list)
 from gnpmod.rng import generator
 
 import oracles
@@ -331,6 +333,21 @@ class TestEdgeListFormat:
         write_edge_list(G, buf)
         buf.seek(0)
         assert read_edge_list(buf) == G
+
+    def test_write_memory_is_bounded(self):
+        """The rows are formatted SAMPLE_CHUNK at a time: writing 799 716
+        edges peaked at 119 MiB when every row became a Python list at
+        once."""
+        G = sample_gnp(4000, 0.1, 1)
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                write_edge_list(G, sink)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert G.m > 2 * SAMPLE_CHUNK
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("text", [
         "2 1\n1 1\n",            # self loop (u < v fails)
