@@ -78,28 +78,41 @@ def chernoff_lower(mu: float, t: float) -> float:
     return _finite(mu, t, math.exp(-t * t / (2.0 * mu)))
 
 
+def _ratio(num: np.ndarray, den: np.ndarray, what: str, **args) -> np.ndarray:
+    """num/den, or ValidationError naming `args` if it overflowed."""
+    with np.errstate(over="ignore"):
+        r = num / den
+    if not np.isfinite(r).all():
+        named = ", ".join(f"{k}={_value(v)!r}" for k, v in args.items())
+        raise ValidationError(f"{named} overflow {what}")
+    return r
+
+
 def f(x, y, z):
     """(xy/2) phi(z/x) - (ln(y/x) + 1)."""
     x, y, z = require_reals(x=x, y=y, z=z)
-    return _value(x * y / 2.0 * phi(z / x) - (np.log(y / x) + 1.0))
+    r = _ratio(z, x, "z/x", x=x, z=z)
+    return _value(x * y / 2.0 * phi(r) - (np.log(y / x) + 1.0))
 
 
 def g(x, z):
     """(x^2/2) phi(z/x)."""
     x, z = require_reals(x=x, z=z)
-    return _value(x * x / 2.0 * phi(z / x))
+    return _value(x * x / 2.0 * phi(_ratio(z, x, "z/x", x=x, z=z)))
 
 
 def h1(x, z):
     """x (ln(1 + z/x) - z/x); increasing in x for fixed z > 0."""
     x, z = require_reals(x=x, z=z)
-    return _value(x * (np.log1p(z / x) - z / x))
+    r = _ratio(z, x, "z/x", x=x, z=z)
+    return _value(x * (np.log1p(r) - r))
 
 
 def h2(y, z):
     """y^2 (ln(1 + 3z/y) - 3z/y); decreasing in y for fixed z > 0."""
     y, z = require_reals(y=y, z=z)
-    return _value(y * y * (np.log1p(3.0 * z / y) - 3.0 * z / y))
+    r = _ratio(3.0 * z, y, "3z/y", y=y, z=z)
+    return _value(y * y * (np.log1p(r) - r))
 
 
 def h3(t):

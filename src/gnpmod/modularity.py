@@ -27,18 +27,27 @@ shorter one with a dict loop; both give the same choice, and the
 threshold only sets the speed (the two cost the same at 36-48
 neighbours in G(2000, d) on a 2-vCPU box).
 
-Late sweeps move few nodes, so once a sweep has moved at most a quarter
-of a level's nodes (STAY_MOVED_SHARE), and the level has so few
-communities that a node x community table of edge weights is no larger
-than its CSR (_stay_table_fits), the level builds one (_StayTable) and
-checks whole windows of the sweep order against it at once: a node
-stays put iff no neighbouring community's gain beats its stay gain,
-which is the visit's own move condition on the same integers.  Only the
-first node it cannot clear gets the exact visit, which then always
-moves it, so the visit order, the state and the labels are those of
-visiting every node.  The table's columns are the communities present
-when it is built, which is why it waits for the busy first sweeps to
-end.
+Late sweeps move few nodes, so once a level's sweeps settle it builds a
+stay table and checks whole windows of the sweep order against it at
+once: a node stays put iff no neighbouring community's gain beats its
+stay gain, which is the visit's own move condition on the same integers.
+Only the first node it cannot clear gets the exact visit, which then
+always moves it, so the visit order, the state and the labels are those
+of visiting every node.  There are two tables, and _stay_table_kind
+picks one from the level's size.  A level with so few communities that a
+node x community table of edge weights is no larger than its CSR keeps
+that dense table (_StayTable), built after a sweep that moved at most a
+quarter of its nodes (STAY_MOVED_SHARE); its columns are the
+communities present when it is built, which is why it waits for the busy
+first sweeps to end.  A wider level keeps per-node slots instead
+(_SlotTable): node v's weight into each community among its neighbours,
+at most min(deg(v), k) of them, built only after a sweep that moved at
+most 1/16 of its nodes (SLOT_MOVED_SHARE).  Each table wins on its own
+levels.  A slot move searches every neighbour's row: on the corridor-d400
+graph (n = 4000, d = 400) one took 93 us against 15 us for the dense
+table's two-column update, and with slots alone one Louvain run took
+0.86 s against 0.45 s.  The dense table does not fit a level of
+thousands of communities, whose late sweeps the slots clear in bulk.
 
 The two bulk passes over a level's CSR, building the table and merging
 the level into the next (_coarsen), read it in row slices of about
@@ -79,6 +88,12 @@ STAY_WINDOW_MIN = 32
 # communities present when it is built, and each later check pays for
 # every column.
 STAY_MOVED_SHARE = 4
+# A level too wide for the dense stay table builds the slot table instead,
+# only after a sweep in which at most 1/SLOT_MOVED_SHARE of its nodes
+# moved: on G(4000, d=25) a slot move took about 35 us against about 5 us
+# for a dict visit, and with this share at 2, 4 or 8 one Louvain run there
+# took 0.77-0.82 s against 0.38 s at 16 (2-vCPU box).
+SLOT_MOVED_SHARE = 16
 # Louvain's bulk passes over a level's CSR (coarsening, building the
 # stay table) read it in row slices of about this many entries, so their
 # temporaries stay O(CSR_SLICE) whatever the level's size.
@@ -275,17 +290,6 @@ def score_components(G: Graph) -> ModularityResult:
 # Heuristic maximization: greedy local moves + block merges, with restarts.
 
 
-def _stay_table_fits(nnodes: int, k: int, nnz: int, moved: int) -> bool:
-    """Whether a level of `nnodes` nodes, `k` communities and `nnz` CSR
-    entries builds a stay table before its next sweep, `moved` nodes
-    having moved in the sweep before (all of them before the first).
-
-    The table's columns are fixed when it is built, so it waits for a
-    sweep that moved at most 1/STAY_MOVED_SHARE of the nodes, and it is
-    never larger than the CSR."""
-    return moved * STAY_MOVED_SHARE <= nnodes and nnodes * k <= nnz
-
-
 def _row_slices(indptr: np.ndarray, per_row: int = 0):
     """Contiguous row ranges (r0, r1) of a CSR that together cover its
     rows, each holding at most CSR_SLICE entries plus `per_row` per row,
@@ -300,34 +304,14 @@ def _row_slices(indptr: np.ndarray, per_row: int = 0):
         r0 = r1
 
 
-class _StayTable:
-    """Each node's edge weight into each community of one level, for
-    proving in bulk that nodes stay put.
+class _Table:
+    """What both stay tables share: the level's own `comm` and `vol`
+    arrays, read in place, and the windowed check of a sweep order.  A
+    table gives `_moving(w)`, the positions in the node array `w` of the
+    nodes whose best neighbouring community's gain 2m k_c - d_v vol_c
+    beats their stay gain on the current state, ascending."""
 
-    Column j stands for the community `cols[j]`, the j-th one present
-    when the table is built; within a level communities only empty, so
-    the columns stay valid.  `K[v, j]` is v's int64 edge weight into
-    column j, written one slice of rows at a time; `move` keeps it
-    current, while the level's own `comm` and `vol` arrays, read in
-    place, give each node's community and each community's volume.
-    """
-
-    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
-        nnodes = len(strength)
-        present = np.zeros(nnodes, dtype=bool)
-        present[comm] = True
-        self.cols = np.flatnonzero(present)
-        self.colmap = np.cumsum(present) - 1  # community -> column
-        k = len(self.cols)
-        self.K = np.empty((nnodes, k), dtype=np.int64)
-        for r0, r1 in _row_slices(indptr, k):
-            s, e = indptr[r0], indptr[r1]
-            row = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
-            cells = np.bincount(row * k + self.colmap[comm[indices[s:e]]],
-                                None if weights is None else weights[s:e],
-                                minlength=(r1 - r0) * k)
-            # float sums of integers below 2^53 are exact
-            self.K[r0:r1] = cells.reshape(r1 - r0, k)
+    def __init__(self, strength, comm, vol, two_m):
         self.strength, self.comm, self.vol, self.two_m = strength, comm, vol, two_m
         self.win = STAY_WINDOW_MIN
 
@@ -343,14 +327,7 @@ class _StayTable:
         i = 0
         while i < len(order):
             w = order[i:i + self.win]
-            Kw = self.K[w]
-            dv = self.strength[w]
-            own = self.colmap[self.comm[w]]
-            cvol = self.vol[self.cols]
-            gain = self.two_m * Kw - dv[:, None] * cvol
-            best = np.where(Kw > 0, gain, _NO_GAIN).max(axis=1)
-            stay = self.two_m * Kw[np.arange(len(w)), own] - dv * (cvol[own] - dv)
-            moves = np.flatnonzero(best > stay)
+            moves = self._moving(w)
             if len(moves) == 0:
                 i += len(w)
                 self.win *= 2
@@ -360,11 +337,168 @@ class _StayTable:
             i += j + 1
             self.win = max(j + 1, STAY_WINDOW_MIN)
 
+
+class _StayTable(_Table):
+    """Each node's edge weight into each community of one level, for
+    levels with few communities.
+
+    Column j stands for the community `cols[j]`, the j-th one present
+    when the table is built; within a level communities only empty, so
+    the columns stay valid.  `K[v, j]` is v's int64 edge weight into
+    column j, written one slice of rows at a time; `move` keeps it
+    current.
+    """
+
+    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
+        super().__init__(strength, comm, vol, two_m)
+        nnodes = len(strength)
+        present = np.zeros(nnodes, dtype=bool)
+        present[comm] = True
+        self.cols = np.flatnonzero(present)
+        self.colmap = np.cumsum(present) - 1  # community -> column
+        k = len(self.cols)
+        self.K = np.empty((nnodes, k), dtype=np.int64)
+        for r0, r1 in _row_slices(indptr, k):
+            s, e = indptr[r0], indptr[r1]
+            row = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+            cells = np.bincount(row * k + self.colmap[comm[indices[s:e]]],
+                                None if weights is None else weights[s:e],
+                                minlength=(r1 - r0) * k)
+            # float sums of integers below 2^53 are exact
+            self.K[r0:r1] = cells.reshape(r1 - r0, k)
+
+    def _moving(self, w):
+        Kw = self.K[w]
+        dv = self.strength[w]
+        own = self.colmap[self.comm[w]]
+        cvol = self.vol[self.cols]
+        gain = self.two_m * Kw - dv[:, None] * cvol
+        best = np.where(Kw > 0, gain, _NO_GAIN).max(axis=1)
+        stay = self.two_m * Kw[np.arange(len(w)), own] - dv * (cvol[own] - dv)
+        return np.flatnonzero(best > stay)
+
     def move(self, a: int, b: int, nbrs: np.ndarray, wts) -> None:
         """A node with neighbours `nbrs` at edge weights `wts` moved from
         community a to community b."""
         self.K[nbrs, self.colmap[a]] -= wts
         self.K[nbrs, self.colmap[b]] += wts
+
+
+class _SlotTable(_Table):
+    """Each node's edge weight into each of its neighbouring communities,
+    for levels with too many communities for _StayTable.
+
+    Node v owns the slots sptr[v] .. sptr[v+1]-1, min(deg(v), k) of them
+    for the k communities present when the table is built: v's
+    neighbours lie in at most that many communities, since within a level
+    communities only empty.  Its first `used[v]` slots hold, in no fixed
+    order, each community c with a neighbour of v (`scomm`, int32) and
+    v's positive int64 edge weight into c (`sw`), so a node without
+    neighbours has no slots and never moves.
+    """
+
+    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
+        super().__init__(strength, comm, vol, two_m)
+        nnodes = len(strength)
+        k = np.count_nonzero(np.bincount(comm))
+        deg = np.diff(indptr)
+        self.sptr = np.zeros(nnodes + 1, dtype=np.int64)
+        np.cumsum(np.minimum(deg, k), out=self.sptr[1:])
+        self.scomm = np.empty(self.sptr[-1], dtype=np.int32)
+        self.sw = np.empty(self.sptr[-1], dtype=np.int64)
+        self.used = np.zeros(nnodes, dtype=np.int64)
+        for r0, r1 in _row_slices(indptr):
+            s, e = indptr[r0], indptr[r1]
+            if s == e:
+                continue
+            # one run of equal keys per (row, community)
+            key = np.repeat(np.arange(r0, r1) * nnodes, deg[r0:r1]) + comm[indices[s:e]]
+            if weights is None:
+                key.sort(kind="stable")
+            else:
+                order = np.argsort(key, kind="stable")
+                key = key[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            if weights is None:
+                wsum = np.diff(starts, append=len(key))
+            else:
+                wsum = np.add.reduceat(weights[s:e][order], starts)
+            row, c = np.divmod(key[starts], nnodes)
+            used = np.bincount(row - r0, minlength=r1 - r0)
+            self.used[r0:r1] = used
+            first = np.cumsum(used) - used  # each row's first run
+            at = self.sptr[row] + np.arange(len(starts)) - first[row - r0]
+            self.scomm[at] = c
+            self.sw[at] = wsum
+
+    def _slots(self, nodes, used):
+        """The used slots of `nodes` (each with `used` > 0), node by node,
+        and where each node's run starts among them."""
+        seg = np.cumsum(used) - used
+        return np.repeat(self.sptr[nodes] - seg, used) + np.arange(seg[-1] + used[-1]), seg
+
+    def _moving(self, w):
+        u = self.used[w]
+        live = np.flatnonzero(u)
+        if len(live) == 0:
+            return live
+        w, u = w[live], u[live]
+        slots, seg = self._slots(w, u)
+        c = self.scomm[slots]
+        kc = self.sw[slots]
+        dv = self.strength[w]
+        a = self.comm[w]
+        best = np.maximum.reduceat(self.two_m * kc - np.repeat(dv, u) * self.vol[c], seg)
+        own = np.add.reduceat(np.where(c == np.repeat(a, u), kc, 0), seg)
+        stay = self.two_m * own - dv * (self.vol[a] - dv)
+        return live[best > stay]
+
+    def move(self, a: int, b: int, nbrs: np.ndarray, wts) -> None:
+        """A node with neighbours `nbrs` at edge weights `wts` moved from
+        community a to community b.  Every neighbour's row holds a slot
+        for a; a slot that drops to 0 is freed, to b if the row has no
+        slot for b, else by moving the row's last used slot into it."""
+        slots, seg = self._slots(nbrs, self.used[nbrs])
+        c = self.scomm[slots]
+        sa = slots[c == a]
+        isb = c == b
+        hasb = np.logical_or.reduceat(isb, seg)
+        wts = np.broadcast_to(wts, nbrs.shape)
+        self.sw[sa] -= wts
+        self.sw[slots[isb]] += wts[hasb]
+        freed = self.sw[sa] == 0
+        take = freed & ~hasb
+        self.scomm[sa[take]] = b
+        self.sw[sa[take]] = wts[take]
+        grow = ~(freed | hasb)
+        rows = nbrs[grow]
+        at = self.sptr[rows] + self.used[rows]
+        self.scomm[at] = b
+        self.sw[at] = wts[grow]
+        self.used[rows] += 1
+        drop = freed & hasb
+        rows = nbrs[drop]
+        self.used[rows] -= 1
+        last = self.sptr[rows] + self.used[rows]
+        self.scomm[sa[drop]] = self.scomm[last]
+        self.sw[sa[drop]] = self.sw[last]
+
+
+def _stay_table_kind(nnodes: int, k: int, nnz: int, moved: int):
+    """The stay table class a level of `nnodes` nodes, `k` communities
+    and `nnz` CSR entries builds before its next sweep, or None for no
+    table yet, `moved` nodes having moved in the sweep before (all of
+    them before the first).
+
+    Both tables wait for the busy first sweeps to end: _StayTable's
+    columns are fixed when it is built, and a _SlotTable move costs
+    several dict visits.  A level takes _StayTable only if the
+    table is no larger than its CSR (nnodes * k <= nnz), after a sweep
+    that moved at most 1/STAY_MOVED_SHARE of its nodes, and _SlotTable
+    otherwise, after one that moved at most 1/SLOT_MOVED_SHARE."""
+    if nnodes * k <= nnz:
+        return _StayTable if moved * STAY_MOVED_SHARE <= nnodes else None
+    return _SlotTable if moved * SLOT_MOVED_SHARE <= nnodes else None
 
 
 def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
@@ -382,8 +516,8 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     shorter one by a dict loop in row order.  Returns each node's
     community (a node index).
 
-    Before each sweep, until it has one, the level asks _stay_table_fits
-    whether to build a _StayTable, given the nodes moved in the sweep
+    Before each sweep, until it has one, the level asks _stay_table_kind
+    which stay table to build, if any, given the nodes moved in the sweep
     before; the first sweep follows none, so it counts as every node
     moving.  From then on the table skips the nodes it proves stay put
     and hands on the others in sweep order.  Its test is the move
@@ -407,9 +541,11 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     moved = nnodes  # the first sweep follows none
     while moved:
         order = rng.permutation(nnodes)
-        if table is None and _stay_table_fits(
-                nnodes, np.count_nonzero(np.bincount(comm)), len(indices), moved):
-            table = _StayTable(indptr, indices, weights, strength, comm, vol, two_m)
+        if table is None:
+            kind = _stay_table_kind(nnodes, np.count_nonzero(np.bincount(comm)),
+                                    len(indices), moved)
+            if kind is not None:
+                table = kind(indptr, indices, weights, strength, comm, vol, two_m)
         moved = 0
         for v in order.tolist() if table is None else table.unproven(order):
             s, e = ptr[v], ptr[v + 1]

@@ -113,6 +113,20 @@ def test_rate_functions_refuse_one_bad_entry(name, bad):
         call(np.array([1.0, bad, 2.0]))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, named", [
+    (lambda: f(1e-310, 1.0, 1.0), "x=1e-310, z=1.0 overflow z/x"),
+    (lambda: g(1e-310, 1.0), "x=1e-310, z=1.0 overflow z/x"),
+    (lambda: h1(1e-310, 1.0), "x=1e-310, z=1.0 overflow z/x"),
+    (lambda: h2(1e-310, 1.0), "y=1e-310, z=1.0 overflow 3z/y"),
+], ids=["f", "g", "h1", "h2"])
+def test_rate_functions_refuse_overflowing_ratio(call, named):
+    """Finite positive arguments whose ratio overflows are refused by
+    name; h1 and h2 used to return nan, f and g to name phi's y=inf."""
+    with pytest.raises(ValidationError, match=re.escape(named)):
+        call()
+
+
 class TestAuxiliaryFunctions:
     @given(pos, pos)
     def test_f_equals_g_minus_one_on_diagonal(self, x, z):

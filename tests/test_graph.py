@@ -334,11 +334,13 @@ class TestEdgeListFormat:
         buf.seek(0)
         assert read_edge_list(buf) == G
 
-    def test_write_memory_is_bounded(self):
+    def test_write_memory_is_bounded(self, monkeypatch):
         """The rows are formatted SAMPLE_CHUNK at a time: writing 799 716
         edges peaked at 119 MiB when every row became a Python list at
-        once."""
-        G = sample_gnp(4000, 0.1, 1)
+        once.  The chunk, the graph and the bound are all cut 16-fold, so
+        tracemalloc traces a sixteenth of the allocations."""
+        G = sample_gnp(1000, 0.1, 1)
+        monkeypatch.setattr(graph, "SAMPLE_CHUNK", SAMPLE_CHUNK // 16)
         with open(os.devnull, "w") as sink:
             tracemalloc.start()
             try:
@@ -346,8 +348,8 @@ class TestEdgeListFormat:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert G.m > 2 * SAMPLE_CHUNK
-        assert peak < 64 * 2**20
+        assert G.m > 2 * graph.SAMPLE_CHUNK
+        assert peak < 64 * 2**20 // 16
 
     @pytest.mark.parametrize("text", [
         "2 1\n1 1\n",            # self loop (u < v fails)

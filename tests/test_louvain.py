@@ -3,12 +3,14 @@
 Each case runs with every row on the numpy path (NUMPY_ROW_MIN = 0),
 every row on the dict path (a huge threshold), and at the default
 threshold, where long and short rows mix; and, for each of those, with
-the stay table built from the first sweep of every level, never built,
-and built when _stay_table_fits says so.  The labels and the chosen
-partition must equal the reference's exactly, also with CSR_SLICE cut
-to a few entries, so that every coarsening and table build crosses many
-slices.  The sliced coarsening must return the same arrays as the
-one-sort reference, and its memory must follow the slice, not the CSR.
+the dense stay table or the slot table built from the first sweep of
+every level, with no table, and with the table _stay_table_kind picks.
+The labels and the chosen partition must equal the reference's exactly,
+also with CSR_SLICE cut to a few entries, so that every coarsening and
+table build crosses many slices.  The sliced coarsening must return the
+same arrays as the one-sort reference, both tables must match a recount
+from the CSR after any moves, and memory must follow the slice, not the
+CSR.
 """
 
 import itertools
@@ -29,11 +31,13 @@ from gnpmod.rng import generator, trial_seed
 import oracles
 
 ROW_MODES = {"numpy": 0, "dict": 10**9, "mixed": modularity.NUMPY_ROW_MIN}
-TABLE_MODES = {"": modularity._stay_table_fits, "-table": lambda *a: True,
-               "-no-table": lambda *a: False}
-MODES = pytest.mark.parametrize("row_min, fits", [
-    pytest.param(row_min, fits, id=row_id + table_id)
-    for row_id, row_min in ROW_MODES.items() for table_id, fits in TABLE_MODES.items()])
+TABLE_MODES = {"": modularity._stay_table_kind,
+               "-table": lambda *a: modularity._StayTable,
+               "-slots": lambda *a: modularity._SlotTable,
+               "-no-table": lambda *a: None}
+MODES = pytest.mark.parametrize("row_min, kind", [
+    pytest.param(row_min, kind, id=row_id + table_id)
+    for row_id, row_min in ROW_MODES.items() for table_id, kind in TABLE_MODES.items()])
 PER_CASE = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -109,18 +113,18 @@ def gnp_graphs(draw):
 @MODES
 @PER_CASE
 @given(G=gnp_graphs(), seed=st.integers(0, 10**6))
-def test_gnp_matches_reference(monkeypatch, row_min, fits, G, seed):
+def test_gnp_matches_reference(monkeypatch, row_min, kind, G, seed):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
-    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
+    monkeypatch.setattr(modularity, "_stay_table_kind", kind)
     assert_matches_reference(G, seed)
 
 
 @MODES
 @PER_CASE
 @given(G=tie_heavy_graphs(), seed=st.integers(0, 10**6))
-def test_tie_heavy_families_match_reference(monkeypatch, row_min, fits, G, seed):
+def test_tie_heavy_families_match_reference(monkeypatch, row_min, kind, G, seed):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
-    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
+    monkeypatch.setattr(modularity, "_stay_table_kind", kind)
     assert_matches_reference(G, seed)
 
 
@@ -128,9 +132,9 @@ def test_tie_heavy_families_match_reference(monkeypatch, row_min, fits, G, seed)
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(G=gnp_graphs(), seed=st.integers(0, 10**6), slice_=st.integers(1, 16))
-def test_small_slices_match_reference(monkeypatch, row_min, fits, G, seed, slice_):
+def test_small_slices_match_reference(monkeypatch, row_min, kind, G, seed, slice_):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
-    monkeypatch.setattr(modularity, "_stay_table_fits", fits)
+    monkeypatch.setattr(modularity, "_stay_table_kind", kind)
     monkeypatch.setattr(modularity, "CSR_SLICE", slice_)
     assert_matches_reference(G, seed)
 
@@ -170,17 +174,55 @@ def test_sliced_coarsen_matches_one_shot(level, slice_):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
-@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]))
-def test_sliced_stay_table_matches_dense_sum(level, slice_):
+def recount(indptr, indices, weights, comm):
+    """Each node's edge weight into each community, from the CSR."""
+    rows = [{} for _ in range(len(indptr) - 1)]
+    wts = [1] * len(indices) if weights is None else weights.tolist()
+    for v, row in enumerate(rows):
+        for e in range(indptr[v], indptr[v + 1]):
+            c = int(comm[indices[e]])
+            row[c] = row.get(c, 0) + wts[e]
+    return rows
+
+
+@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]),
+       moves=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30))
+def test_sliced_stay_table_matches_dense_sum(level, slice_, moves):
+    # both tables, built in slices and then kept current through moves to
+    # a neighbour's community, hold each node's weight into each community
     indptr, indices, weights, strength, comm, _ = level
+    comm = comm.copy()
     with mock.patch.object(modularity, "CSR_SLICE", slice_):
-        table = modularity._StayTable(indptr, indices, weights, strength, comm,
-                                      strength.copy(), int(strength.sum()))
-    want = np.zeros(table.K.shape, dtype=np.int64)
-    row = np.repeat(np.arange(len(strength)), np.diff(indptr))
-    np.add.at(want, (row, table.colmap[comm[indices]]), 1 if weights is None else weights)
-    assert np.array_equal(table.cols, np.unique(comm))
-    assert np.array_equal(table.K, want)
+        args = (indptr, indices, weights, strength, comm, strength.copy(),
+                int(strength.sum()))
+        dense, slots = modularity._StayTable(*args), modularity._SlotTable(*args)
+    assert np.array_equal(dense.cols, np.unique(comm))
+    cap = np.minimum(np.diff(indptr), len(dense.cols))
+    assert np.array_equal(np.diff(slots.sptr), cap)
+    for x, y in [(None, None)] + moves:
+        if x is not None:
+            v = x % len(strength)
+            s, e = indptr[v], indptr[v + 1]
+            if e == s:
+                continue
+            a, b = int(comm[v]), int(comm[indices[s + y % (e - s)]])
+            if a == b:
+                continue
+            comm[v] = b
+            wts = 1 if weights is None else weights[s:e]
+            dense.move(a, b, indices[s:e], wts)
+            slots.move(a, b, indices[s:e], wts)
+        want = recount(indptr, indices, weights, comm)
+        K = np.zeros(dense.K.shape, dtype=np.int64)
+        for v, row in enumerate(want):
+            K[v, dense.colmap[list(row)]] = list(row.values())
+        assert np.array_equal(dense.K, K)
+        assert (slots.used <= cap).all()
+        for v, row in enumerate(want):
+            at = slice(slots.sptr[v], slots.sptr[v] + slots.used[v])
+            got = dict(zip(slots.scomm[at].tolist(), slots.sw[at].tolist()))
+            assert len(got) == slots.used[v] and 0 not in got.values()
+            assert got == row
 
 
 def test_louvain_memory_follows_the_slice():
@@ -201,12 +243,17 @@ def test_louvain_memory_follows_the_slice():
 
 
 def test_stay_table_start_rule():
-    fits = modularity._stay_table_fits
-    share = modularity.STAY_MOVED_SHARE
-    assert fits(4000, 15, 1_600_000, 4000 // share)
-    assert not fits(4000, 15, 1_600_000, 4000 // share + 1)
-    assert not fits(4000, 15, 1_600_000, 4000)  # a level's first sweep
-    assert fits(100, 10, 1000, 0) and not fits(100, 11, 1000, 0)
+    kind = modularity._stay_table_kind
+    dense, slots = modularity._StayTable, modularity._SlotTable
+    share, slot_share = modularity.STAY_MOVED_SHARE, modularity.SLOT_MOVED_SHARE
+    assert kind(4000, 15, 1_600_000, 4000 // share) is dense
+    assert kind(4000, 15, 1_600_000, 4000 // share + 1) is None
+    assert kind(4000, 15, 1_600_000, 4000) is None  # a level's first sweep
+    assert kind(100, 10, 1000, 0) is dense and kind(100, 11, 1000, 0) is slots
+    # a level too wide for the dense table waits longer for the slot table
+    assert kind(4000, 60, 100_000, 4000 // slot_share) is slots
+    assert kind(4000, 60, 100_000, 4000 // slot_share + 1) is None
+    assert kind(4000, 60, 100_000, 4000 // share) is None
 
 
 def test_mixed_rows_at_scale():
@@ -216,26 +263,43 @@ def test_mixed_rows_at_scale():
     assert_matches_reference(G, seed=1, budget=1)
 
 
+def spy_on_kind(monkeypatch):
+    """The (nodes, table kind) answers of _stay_table_kind in one run."""
+    kind, answers = modularity._stay_table_kind, []
+
+    def spy(nnodes, *args):
+        answers.append((nnodes, kind(nnodes, *args)))
+        return answers[-1][1]
+
+    monkeypatch.setattr(modularity, "_stay_table_kind", spy)
+    return answers
+
+
 def test_stay_table_at_scale(monkeypatch):
     # at d=200 level 0 soon has fewer communities than the mean degree
-    fits, answers = modularity._stay_table_fits, []
-
-    def spy(*args):
-        answers.append(fits(*args))
-        return answers[-1]
-
-    monkeypatch.setattr(modularity, "_stay_table_fits", spy)
+    answers = spy_on_kind(monkeypatch)
     G = sample_gnp(2000, 200 / 2000, 1)
     assert_matches_reference(G, seed=1, budget=1)
-    assert any(answers)
+    assert (2000, modularity._StayTable) in answers
+
+
+def test_slot_table_at_scale(monkeypatch):
+    # at d=25 level 0 keeps more communities than the mean degree
+    answers = spy_on_kind(monkeypatch)
+    G = sample_gnp(2000, 25 / 2000, 1)
+    assert_matches_reference(G, seed=1, budget=1)
+    assert (2000, modularity._SlotTable) in answers
+    assert (2000, modularity._StayTable) not in answers
 
 
 def test_stay_table_flag_without_move_is_an_error(monkeypatch):
     # a table that flags a node the exact visit keeps in place is a bug
-    monkeypatch.setattr(modularity, "_stay_table_fits", lambda *a: True)
-    monkeypatch.setattr(modularity._StayTable, "unproven", lambda self, order: iter([0]))
-    with pytest.raises(RuntimeError, match="stay table"):
-        modularity._louvain_labels(Graph(3, [(1, 2), (2, 3)]), generator(0))
+    for cls in (modularity._StayTable, modularity._SlotTable):
+        with monkeypatch.context() as patch:
+            patch.setattr(modularity, "_stay_table_kind", lambda *a: cls)
+            patch.setattr(cls, "unproven", lambda self, order: iter([0]))
+            with pytest.raises(RuntimeError, match="stay table"):
+                modularity._louvain_labels(Graph(3, [(1, 2), (2, 3)]), generator(0))
 
 
 def test_budget_below_one_rejected(k4):
