@@ -411,19 +411,26 @@ class _SlotTable(_Table):
             s, e = indptr[r0], indptr[r1]
             if s == e:
                 continue
-            # one run of equal keys per (row, community)
-            key = np.repeat(np.arange(r0, r1) * nnodes, deg[r0:r1]) + comm[indices[s:e]]
+            # one run of equal keys per (row, community); the key is summed
+            # and sorted in place and its runs marked with bools, since each
+            # slice-long int64 temporary showed in corridor-d25's peak RSS
+            key = np.repeat(np.arange(r0, r1) * nnodes, deg[r0:r1])
+            key += comm[indices[s:e]]
             if weights is None:
                 key.sort(kind="stable")
             else:
                 order = np.argsort(key, kind="stable")
                 key = key[order]
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            run = np.empty(len(key), dtype=bool)
+            run[0] = True
+            np.not_equal(key[1:], key[:-1], out=run[1:])
+            starts = np.flatnonzero(run)
             if weights is None:
                 wsum = np.diff(starts, append=len(key))
             else:
                 wsum = np.add.reduceat(weights[s:e][order], starts)
-            row, c = np.divmod(key[starts], nnodes)
+            key = key[starts]
+            row, c = np.divmod(key, nnodes)
             used = np.bincount(row - r0, minlength=r1 - r0)
             self.used[r0:r1] = used
             first = np.cumsum(used) - used  # each row's first run
