@@ -7,7 +7,7 @@ from .bisection import (Bisection, ErrorDecomposition,
                         exact_min_bisection, local_search_bisection)
 from .bounds import (BoundReport, ConstantAudit, SupremumResult,
                      asymptotic_constants, bound_report, supremum_check)
-from .concentration import (EventCheckResult, GridReport, GridSpec,
+from .concentration import (AppendixReport, EventCheckResult,
                             check_lemma32_events_exhaustive,
                             check_lemma32_events_sampled, chernoff_lower,
                             chernoff_upper, f, g, h1, h2, h3, phi,

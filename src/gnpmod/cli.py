@@ -11,7 +11,7 @@ table rows, and `sample` writes its bare edge list.  Both go through
 writes nothing.  Identical configs produce byte-identical output;
 timestamps are emitted only when --timestamp is given.  Exit codes: 0
 success, 2 validation error (an unwritable --out included), 3 size-cap
-refusal, 1 internal error or a failed `verify-appendix` grid check (its
+refusal, 1 internal error or a failed `verify-appendix` certificate (its
 row, with passed 0, is still written).
 """
 
@@ -174,11 +174,8 @@ def cmd_chernoff(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_appendix(args: argparse.Namespace) -> int:
-    grid = concentration.GridSpec(step=args.step, y_max=args.y_max, g_x_max=args.x_max)
-    rep = concentration.verify_appendix(grid)
-    _emit(args, ["min_f,argmin_f,min_g,argmin_g,monotonicity_violations,passed",
-                 f"{rep.min_f!r},{rep.argmin_f},{rep.min_g!r},{rep.argmin_g},"
-                 f"{rep.monotonicity_violations},{int(rep.passed)}"])
+    rep = concentration.verify_appendix()
+    _emit(args, [concentration.AppendixReport.CSV_COLUMNS, rep.csv_row()])
     return 0 if rep.passed else 1
 
 
@@ -313,9 +310,6 @@ _OPTIONS = {
     "strategy": {"choices": ("uniform", "stratified"), "default": "stratified"},
     "mu": {"type": _real},
     "t": {"type": _real},
-    "step": {"type": _real, "default": 0.01},
-    "y-max": {"type": _real, "default": 20.0},
-    "x-max": {"type": _real, "default": 20.0},
     "out": {"help": "write the output to this file instead of stdout"},
     "timestamp": {"action": "store_true"},
 }
@@ -332,7 +326,7 @@ _COMMANDS = {
     "spectral": (cmd_spectral, f"{_SOURCE} out timestamp", {}),
     "bounds": (cmd_bounds, "n p d C format out timestamp", {}),
     "chernoff": (cmd_chernoff, "mu t out timestamp", {}),
-    "verify-appendix": (cmd_verify_appendix, "step y-max x-max out timestamp", {}),
+    "verify-appendix": (cmd_verify_appendix, "out timestamp", {}),
     "events": (cmd_events, f"{_SOURCE} C trials mode strategy out timestamp", {}),
     "bisect": (cmd_bisect, f"{_SOURCE} exact restarts out timestamp", {}),
     "certificate": (cmd_certificate, f"{_SOURCE} restarts out timestamp", {}),

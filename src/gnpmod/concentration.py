@@ -1,5 +1,9 @@
-"""Chernoff tail machinery, the auxiliary rate functions with their
-grid verifier, and the Lemma 3.2 subset-concentration event checks.
+"""Chernoff tail machinery, the auxiliary rate functions with the
+certificate of the paper's Appendix inequalities on them, and the
+Lemma 3.2 subset-concentration event checks.
+
+`verify_appendix(z)` proves f > 0.001 and g > ln 2 + 0.01 over their
+whole domains by a branch and bound in one variable.
 
 The three events checked against a graph are, for a subset S with
 s = |S|/n and density parameter d:
@@ -16,8 +20,7 @@ chunk of subsets is added with four bincounts, and the small, middle and
 large regime rows are read off the table.  The exhaustive check feeds
 it every nonempty proper subset, EXHAUSTIVE_CHUNK masks at a time, up to
 the fixed ceiling n = EXHAUSTIVE_CAP; the sampled check feeds it one
-batch of SAMPLE_BATCH random subsets at a time.  The grid verifier has a
-fixed ceiling too, GRID_EVALUATIONS_MAX points.
+batch of SAMPLE_BATCH random subsets at a time.
 """
 
 from __future__ import annotations
@@ -122,123 +125,121 @@ def h3(t):
 
 
 # ---------------------------------------------------------------------------
-# Grid verification of the rate-function inequalities.
+# Certified appendix inequalities.  With t = 3x/y and psi(w) = phi(w)/w^2,
+# f = (3z^2/2t) psi(3z/(ty)) - ln(3/t) - 1 and g = (z^2/2) psi(z/x).  psi
+# falls (psi' <= 0 is ln(1+w) >= 2w/(2+w)), so f rises in y at fixed t and
+# in z, and g rises in x and in z: over 0 < x <= y/3, y >= Y_MIN, z' >= z,
+# inf f is inf F(x) = f(x, Y_MIN, z) over (0, Y_MIN/3], and over
+# x >= G_X_MIN, min g = g(G_X_MIN, z).  With w = z/x and k = Y_MIN z/2,
+# F = (k-1) ln w + k R(w) - k - ln(Y_MIN/z) - 1, where
+# R(w) = ln(1 + 1/w) + ln(1 + w)/w is positive and falls in w.
 
 F_THRESHOLD = 0.001
 G_THRESHOLD = LN2_PLUS_001
-GRID_EVALUATIONS_MAX = 3 * 10**7
-# Points of one f or g row evaluated at once; their temporaries take
-# about 46 bytes a point.
-GRID_SLICE = 1 << 16
+Y_MIN, G_X_MIN = 3.95, 1.34
+F_TOL = 1e-9  # a box is finished once its bound is within F_TOL of min_f
+# Relative float64 rounding allowance of each bound, of the sum of its
+# terms' magnitudes: a few dozen roundings, far inside 2^-40 = 4096 ulp.
+ROUND_REL = 2.0 ** -40
+X_FLOOR = 1e-150  # the search's least x; a closed-form tail covers (0, x0]
+MONO_POINTS = 10_000
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Grid over which the f/g inequalities and monotonicity claims are
-    checked.  f domain: 0 < x <= y/3, y >= y_min, z in z_values.
-    g domain: x >= g_x_min, z in z_values."""
+class AppendixReport:
+    """The certificate at deviation parameter z: f_lower <= f over
+    0 < x <= y/3, y >= Y_MIN, z' >= z, and g_lower <= g over x >= G_X_MIN,
+    z' >= z.  min_f and min_g are f and g at the smallest points found."""
 
-    step: float = 0.01
-    y_min: float = 3.95
-    y_max: float = 20.0
-    z_values: tuple[float, ...] = (C_MIN_MAIN, 2.5, 5.0, 20.0)
-    g_x_min: float = 1.34
-    g_x_max: float = 20.0
-    mono_points: int = 10_000
-
-    def __post_init__(self):
-        bounds = (self.step, self.y_min, self.y_max, self.g_x_min, self.g_x_max)
-        if (not all(map(math.isfinite, bounds)) or self.step <= 0 or not self.z_values
-                or self.y_max <= self.y_min or self.g_x_max <= self.g_x_min):
-            raise ValidationError("malformed grid specification")
-        require_reals(z_values=self.z_values)
-        if not isinstance(self.mono_points, (int, np.integer)) or self.mono_points < 2:
-            raise ValidationError(f"mono_points={self.mono_points!r} must be an integer >= 2")
-        if self.evaluations > GRID_EVALUATIONS_MAX:
-            raise CapExceeded("verify_appendix grid evaluations",
-                              float(f"{self.evaluations:.3g}"), GRID_EVALUATIONS_MAX)
-
-    @property
-    def evaluations(self) -> float:
-        """Points at which verify_appendix evaluates f, g and the monotone
-        functions, in closed form: the f row at y holds about y/(3 step)
-        points, so the rows from y_min to y_max hold about
-        n_y (y_min + y_max) / (6 step)."""
-        n_y = (self.y_max - self.y_min) / self.step + 1
-        n_g = (self.g_x_max - self.g_x_min) / self.step + 1
-        f_points = n_y * (self.y_min + self.y_max) / (6 * self.step)
-        return len(self.z_values) * (f_points + n_g) + 6 * self.mono_points
-
-
-@dataclass(frozen=True)
-class GridReport:
-    grid: GridSpec
     min_f: float
     argmin_f: tuple[float, float, float]
+    f_lower: float
     min_g: float
     argmin_g: tuple[float, float]
+    g_lower: float
     monotonicity_violations: int
     f_threshold: float = F_THRESHOLD
     g_threshold: float = G_THRESHOLD
 
+    CSV_COLUMNS = ("min_f,x_f,y_f,z_f,f_lower,min_g,x_g,z_g,g_lower,"
+                   "monotonicity_violations,passed")
+
     @property
     def passed(self) -> bool:
-        return (self.min_f > self.f_threshold
-                and self.min_g > self.g_threshold
+        return (self.f_lower > self.f_threshold
+                and self.g_lower > self.g_threshold
                 and self.monotonicity_violations == 0)
 
+    def csv_row(self) -> str:
+        values = (self.min_f, *self.argmin_f, self.f_lower,
+                  self.min_g, *self.argmin_g, self.g_lower)
+        return (",".join(map(repr, values))
+                + f",{self.monotonicity_violations},{int(self.passed)}")
 
-def _monotone_violations(values: np.ndarray, increasing: bool) -> int:
-    diffs = np.diff(values)
-    return int(np.count_nonzero(diffs < 0 if increasing else diffs > 0))
+
+def _rest(x, z: float):
+    """R(z/x)."""
+    u = x / z
+    return np.log1p(u) + u * np.log1p(1.0 / u)
 
 
-def _first_min(fn, xs: np.ndarray, *args) -> tuple[float, float]:
-    """The first minimum of fn(x, *args) over xs and the x it is at,
-    evaluated GRID_SLICE points at a time."""
-    best, at = math.inf, math.nan
-    for lo in range(0, len(xs), GRID_SLICE):
-        part = xs[lo:lo + GRID_SLICE]
-        vals = fn(part, *args)
+def _f_bound(x, r, z: float):
+    """(k-1) ln(z/x) + k r - k - ln(Y_MIN/z) - 1, less its rounding
+    allowance: F at x with r in place of R(z/x)."""
+    k = Y_MIN * z / 2.0
+    lz, lx = math.log(z), np.log(x)
+    c = k + math.log(Y_MIN / z) + 1.0
+    size = (k + 1.0) * (abs(lz) + np.abs(lx)) + k * r + k + abs(c)
+    return (k - 1.0) * (lz - lx) + k * r - c - ROUND_REL * size
+
+
+def _certify_f(z: float) -> tuple[float, float, float]:
+    """(f_lower, min_f, x at min_f) by a branch and bound on F over
+    [x0, Y_MIN/3], splitting boxes at their geometric midpoints until
+    each box's bound is within F_TOL of min_f or it cannot be split.
+    On [xa, xb], R(z/x) >= R(z/xa), and (k-1) ln(z/x) >= (k-1) ln(z/xb)
+    when k > 1.  Below x0, F >= (k-1) ln(z/x0) - k - ln(Y_MIN/z) - 1
+    as R > 0; for k <= 1 (or within ROUND_REL of 1) f_lower is -inf."""
+    k = Y_MIN * z / 2.0
+    rising = k > 1.0 + ROUND_REL
+    corner = Y_MIN / 3.0
+    best, x_best = f(corner, Y_MIN, z), corner
+    x0, lower = X_FLOOR, -math.inf
+    if rising:  # the tail a unit above the corner's F, unless below X_FLOOR
+        ln_x0 = math.log(z) - (best + 2.0 + k + math.log(Y_MIN / z)) / (k - 1.0)
+        x0 = min(corner, max(X_FLOOR, math.exp(ln_x0)))
+        lower = float(_f_bound(x0, 0.0, z))
+    if (low := f(x0, Y_MIN, z)) < best:
+        best, x_best = low, x0
+    xa, xb = np.array([x0]), np.array([corner])
+    while xa.size:
+        mid = xa * np.sqrt(xb / xa)
+        vals = f(mid, Y_MIN, z)
         i = int(np.argmin(vals))
         if vals[i] < best:
-            best, at = float(vals[i]), float(part[i])
-    return best, at
+            best, x_best = float(vals[i]), float(mid[i])
+        bound = _f_bound(xb if rising else xa, _rest(xa, z), z)
+        done = (bound >= best - F_TOL) | (mid <= xa) | (mid >= xb)
+        lower = min(lower, float(bound[done].min(initial=np.inf)))
+        xa, xb, mid = xa[~done], xb[~done], mid[~done]
+        xa, xb = np.concatenate([xa, mid]), np.concatenate([mid, xb])
+    return lower, best, x_best
 
 
-def verify_appendix(grid: GridSpec = GridSpec()) -> GridReport:
-    """Evaluate f and g on the declared grid and check the monotonicity
-    claims for phi, g (each argument), h1, h2, and h3."""
-    ys = np.arange(grid.y_min, grid.y_max + grid.step / 2, grid.step)
-    min_f = math.inf
-    argmin_f = (math.nan,) * 3
-    for z in grid.z_values:
-        for y in ys:
-            xs = np.arange(grid.step, y / 3.0, grid.step)
-            xs = np.append(xs, y / 3.0)  # include the boundary x = y/3
-            val, x = _first_min(f, xs, y, z)
-            if val < min_f:
-                min_f, argmin_f = val, (x, float(y), float(z))
-    gxs = np.arange(grid.g_x_min, grid.g_x_max + grid.step / 2, grid.step)
-    min_g = math.inf
-    argmin_g = (math.nan, math.nan)
-    for z in grid.z_values:
-        val, x = _first_min(g, gxs, z)
-        if val < min_g:
-            min_g, argmin_g = val, (x, float(z))
-
-    pts = np.linspace(1e-6, 10.0, grid.mono_points)
-    violations = 0
-    violations += _monotone_violations(phi(pts), increasing=True)
-    z0 = min(grid.z_values)
-    violations += _monotone_violations(g(pts + 1.0, z0), increasing=True)   # g in x
-    violations += _monotone_violations(g(1.0, pts), increasing=True)        # g in z
-    violations += _monotone_violations(h1(pts, z0), increasing=True)
-    violations += _monotone_violations(h2(pts, z0), increasing=False)
-    violations += _monotone_violations(h3(pts), increasing=False)
-    return GridReport(grid=grid, min_f=min_f, argmin_f=argmin_f,
-                      min_g=min_g, argmin_g=argmin_g,
-                      monotonicity_violations=violations)
+def verify_appendix(z: float = C_MIN_MAIN) -> AppendixReport:
+    """Certify f > F_THRESHOLD and g > G_THRESHOLD over their whole
+    domains at deviation parameter z and above, and check at MONO_POINTS
+    points that phi, g (in x and in z) and h1 rise and h2 and h3 fall."""
+    z = float(require_reals(z=z)[0])
+    f_lower, min_f, x = _certify_f(z)
+    min_g = g(G_X_MIN, z)
+    pts = np.linspace(1e-6, 10.0, MONO_POINTS)
+    rises = (phi(pts), g(pts + 1.0, z), g(1.0, pts), h1(pts, z), -h2(pts, z), -h3(pts))
+    return AppendixReport(min_f=min_f, argmin_f=(x, Y_MIN, z),
+                          f_lower=f_lower, min_g=min_g, argmin_g=(G_X_MIN, z),
+                          g_lower=min_g * (1.0 - ROUND_REL),
+                          monotonicity_violations=sum(
+                              int(np.count_nonzero(np.diff(v) < 0)) for v in rises))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,8 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     n = G.n
-    u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
+    edges = G.edges  # a property that builds the (m, 2) array on each read
+    u, v = edges[:, 0] - 1, edges[:, 1] - 1
     rng = generator(trial_seed(seed, 0))
     schedule = np.array(default_size_schedule(n))
     tally = _Tally(n, G.m, d, C)

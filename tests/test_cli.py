@@ -122,22 +122,34 @@ class TestAnalysis:
         vals = [float(x) for x in data_rows(out)[1].split(",")]
         assert vals[2] <= vals[3]
 
-    def test_verify_appendix_coarse(self, capsys):
-        code, out = run(capsys, "verify-appendix", "--step", "0.05",
-                        "--y-max", "8", "--x-max", "8")
+    def test_verify_appendix(self, capsys):
+        """One field per column, each coordinate of the two minimizers in
+        its own, with the digits the library reports."""
+        code, out = run(capsys, "verify-appendix")
         assert code == 0
-        assert "passed" in out
+        header, row = data_rows(out)
+        assert header == concentration.AppendixReport.CSV_COLUMNS
+        assert len(row.split(",")) == len(header.split(",")) == 11
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["min_f"] == "0.0012115002718458001"
+        assert (fields["x_f"], fields["y_f"], fields["z_f"]) == (
+            "1.3166666666666667", "3.95", "1.999")
+        assert fields["min_g"] == "0.7031735982631963"
+        assert (fields["x_g"], fields["z_g"]) == ("1.34", "1.999")
+        assert float(fields["f_lower"]) > 0.001
+        assert fields["monotonicity_violations"] == "0" and fields["passed"] == "1"
 
-    def test_verify_appendix_failing_grid_exits_1(self, capsys, monkeypatch):
-        """A grid check that fails still prints its row, with passed 0."""
-        def failing(grid):
-            return concentration.GridReport(grid=grid, min_f=-1.0, argmin_f=(1.0, 2.0, 3.0),
-                                            min_g=1.0, argmin_g=(1.0, 2.0),
-                                            monotonicity_violations=0)
+    def test_verify_appendix_failing_check_exits_1(self, capsys, monkeypatch):
+        """A certificate that fails still prints its row, with passed 0."""
+        def failing():
+            return concentration.AppendixReport(
+                min_f=-1.0, argmin_f=(1.0, 2.0, 3.0), f_lower=-1.5,
+                min_g=1.0, argmin_g=(1.0, 2.0), g_lower=1.0, monotonicity_violations=0)
         monkeypatch.setattr(concentration, "verify_appendix", failing)
         code, out = run(capsys, "verify-appendix")
         assert code == 1
-        assert data_rows(out)[1].endswith(",0")
+        header, row = data_rows(out)
+        assert row.endswith(",0") and len(row.split(",")) == len(header.split(","))
 
     def test_events_exhaustive(self, capsys):
         code, out = run(capsys, "events", "--n", "12", "--d", "6", "--seed", "3",
@@ -264,9 +276,7 @@ class TestConfigFile:
         ({"n": 200, "d": 10, "seed": 3, "trials": 500, "strategy": "uniform"},
          ["events", "--n", "200", "--d", "10", "--seed", "3", "--trials", "500",
           "--strategy", "uniform"]),
-        ({"step": 0.05, "y_max": 8, "x_max": 8},
-         ["verify-appendix", "--step", "0.05", "--y-max", "8", "--x-max", "8"]),
-    ], ids=["events-mode", "events-strategy", "verify-appendix-grid"])
+    ], ids=["events-mode", "events-strategy"])
     def test_config_values_take_effect(self, capsys, tmp_path, cfg, argv):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(cfg))
@@ -340,16 +350,14 @@ class TestErrorChannel:
         ({}, ["chernoff", "--mu", "inf", "--t", "1"], "--mu"),
         ({}, ["chernoff", "--mu", "1e308", "--t", "1e308"], "mu=1e+308, t=1e+308 overflow"),
         ({}, ["chernoff", "--mu", "1e-320", "--t", "1"], "mu=1e-320, t=1.0 overflow"),
-        ({}, ["verify-appendix", "--step", "nan"], "--step"),
-        ({}, ["verify-appendix", "--y-max", "inf"], "--y-max"),
-        ({}, ["verify-appendix", "--x-max", "-inf"], "--x-max"),
+        ({}, ["verify-appendix", "--step", "0.05"], "--step"),
         ({}, ["bounds", "--n", "100", "--p", "nan"], "--p"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--C", "inf"], "--C"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--C", "-1"], "C="),
         ({}, ["sweep", "--n", "50", "--d", "5,nan", "--trials", "1"], "--d"),
         ({"c.json": '{"mu": 1, "t": NaN}'}, ["chernoff", "--config", "c.json"], "--t"),
-        ({"c.json": '{"step": Infinity}'}, ["verify-appendix", "--config", "c.json"],
-         "--step"),
+        ({"c.json": '{"step": 0.05}'}, ["verify-appendix", "--config", "c.json"],
+         "'step'"),
         ({"c.json": '{"n": 50, "d": [5, NaN]}'}, ["sweep", "--config", "c.json"], "--d"),
         ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "0"], "d=0.0"),
         ({"g.txt": PATH4}, ["events", "--graph", "g.txt", "--d", "-5"], "d=-5.0"),
@@ -373,8 +381,9 @@ class TestErrorChannel:
             "config-flag-not-bool", "mod-exact-cap-removed", "spectral-cap-removed",
             "bisect-cap-removed", "config-cap-removed", "flag-not-taken", "restarts-below-1",
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
-            "t-nan", "mu-inf", "chernoff-overflow", "chernoff-t-over-mu-overflow", "step-nan", "y-max-inf", "x-max-minus-inf", "p-nan",
-            "C-inf", "bounds-C-negative", "sweep-d-nan", "config-t-nan", "config-step-inf", "config-sweep-d-nan",
+            "t-nan", "mu-inf", "chernoff-overflow", "chernoff-t-over-mu-overflow", "appendix-step-removed", "p-nan",
+            "C-inf", "bounds-C-negative", "sweep-d-nan", "config-t-nan",
+            "config-appendix-step-removed", "config-sweep-d-nan",
             "events-d-zero", "events-d-negative", "events-C-negative", "events-p-zero",
             "spectral-method-removed", "partition-repeated-vertex", "bounds-out-missing-dir",
             "sample-out-missing-dir", "sweep-out-missing-dir", "sample-out-is-directory"])
@@ -404,21 +413,6 @@ class TestErrorChannel:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.err == f"error: {named}\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("argv, count", [
-        (["--step", "1e-9"], "2.56e+20"),
-        (["--step", "1e-300"], "inf"),
-        (["--y-max", "1e300"], "inf"),
-        (["--step", "0.0001"], "25600000000.0"),
-    ], ids=["step-1e-9", "step-1e-300", "y-max-1e300", "step-1e-4"])
-    def test_appendix_grid_over_ceiling_exits_3(self, capsys, argv, count):
-        """The grid's evaluation count is refused before any array is built."""
-        code = main(["verify-appendix", *argv])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err == (f"error: verify_appendix grid evaluations={count} "
-                                "exceeds cap 30000000\n")
         assert captured.out == ""
 
 

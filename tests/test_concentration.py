@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import re
@@ -5,20 +6,22 @@ import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import iv
 
 from gnpmod import concentration
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.concentration import (EXHAUSTIVE_CAP, F_THRESHOLD, G_THRESHOLD,
-                                  GRID_EVALUATIONS_MAX, SAMPLE_BATCH, GridSpec,
+from gnpmod.concentration import (EXHAUSTIVE_CAP, F_THRESHOLD, F_TOL, G_THRESHOLD,
+                                  G_X_MIN, SAMPLE_BATCH, Y_MIN,
                                   check_lemma32_events_exhaustive,
                                   check_lemma32_events_sampled, chernoff_lower,
                                   chernoff_upper, default_size_schedule, f, g,
                                   h1, h2, h3, phi, verify_appendix)
 from gnpmod.bisection import error_decomposition
-from gnpmod.bounds import bound_report
+from gnpmod.bounds import C_MIN_MAIN, bound_report
 from gnpmod.graph import Graph, sample_gnp
 
 from oracles import lemma32_events_exhaustive, lemma32_events_sampled
@@ -148,6 +151,86 @@ class TestAuxiliaryFunctions:
         assert abs(out[0] - g(1.0, 1.999)) < 1e-15
 
 
+def psi(w):
+    return phi(w) / (w * w)
+
+
+def at_most(a, b):
+    """a <= b up to float64 rounding of either."""
+    return a <= b + 1e-9 * (1.0 + abs(b))
+
+
+@contextlib.contextmanager
+def iv_dps(dps):
+    old, iv.dps = iv.dps, dps
+    try:
+        yield
+    finally:
+        iv.dps = old
+
+
+def iv_low(interval):
+    """The lower end of an mpmath interval, exactly."""
+    with mpmath.workdps(60):
+        return mpmath.mpf(interval.a)
+
+
+def iv_f(x, y, z):
+    """An mpmath interval holding f(x, y, z) at the floats given."""
+    x, y, z = iv.mpf(x), iv.mpf(y), iv.mpf(z)
+    r = z / x
+    return x * y / 2 * ((1 + r) * iv.log(1 + r) - r) - (iv.log(y / x) + 1)
+
+
+@pytest.fixture(scope="module")
+def appendix():
+    return verify_appendix()
+
+
+ws = st.floats(1e-3, 1e3)
+zs = st.floats(C_MIN_MAIN, 50.0)
+ys = st.floats(Y_MIN, 1e3)
+ts = st.floats(1e-12, 1.0)  # t = 3x/y
+
+
+class TestAppendixLemmas:
+    """The monotonicity facts that reduce f and g to one variable, and
+    the form of F that the certificate bounds."""
+
+    @given(ws, ws)
+    def test_psi_falls(self, a, b):
+        lo, hi = sorted((a, b))
+        assert at_most(psi(hi), psi(lo))
+        assert math.log1p(lo) >= 2 * lo / (2 + lo)  # psi' <= 0
+
+    @given(ts, ys, ys, zs)
+    def test_f_rises_in_y_at_fixed_t(self, t, a, b, z):
+        lo, hi = sorted((a, b))
+        assert at_most(f(t * lo / 3, lo, z), f(t * hi / 3, hi, z))
+
+    @given(ts, ys, zs, zs)
+    def test_f_rises_in_z(self, t, y, a, b):
+        lo, hi = sorted((a, b))
+        assert at_most(f(t * y / 3, y, lo), f(t * y / 3, y, hi))
+
+    @given(st.floats(G_X_MIN, 1e3), st.floats(G_X_MIN, 1e3), zs, zs)
+    def test_g_rises_in_x_and_z(self, a, b, c, d):
+        (xlo, xhi), (zlo, zhi) = sorted((a, b)), sorted((c, d))
+        assert at_most(g(xlo, zlo), g(xhi, zlo))
+        assert at_most(g(xlo, zlo), g(xlo, zhi))
+
+    @given(st.floats(1e-12, Y_MIN / 3), st.floats(1e-12, Y_MIN / 3), st.floats(0.6, 50.0))
+    def test_f_in_terms_of_w(self, a, b, z):
+        """F = (k-1) ln w + k R(w) - k - ln(Y_MIN/z) - 1 with w = z/x, and
+        R(z/x) > 0 rises in x."""
+        lo, hi = sorted((a, b))
+        r = concentration._rest(lo, z)
+        assert 0 < r and at_most(r, concentration._rest(hi, z))
+        bound = concentration._f_bound(lo, r, z)
+        value = f(lo, Y_MIN, z)
+        assert bound <= value and at_most(value, bound)
+
+
 class TestAppendixGrid:
     def test_default_grid_passes(self):
         rep = verify_appendix()
@@ -163,76 +246,55 @@ class TestAppendixGrid:
         assert abs(x - y / 3.0) < 1e-12
 
     def test_small_z_fails(self):
-        rep = verify_appendix(GridSpec(z_values=(1.5,)))
+        rep = verify_appendix(1.5)
         assert not rep.passed
 
-    def test_grid_validation(self):
-        with pytest.raises(ValidationError):
-            GridSpec(step=-0.01)
-        with pytest.raises(ValidationError):
-            GridSpec(y_min=5.0, y_max=4.0)
-        for bad in (dict(step=math.nan), dict(y_max=math.inf), dict(g_x_max=math.inf)):
-            with pytest.raises(ValidationError, match="malformed"):
-                GridSpec(**bad)
-        with pytest.raises(ValidationError, match="malformed"):
-            GridSpec(z_values=())
-        # a grid of fewer than two monotonicity points, or a z that is not
-        # finite and > 0, used to pass unchecked
-        for points in (1, 0, -3, 2.5, True, None):
-            with pytest.raises(ValidationError, match=f"mono_points={points!r} must be"):
-                GridSpec(mono_points=points)
-        for z in (math.inf, math.nan, -math.inf, 0.0, -2.0):
-            with pytest.raises(ValidationError, match="z_values=.* must be finite and > 0"):
-                GridSpec(z_values=(2.0, z))
-        assert verify_appendix(GridSpec(step=0.05, mono_points=2)).passed
 
-    @pytest.mark.parametrize("spec", [dict(), dict(step=0.05, y_max=40.0),
-                                      dict(step=0.02, z_values=(2.0,), g_x_max=300.0)])
-    def test_evaluation_count(self, spec):
-        grid = GridSpec(**spec)
-        ys = np.arange(grid.y_min, grid.y_max + grid.step / 2, grid.step)
-        f_points = sum(len(np.arange(grid.step, y / 3.0, grid.step)) + 1 for y in ys)
-        g_points = len(np.arange(grid.g_x_min, grid.g_x_max + grid.step / 2, grid.step))
-        counted = len(grid.z_values) * (f_points + g_points) + 6 * grid.mono_points
-        assert abs(grid.evaluations - counted) <= len(grid.z_values) * len(ys)
+class TestAppendixCertificate:
+    @pytest.mark.parametrize("z", [C_MIN_MAIN, 1.45, 0.6, 5.0])
+    def test_f_lower_within_tolerance(self, z):
+        """The bound is below the smallest f found, by at most F_TOL, also
+        where the minimum is interior (z = 1.45, 0.6)."""
+        rep = verify_appendix(z)
+        assert rep.f_lower <= rep.min_f <= rep.f_lower + F_TOL
+        assert rep.min_f == f(*rep.argmin_f)
+        assert rep.g_lower <= rep.min_g == g(*rep.argmin_g)
+        assert rep.passed == (z == C_MIN_MAIN or z == 5.0)
 
-    @pytest.mark.parametrize("spec", [dict(step=1e-9), dict(step=1e-300),
-                                      dict(y_max=1e300), dict(step=1e-4),
-                                      dict(g_x_max=1e308)])
-    def test_grid_ceiling_refuses_before_allocating(self, spec):
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapExceeded) as exc:
-                GridSpec(**spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exc.value.cap == GRID_EVALUATIONS_MAX
-        assert peak < 1 << 20
+    @settings(max_examples=500)
+    @given(ts, st.floats(Y_MIN, 1e3), zs)
+    def test_f_above_f_lower_everywhere(self, appendix, t, y, z):
+        assert f(t * y / 3, y, z) >= appendix.f_lower
 
-    def test_long_row_memory_is_bounded(self):
-        """A 2e6-point g row is evaluated a slice at a time: the peak is
-        its x array (16 MiB), not 46 bytes a point of temporaries."""
-        tracemalloc.start()
-        try:
-            rep = verify_appendix(GridSpec(z_values=(2.0,), g_x_max=2e4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 << 20
-        assert rep.argmin_g == (1.34, 2.0)
+    @given(st.floats(math.log(1e-8), math.log(Y_MIN / 3)), st.floats(0.0, 3.0),
+           st.floats(0.6, 50.0), st.floats(0.0, 1.0))
+    def test_box_bound_below_mpmath(self, ln_xa, spread, z, frac):
+        """The library's bound on F over [xa, xb] is below an mpmath
+        interval enclosure of the exact bound it rounds, and of F at the
+        box's ends and at a point inside it."""
+        xa = math.exp(ln_xa)
+        xb = min(Y_MIN / 3, xa * math.exp(spread))
+        bound = concentration._f_bound(xb, concentration._rest(xa, z), z)  # k > 1
+        with iv_dps(40):
+            k, u = iv.mpf(Y_MIN) * iv.mpf(z) / 2, iv.mpf(xa) / iv.mpf(z)
+            exact = ((k - 1) * iv.log(iv.mpf(z) / iv.mpf(xb))
+                     + k * (iv.log(1 + u) + u * iv.log(1 + 1 / u))
+                     - k - iv.log(iv.mpf(Y_MIN) / iv.mpf(z)) - 1)
+            assert bound <= iv_low(exact)
+            for x in (xa, xb, min(xb, max(xa, xa + frac * (xb - xa)))):
+                assert bound <= iv_low(iv_f(x, Y_MIN, z))
 
-    # 97 points cut every default f row (131-667 points) and g row (1867)
-    # into two or more slices, most with a ragged last one, in a tenth of
-    # the time that 7 takes there.
-    @pytest.mark.parametrize("spec, size", [(dict(), 97),
-                                            (dict(step=0.05, z_values=(1.5, 2.0)), 7)],
-                             ids=["spec0", "spec1"])
-    def test_slicing_keeps_the_report(self, spec, size):
-        whole = verify_appendix(GridSpec(**spec))
-        with mock.patch.object(concentration, "GRID_SLICE", size):
-            sliced = verify_appendix(GridSpec(**spec))
-        assert astuple(sliced) == astuple(whole)
+    @pytest.mark.parametrize("z", [2 / 3.95, 0.5, 0.1, 1e-3])
+    def test_no_bound_for_k_at_most_one(self, z):
+        """k = 3.95 z/2 <= 1 leaves F unbounded below as x -> 0."""
+        rep = verify_appendix(z)
+        assert rep.f_lower == -math.inf
+        assert not rep.passed
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -2.0])
+    def test_bad_z_refused(self, z):
+        with pytest.raises(ValidationError, match=r"z=.* must be finite and > 0"):
+            verify_appendix(z)
 
 
 class TestEventChecks:

@@ -3,8 +3,8 @@
 import gnpmod
 
 PUBLIC_API = [
-    "Bisection", "BoundReport", "CapExceeded", "ConstantAudit", "EdgeCounts",
-    "ErrorDecomposition", "EventCheckResult", "Graph", "GridReport", "GridSpec",
+    "AppendixReport", "Bisection", "BoundReport", "CapExceeded", "ConstantAudit",
+    "EdgeCounts", "ErrorDecomposition", "EventCheckResult", "Graph",
     "ModularityResult", "Partition", "SpectrumResult", "SupremumResult",
     "ValidationError", "asymptotic_constants", "bisection",
     "bisection_modularity_certificate", "bound_report", "bounds",

@@ -4,8 +4,8 @@ They patch private library names (the stay table rule, the swap search,
 one local-search restart, one Louvain run), so a refactor that renames
 or reshapes one of those breaks them; each runs here on a small graph.
 scripts/freeze_exact_corpus.py is left out: it rewrites the golden
-corpus.  scripts/appendix_sharpness.py reads the grid report's
-thresholds, and runs on the full default grid in about 1.4 s.
+corpus.  scripts/appendix_sharpness.py reads the appendix report's
+thresholds and certified lower bounds.
 """
 
 import importlib.util
@@ -36,11 +36,11 @@ def test_script_runs(capsys, name, extra, header):
 
 
 def test_appendix_sharpness(capsys):
-    """The grid check passes down to z = 2.0 and fails from z = 1.95 on,
+    """The certificate passes down to z = 2.0 and fails from z = 1.95 on,
     as the script's docstring says."""
     load("appendix_sharpness").main()
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header == "z,min_f,f_ok,min_g,g_ok,passed"
+    assert header == "z,min_f,f_lower,f_ok,min_g,g_ok,passed"
     passed = {float(z): p for z, *_, p in (row.split(",") for row in rows)}
     assert min(passed) < 1.95 and max(passed) > 2.0
     assert all(p == ("1" if z >= 2.0 else "0") for z, p in passed.items())
