@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, ValidationError, require_reals
-from .graph import (Graph, _frozen, bit_reversal, check_subset, edge_counts,
-                    neighbour_masks, subset_edges, subset_volumes)
+from .graph import (Graph, _frozen, _inner_degrees, bit_reversal, check_subset,
+                    edge_counts, neighbour_masks, subset_edges, subset_volumes)
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
 
@@ -167,12 +167,10 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     side[perm[: (n + 1) // 2]] = True
     if G.m == 0:
         return side, 0
-    # running count of cross entries over the CSR, so row x has
-    # ext = cross[indptr[x+1]] - cross[indptr[x]] and D = ext - (deg - ext)
-    cross = np.zeros(len(G.indices) + 1, dtype=np.int64)
-    np.cumsum(np.repeat(side, G.degrees) != side[G.indices], out=cross[1:])
-    D = 2 * np.diff(cross[G.indptr]) - G.degrees
-    cut = int(cross[-1]) // 2
+    # D = ext - int = deg - 2 int, and the cut entries number 2m - sum(int)
+    inner = _inner_degrees(G, side)
+    D = G.degrees - 2 * inner
+    cut = (len(G.indices) - int(inner.sum())) // 2
     neg = np.int64(-(1 << 40))
     while True:
         DS = np.where(side, D, neg)

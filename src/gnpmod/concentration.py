@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import C_MIN_MAIN, LN2_PLUS_001
-from .errors import CapExceeded, ValidationError, require_reals
+from .errors import CapExceeded, ValidationError, require_reals, require_scalars
 from .graph import Graph, subset_edges
 from .rng import generator, trial_seed
 
@@ -68,16 +68,16 @@ def _finite(mu: float, t: float, bound: float) -> float:
 def chernoff_upper(mu: float, t: float) -> tuple[float, float]:
     """Upper-tail bounds for Bin with mean mu: P(X >= mu + t) is at most
     exp(-mu phi(t/mu)), which is at most exp(-t^2 / (2(mu + t/3)))."""
-    require_reals(mu=mu)
-    require_reals(zero_ok=True, t=t)
+    require_scalars(mu=mu)
+    require_scalars(zero_ok=True, t=t)
     bound_quad = _finite(mu, t, math.exp(-t * t / (2.0 * (mu + t / 3.0))))
     return math.exp(-mu * phi(t / mu)), bound_quad
 
 
 def chernoff_lower(mu: float, t: float) -> float:
     """Lower-tail bound: P(X <= mu - t) <= exp(-t^2 / (2 mu))."""
-    require_reals(mu=mu)
-    require_reals(zero_ok=True, t=t)
+    require_scalars(mu=mu)
+    require_scalars(zero_ok=True, t=t)
     return _finite(mu, t, math.exp(-t * t / (2.0 * mu)))
 
 
@@ -105,10 +105,14 @@ def g(x, z):
 
 
 def h1(x, z):
-    """x (ln(1 + z/x) - z/x); increasing in x for fixed z > 0."""
+    """x (ln(1 + z/x) - z/x); increasing in x for fixed z > 0.
+
+    Computed as x ln(1 + z/x) - z: in the form x (ln(1 + r) - r) the
+    product x (z/x) rounds away from z, which at huge z (1e20) puts
+    samples of h1 at neighbouring x out of order."""
     x, z = require_reals(x=x, z=z)
     r = _ratio(z, x, "z/x", x=x, z=z)
-    return _value(x * (np.log1p(r) - r))
+    return _value(x * np.log1p(r) - z)
 
 
 def h2(y, z):
@@ -230,7 +234,7 @@ def verify_appendix(z: float = C_MIN_MAIN) -> AppendixReport:
     """Certify f > F_THRESHOLD and g > G_THRESHOLD over their whole
     domains at deviation parameter z and above, and check at MONO_POINTS
     points that phi, g (in x and in z) and h1 rise and h2 and h3 fall."""
-    z = float(require_reals(z=z)[0])
+    (z,) = require_scalars(z=z)
     f_lower, min_f, x = _certify_f(z)
     min_g = g(G_X_MIN, z)
     pts = np.linspace(1e-6, 10.0, MONO_POINTS)

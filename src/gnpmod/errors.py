@@ -29,3 +29,12 @@ def require_reals(zero_ok: bool = False, **values) -> list[np.ndarray]:
                 f"{name}={val!r} must be finite and {'>=' if zero_ok else '>'} 0")
         out.append(a)
     return out
+
+
+def require_scalars(zero_ok: bool = False, **values) -> list[float]:
+    """require_reals for values that must each be one number, returned as
+    floats; ValidationError names the first array among them."""
+    for name, val in values.items():
+        if np.ndim(val) != 0:
+            raise ValidationError(f"{name}={val!r} must be a single number")
+    return [float(a) for a in require_reals(zero_ok, **values)]

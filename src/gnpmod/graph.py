@@ -12,14 +12,22 @@ file format.  A Graph stores only its CSR, three read-only int64 arrays:
 order, from the upper half of each row anew on every call.
 
 Graphs are immutable after construction and safe to share between
-parallel workers.  Every graph goes through one CSR builder fed sorted
-unique pairs, so its memory is O(n + m): `Graph(n, pairs)` validates,
-sorts and dedups its input first, while `sample_gnp`, whose pairs come
-out of the draw sorted and unique, hands them over directly.  The draw
-itself is streamed, SAMPLE_CHUNK uniforms at a time, and keeps only the
-indices of the pairs it accepts.  Connected components are found by
-min-label propagation over the CSR rows, so no step loops over vertices
-in Python.
+parallel workers.  Every graph goes through one CSR builder fed the
+sorted unique indices of its pairs in the lexicographic order (1,2),
+(1,3), ..., (n-1,n): `Graph(n, pairs)` validates, sorts and dedups its
+input first, while `sample_gnp`, whose draw yields exactly those
+indices, hands them over directly.  The draw is streamed, SAMPLE_CHUNK
+uniforms at a time, and keeps only the indices of the pairs it accepts.
+
+Every O(m) pass over a graph (the CSR build, component labels, the
+per-vertex counts behind the scores and the bisection's degrees) reads
+its input in slices of about CSR_SLICE entries (see _row_slices), so
+besides the CSR's own 16 bytes an edge its temporaries are O(n +
+CSR_SLICE).  `sample_gnp` peaks at 25-30 bytes per kept edge, most of
+it the 8 of the accepted pair indices and the 16 of the CSR it fills
+from them (tracemalloc: 22.8 MiB for the 800 000 edges of n = 4000,
+p = 0.1).  Connected components are found by min-label propagation over
+the CSR rows, so no step loops over vertices in Python.
 
 A vertex subset S is a boolean array of length n, S[v-1] for vertex v.
 """
@@ -36,14 +44,15 @@ from .rng import generator
 
 # Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
 # is the largest accepted size.  The streamed draw holds one chunk of
-# uniforms plus about 80 bytes per kept edge (tracemalloc peak, 16 of them
+# uniforms plus 25-30 bytes per kept edge (tracemalloc peak, 16 of them
 # in the finished Graph), so the cap no longer bounds memory, only the
 # draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
 # 2-vCPU box.
 MAX_PAIRS = 50_000_000
 # Largest expected edge count p n(n-1)/2 that sample_gnp draws.  At about
-# 80 bytes per kept edge this keeps the draw's peak under 1 GiB; the
-# drawn m exceeds its expectation by more than a few standard deviations
+# 25 bytes per kept edge at this size (234 MiB traced for the 10^7 edges
+# of n = 10 000, p = 0.2) the draw's peak stays under 300 MiB; the drawn
+# m exceeds its expectation by more than a few standard deviations
 # sqrt(m (1-p)) (about 3 500 edges here) only with negligible probability.
 MAX_EXPECTED_EDGES = 12_000_000
 # Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
@@ -56,6 +65,10 @@ SAMPLE_CHUNK = 1 << 18
 # counts take about 24 bytes per vertex, so a larger n (say from the
 # header of an edge-list file) is refused before anything is allocated.
 MAX_VERTICES = 10_000_000
+# Every O(m) pass over a CSR, here and in Louvain's level passes, reads it
+# in slices of about this many entries (pairs, for the CSR build), so its
+# temporaries stay O(CSR_SLICE) whatever the graph's size.
+CSR_SLICE = 1 << 16
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -78,6 +91,40 @@ def _pair_array(edges) -> np.ndarray:
     if a.dtype.kind not in "iu":
         raise ValidationError(f"edge endpoints must be integers, got {a.dtype}")
     return a
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """rs[r] = the index of the pair (r, r+1) among the n(n-1)/2 pairs in
+    lexicographic order, 0-indexed, for r = 0..n; rs[n-1] = rs[n] =
+    n(n-1)/2.  The pair (lo, hi) has index rs[lo] + hi - lo - 1."""
+    r = np.arange(n + 1, dtype=np.int64)
+    return r * (2 * n - r - 1) // 2
+
+
+def _key_slices(keys: np.ndarray, rs: np.ndarray, first: np.ndarray):
+    """(lo, hi, i0) of the pairs keys[i0:i0 + CSR_SLICE], one slice at a
+    time, with rs = _row_starts(n) and keys[first[r]:first[r+1]] the
+    pairs with lo = r."""
+    for i0 in range(0, len(keys), CSR_SLICE):
+        i1 = min(i0 + CSR_SLICE, len(keys))
+        a = int(np.searchsorted(first, i0, side="right")) - 1
+        b = int(np.searchsorted(first, i1 - 1, side="right"))
+        lo = np.repeat(np.arange(a, b), np.diff(np.clip(first[a:b + 1], i0, i1)))
+        yield lo, keys[i0:i1] - rs[lo] + lo + 1, i0
+
+
+def _row_slices(indptr: np.ndarray, per_row: int = 0):
+    """Contiguous row ranges (r0, r1) of a CSR that together cover its
+    rows, each holding at most CSR_SLICE entries plus `per_row` per row,
+    or a single row that alone holds more."""
+    nrows = len(indptr) - 1
+    cost = indptr + per_row * np.arange(nrows + 1) if per_row else indptr
+    r0 = 0
+    while r0 < nrows:
+        r1 = int(np.searchsorted(cost, cost[r0] + CSR_SLICE, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        yield r0, r1
+        r0 = r1
 
 
 class Graph:
@@ -103,43 +150,55 @@ class Graph:
             raise ValidationError(f"edge ({u[i]},{v[i]}) out of range 1..{n}")
         lo = np.minimum(u, v).astype(np.int64) - 1
         hi = np.maximum(u, v).astype(np.int64) - 1
-        keys = np.sort(lo * n + hi)
-        lo, hi = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-        self._build(n, lo, hi)
+        keys = np.sort(_row_starts(n)[lo] + hi - lo - 1)
+        self._build(n, keys[np.diff(keys, prepend=-1) != 0])
 
     @classmethod
-    def _from_sorted_pairs(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """Trusted constructor: 0-indexed int64 pairs lo < hi < n, already
-        in lexicographic order and unique, skip validation and sorting."""
+    def _from_pair_indices(cls, n: int, keys: np.ndarray) -> "Graph":
+        """Trusted constructor: the int64 indices of the edges among the
+        n(n-1)/2 pairs in lexicographic order, ascending and unique, skip
+        validation and sorting."""
         G = cls.__new__(cls)
-        G._build(n, lo, hi)
+        G._build(n, keys)
         return G
 
-    def _build(self, n: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Set the CSR from sorted unique 0-indexed pairs lo < hi.
+    def _build(self, n: int, keys: np.ndarray) -> None:
+        """Set the CSR from the ascending unique pair indices `keys`.
 
         Row r of the CSR is the lo's of the edges with hi = r, then the
-        hi's of the edges with lo = r; both runs are ascending, the first
-        because a stable sort by hi keeps the lexicographic order of the
-        pairs within each hi.
+        hi's of the edges with lo = r, both ascending.  The keys are read
+        twice, CSR_SLICE at a time: once to count each row's smaller
+        neighbours, once to fill the rows.  Key i with lo = r is the
+        (i - first[r])-th of r's larger neighbours.  Each slice hands its
+        lo's to their rows sorted by hi * n + lo, and lo never falls from
+        one slice to the next, so each row's smaller neighbours arrive in
+        ascending order; nxt[r] is where row r's next one goes.
         """
-        m = len(lo)
-        n_lo = np.bincount(lo, minlength=n)
-        n_hi = np.bincount(hi, minlength=n)
+        m = len(keys)
+        rs = _row_starts(n)
+        # the keys of the edges with lo = r are keys[first[r]:first[r+1]]
+        first = np.searchsorted(keys, rs)
+        n_lo = np.diff(first)
+        n_hi = np.zeros(n, dtype=np.int64)
+        for _, hi, _ in _key_slices(keys, rs, first):
+            np.add.at(n_hi, hi, 1)
+        degrees = n_lo + n_hi
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(n_lo + n_hi, out=indptr[1:])
-        rank = np.arange(m)
+        np.cumsum(degrees, out=indptr[1:])
         indices = np.empty(2 * m, dtype=np.int64)
-        # edge i is the (i - first_lo[r])-th of row r = lo[i]'s larger neighbours
-        first_lo = np.cumsum(n_lo) - n_lo
-        indices[(indptr[:-1] + n_hi - first_lo)[lo] + rank] = hi
-        by_hi = np.argsort(hi, kind="stable")
-        first_hi = np.cumsum(n_hi) - n_hi
-        indices[(indptr[:-1] - first_hi)[hi[by_hi]] + rank] = lo[by_hi]
+        upper = indptr[:-1] + n_hi - first[:-1]
+        nxt = indptr[:-1].copy()
+        for lo, hi, i0 in _key_slices(keys, rs, first):
+            indices[upper[lo] + np.arange(i0, i0 + len(lo))] = hi
+            hs, ls = np.divmod(np.sort(hi * n + lo), n)
+            starts = np.flatnonzero(np.diff(hs, prepend=-1))
+            runs = np.diff(starts, append=len(hs))
+            indices[nxt[hs] + np.arange(len(hs)) - np.repeat(starts, runs)] = ls
+            nxt[hs[starts]] += runs
         self.n = n
         self.indptr = _frozen(indptr)
         self.indices = _frozen(indices)
-        self.degrees = _frozen(n_lo + n_hi)
+        self.degrees = _frozen(degrees)
 
     @property
     def m(self) -> int:
@@ -203,15 +262,9 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     if npairs == 0 or p == 0.0:
         return Graph(n, [])
     rng = generator(seed)
-    flat = np.concatenate([
+    return Graph._from_pair_indices(n, np.concatenate([
         np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p) + start
-        for start in range(0, npairs, SAMPLE_CHUNK)])
-    # pair index of (r, r+1), the first pair of row r
-    r = np.arange(n - 1, dtype=np.int64)
-    row_start = r * (2 * n - r - 1) // 2
-    lo = np.searchsorted(row_start, flat, side="right") - 1
-    hi = flat - row_start[lo] + lo + 1
-    return Graph._from_sorted_pairs(n, lo, hi)
+        for start in range(0, npairs, SAMPLE_CHUNK)]))
 
 
 def degree(G: Graph, v: int) -> int:
@@ -232,10 +285,9 @@ def edge_counts(G: Graph, S: np.ndarray) -> EdgeCounts:
     """Exact integer counts e(S), e(S̄), e(S,S̄), vol(S), vol(S̄) of the
     subset S, a boolean array of length n."""
     check_subset(S, G.n)
-    inu = np.repeat(S, G.degrees)
     # each edge inside S is seen from both ends
-    e_in = int(np.count_nonzero(inu & S[G.indices])) // 2
-    vol_S = int(np.count_nonzero(inu))
+    e_in = int(_inner_degrees(G, S)[S].sum()) // 2
+    vol_S = int(G.degrees[S].sum())
     e_cross = vol_S - 2 * e_in
     return EdgeCounts(e_in=e_in, e_out=G.m - e_in - e_cross, e_cross=e_cross,
                       vol_S=vol_S, vol_Sbar=2 * G.m - vol_S)
@@ -309,9 +361,9 @@ def component_roots(G: Graph) -> np.ndarray:
     Min-label propagation with pointer jumping, after FastSV (Zhang, Azad
     & Hu 2020): each round every label is replaced by its label's label,
     and then each vertex with neighbours lowers its old label's label to
-    the smallest of those among its neighbours (one np.minimum.reduceat
-    over the non-empty CSR rows).  Lowering the label's label hooks a
-    whole tree at once: a randomly labelled path of 10^5 vertices takes
+    the smallest of those among its neighbours (np.minimum.reduceat over
+    the non-empty CSR rows, in row slices).  Lowering the label's label
+    hooks a whole tree at once: a randomly labelled path of 10^5 vertices takes
     20 rounds, where lowering only the vertex's own label took 33 880.
     A label is always a vertex of the same component and never larger
     than its vertex, so at the fixed point, where every label is its own
@@ -320,15 +372,33 @@ def component_roots(G: Graph) -> np.ndarray:
     """
     label = np.arange(G.n)
     rows = np.flatnonzero(G.degrees)
-    starts = G.indptr[rows]
+    # the non-empty rows' entries, row after row: row rows[j] is
+    # indices[ptr[j]:ptr[j+1]]
+    ptr = np.append(G.indptr[rows], G.indptr[-1])
+    low = np.empty(len(rows), dtype=np.int64)
     while len(rows):
         new = label[label]
-        low = np.minimum.reduceat(new[G.indices], starts)
+        for j0, j1 in _row_slices(ptr):
+            s, e = ptr[j0], ptr[j1]
+            low[j0:j1] = np.minimum.reduceat(new[G.indices[s:e]], ptr[j0:j1] - s)
         np.minimum.at(new, label[rows], low)
         if np.array_equal(new, label):
             break
         label = new
     return label
+
+
+def _inner_degrees(G: Graph, labels: np.ndarray) -> np.ndarray:
+    """Per vertex, 0-indexed, how many of its neighbours carry its own
+    label, counted over the CSR in row slices."""
+    inner = np.empty(G.n, dtype=np.int64)
+    for r0, r1 in _row_slices(G.indptr):
+        s, e = G.indptr[r0], G.indptr[r1]
+        same = np.repeat(labels[r0:r1], G.degrees[r0:r1]) == labels[G.indices[s:e]]
+        count = np.zeros(e - s + 1, dtype=np.int64)
+        np.cumsum(same, out=count[1:])
+        inner[r0:r1] = np.diff(count[G.indptr[r0:r1 + 1] - s])
+    return inner
 
 
 def write_edge_list(G: Graph, out: TextIO) -> None:

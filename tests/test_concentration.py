@@ -296,6 +296,31 @@ class TestAppendixCertificate:
         with pytest.raises(ValidationError, match=r"z=.* must be finite and > 0"):
             verify_appendix(z)
 
+    @pytest.mark.parametrize("z", [1e20, 1e100, 1e300])
+    def test_huge_z_has_no_monotonicity_violations(self, z):
+        """h1's samples stay in order at huge z (x (ln(1 + z/x) - z/x)
+        computed as written gave 522, 151 and 807 violations here)."""
+        rep = verify_appendix(z)
+        assert rep.monotonicity_violations == 0
+        assert rep.f_lower > F_THRESHOLD and rep.g_lower > G_THRESHOLD
+        assert rep.passed
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda a: verify_appendix(a), "z"),
+    (lambda a: chernoff_upper(a, 1.0), "mu"),
+    (lambda a: chernoff_upper(1.0, a), "t"),
+    (lambda a: chernoff_lower(a, 1.0), "mu"),
+    (lambda a: chernoff_lower(1.0, a), "t"),
+], ids=["verify_appendix-z", "chernoff_upper-mu", "chernoff_upper-t",
+        "chernoff_lower-mu", "chernoff_lower-t"])
+def test_scalar_functions_refuse_arrays(call, name):
+    """These return one number, so an array argument is refused by name
+    through ValidationError, not a TypeError from float() or math.exp."""
+    msg = rf"{name}=array\(\[2\., 3\.\]\) must be a single number"
+    with pytest.raises(ValidationError, match=msg):
+        call(np.array([2.0, 3.0]))
+
 
 class TestEventChecks:
     def test_exhaustive_counts_frozen(self):

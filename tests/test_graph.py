@@ -115,7 +115,7 @@ class TestSampling:
         assert peak < 2**20
 
     def test_expected_edge_cap_refuses_before_allocating(self):
-        # 4.5e7 expected edges would hold about 3.6 GB at 80 bytes an edge
+        # 4.5e7 expected edges would hold about 1.1 GB at 25 bytes an edge
         assert 10_000 * 9_999 // 2 <= MAX_PAIRS
         assert 8 * 10**5 < MAX_EXPECTED_EDGES <= 2**30 // 80
         tracemalloc.start()
@@ -166,8 +166,9 @@ class TestSampling:
         G = sample_gnp(4000, d / 4000, 1)
         assert hashlib.sha256(G.edges.tobytes()).hexdigest() == self.CORRIDOR_DIGESTS[d]
 
-    # tracemalloc peaks measured on the streamed draw: 62 MiB at d = 400 and
-    # 4 MiB at d = 25 (221 and 145 MiB when the draw held every pair).
+    # tracemalloc peaks measured on the streamed draw with the sliced CSR
+    # build: 23 MiB at d = 400 and 4 MiB at d = 25 (62 and 4 MiB with the
+    # whole-array build, 221 and 145 MiB when the draw held every pair).
     @pytest.mark.parametrize("p, bound_mib", [(0.1, 96), (25 / 4000, 16)])
     def test_draw_memory_is_linear_in_edges(self, p, bound_mib):
         assert traced_peak_mib(sample_gnp, 4000, p, 3) < bound_mib

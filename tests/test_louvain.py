@@ -6,13 +6,14 @@ threshold, where long and short rows mix; and, for each of those, with
 the dense stay table or the slot table built from the first sweep of
 every level, with no table, and with the table _stay_table_kind picks.
 The labels and the chosen partition must equal the reference's exactly,
-also with CSR_SLICE cut to a few entries, so that every coarsening and
+also with graph.CSR_SLICE cut to a few entries, so that every coarsening and
 table build crosses many slices.  The sliced coarsening must return the
 same arrays as the one-sort reference, both tables must match a recount
 from the CSR after any moves, and memory must follow the slice, not the
 CSR.
 """
 
+import contextlib
 import itertools
 import tracemalloc
 from unittest import mock
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gnpmod import modularity
+from gnpmod import graph, modularity
 from gnpmod.errors import CapExceeded, ValidationError
 from gnpmod.graph import Graph, sample_gnp
 from gnpmod.modularity import (ModularityResult, Partition, heuristic_modularity,
@@ -130,6 +131,23 @@ def test_tie_heavy_families_match_reference(monkeypatch, row_min, kind, G, seed)
     assert_matches_reference(G, seed)
 
 
+@contextlib.contextmanager
+def sliced(slice_):
+    """graph.CSR_SLICE cut to `slice_`, with every row range that
+    Louvain's passes then read checked to hold at most that many entries
+    (plus per_row a row), or one row."""
+    row_slices = modularity._row_slices
+
+    def checked(indptr, per_row=0):
+        for r0, r1 in row_slices(indptr, per_row):
+            assert r1 == r0 + 1 or indptr[r1] - indptr[r0] + per_row * (r1 - r0) <= slice_
+            yield r0, r1
+
+    with mock.patch.object(graph, "CSR_SLICE", slice_), \
+            mock.patch.object(modularity, "_row_slices", checked):
+        yield
+
+
 @MODES
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -137,8 +155,8 @@ def test_tie_heavy_families_match_reference(monkeypatch, row_min, kind, G, seed)
 def test_small_slices_match_reference(monkeypatch, row_min, kind, G, seed, slice_):
     monkeypatch.setattr(modularity, "NUMPY_ROW_MIN", row_min)
     monkeypatch.setattr(modularity, "_stay_table_kind", kind)
-    monkeypatch.setattr(modularity, "CSR_SLICE", slice_)
-    assert_matches_reference(G, seed)
+    with sliced(slice_):
+        assert_matches_reference(G, seed)
 
 
 @st.composite
@@ -167,10 +185,10 @@ def level_graphs(draw):
     return indptr, dst[entries], weights, strength, node, k
 
 
-@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]))
+@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, graph.CSR_SLICE]))
 def test_sliced_coarsen_matches_one_shot(level, slice_):
     want = oracles.coarsen_one_shot(*level)
-    with mock.patch.object(modularity, "CSR_SLICE", slice_):
+    with sliced(slice_):
         got = modularity._coarsen(*level)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -187,14 +205,14 @@ def recount(indptr, indices, weights, comm):
     return rows
 
 
-@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, modularity.CSR_SLICE]),
+@given(level=level_graphs(), slice_=st.sampled_from([1, 2, 7, 64, graph.CSR_SLICE]),
        moves=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=30))
 def test_sliced_stay_table_matches_dense_sum(level, slice_, moves):
     # both tables, built in slices and then kept current through moves to
     # a neighbour's community, hold each node's weight into each community
     indptr, indices, weights, strength, comm, _ = level
     comm = comm.copy()
-    with mock.patch.object(modularity, "CSR_SLICE", slice_):
+    with sliced(slice_):
         args = (indptr, indices, weights, strength, comm, strength.copy(),
                 int(strength.sum()))
         dense, slots = modularity._StayTable(*args), modularity._SlotTable(*args)
@@ -233,8 +251,8 @@ def test_louvain_memory_follows_the_slice():
     # is O(nodes).  One pass over all 4e5 CSR entries at once peaked at
     # 18.8 MiB.
     G = sample_gnp(2000, 0.1, 1)
-    for slice_ in (modularity.CSR_SLICE // 4, modularity.CSR_SLICE):
-        with mock.patch.object(modularity, "CSR_SLICE", slice_):
+    for slice_ in (graph.CSR_SLICE // 4, graph.CSR_SLICE):
+        with sliced(slice_):
             tracemalloc.start()
             try:
                 modularity._louvain_labels(G, generator(1))
