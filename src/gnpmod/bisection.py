@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import modularity
 from .errors import CapExceeded, ValidationError, require_reals
 from .graph import (Graph, _frozen, _inner_degrees, bit_reversal, check_subset,
                     edge_counts, neighbour_masks, subset_edges, subset_volumes)
@@ -27,8 +28,6 @@ EXACT_BISECTION_MAX = 32
 # Vertices held in exact_min_bisection's subset tables (2^16 int64 each);
 # the subsets of the remaining vertices are enumerated as patterns.
 EXACT_BISECTION_LOW = 16
-# Balanced subsets exact_min_bisection scores at once.
-EXACT_BISECTION_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +77,8 @@ def exact_min_bisection(G: Graph) -> Bisection:
 
     with c = vol - 2 e_in read from the tables of each part.  The
     balanced S are scored one popcount of P at a time, the last term as
-    one matrix product, at most EXACT_BISECTION_CELLS subsets at once.
+    one matrix product, at most modularity.EXACT_CELLS subsets at once (or
+    one pattern's, if that is more).
     The first minimum of cut * 2^n - bit_reversal(S) is the minimum cut
     with the lexicographically smallest S.  n is refused above
     EXACT_BISECTION_MAX.
@@ -109,7 +109,7 @@ def exact_min_bisection(G: Graph) -> Bisection:
         if len(A) == 0:
             continue
         pats = np.nonzero(pc_hi == j)[0]
-        rows = max(1, EXACT_BISECTION_CELLS // len(A))
+        rows = max(1, modularity.EXACT_CELLS // len(A))
         for lo in range(0, len(pats), rows):
             P = pats[lo:lo + rows]
             cut = (c_lo[A] + c_hi[P][:, None]

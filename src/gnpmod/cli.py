@@ -25,17 +25,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from importlib.metadata import PackageNotFoundError, version
 
-from . import bisection, bounds, concentration, modularity, spectral
+from . import __version__, bisection, bounds, concentration, modularity, spectral
 from .errors import CapExceeded, ValidationError
 from .graph import Graph, read_edge_list, sample_gnp, write_edge_list
 from .rng import trial_seed
-
-try:
-    VERSION = version("gnpmod")
-except PackageNotFoundError:  # running from a source tree
-    VERSION = "0.1.0"
 
 SWEEP_COLUMNS = "n,d,seed,heuristic_mod,certificate,upper_main,lower_Pstar,spectral_upper"
 
@@ -91,7 +85,7 @@ def _emit(args: argparse.Namespace, rows: list[str]) -> None:
     # The echo is itself a valid --config file for the same subcommand.
     echo = {k: v for k, v in vars(args).items()
             if v is not None and k not in ("config", "out", "timestamp")}
-    lines = [f"# gnpmod {VERSION}", f"# config {json.dumps(echo, sort_keys=True)}"]
+    lines = [f"# gnpmod {__version__}", f"# config {json.dumps(echo, sort_keys=True)}"]
     if args.timestamp:
         lines.append(f"# timestamp {time.strftime('%Y-%m-%dT%H:%M:%S')}")
     with _output(args) as fh:

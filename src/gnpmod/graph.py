@@ -208,10 +208,19 @@ class Graph:
     @property
     def edges(self) -> np.ndarray:
         """A new read-only (m, 2) int64 array of the pairs u < v, 1-indexed,
-        in lexicographic order: the upper half of each CSR row."""
-        src = np.repeat(np.arange(1, self.n + 1), self.degrees)
-        upper = self.indices >= src
-        return _frozen(np.column_stack((src[upper], self.indices[upper] + 1)))
+        in lexicographic order: the upper half of each CSR row, filled in
+        one row slice at a time."""
+        out = np.empty((self.m, 2), dtype=np.int64)
+        at = 0
+        for r0, r1 in _row_slices(self.indptr):
+            src = np.repeat(np.arange(r0 + 1, r1 + 1), self.degrees[r0:r1])
+            dst = self.indices[self.indptr[r0]:self.indptr[r1]]
+            upper = dst >= src
+            k = np.count_nonzero(upper)
+            out[at:at + k, 0] = src[upper]
+            np.add(dst[upper], 1, out=out[at:at + k, 1])
+            at += k
+        return _frozen(out)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n

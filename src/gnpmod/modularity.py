@@ -73,8 +73,10 @@ from .rng import generator, trial_seed
 # blocks took 32 s at n = 20 on a 2-vCPU box, with a tracemalloc peak of
 # 82 MiB; each further vertex triples the time.
 EXACT_CAP_MAX = 20
-# Candidate blocks scored at once by exact_modularity; a chunk's arrays
-# hold this many int64 each, or one row of 2^(n-1) if that is more.
+# Cells scored at once by the exact routines: candidate blocks in
+# exact_modularity, balanced subsets in bisection.exact_min_bisection.  A
+# chunk's arrays hold this many entries each, or one row if that is more
+# (2^(n-1) blocks, or one pattern's subsets).
 EXACT_CELLS = 1 << 18
 # Every partial sum of a score numerator lies within +-4 m^2, which must
 # fit in int64.

@@ -6,8 +6,10 @@ of a scan over every balanced subset in lexicographic order, ties
 included.  Tie-heavy families (edgeless graphs, a single edge, cliques,
 cycles, stars, matchings) come at odd and even n.  The bisection also
 runs with its subset tables narrowed to a few low vertices, so that
-many high-vertex patterns are scored at small n.  Above their fixed
-ceilings both refuse before allocating.
+many high-vertex patterns are scored at small n.  Both read their chunk
+size from modularity.EXACT_CELLS, and give the same answers with chunks
+of a few cells.  Above their fixed ceilings both refuse before
+allocating.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnpmod import bisection
+from gnpmod import bisection, modularity
 from gnpmod.bisection import EXACT_BISECTION_MAX, exact_min_bisection
 from gnpmod.errors import CapExceeded
 from gnpmod.graph import Graph, sample_gnp
@@ -36,6 +38,10 @@ FAMILIES = {
 # vertices to the pattern loop
 LOW_WIDTHS = pytest.mark.parametrize("low", [bisection.EXACT_BISECTION_LOW, 3, 1],
                                      ids=["default-low", "low-3", "low-1"])
+# chunk sizes far below one row: at n <= 10 every popcount layer of the
+# modularity DP spans several chunks, and so do the bisection's high
+# patterns at n = 17, 18 (with tables of 3 low vertices, every popcount)
+CELLS = pytest.mark.parametrize("cells", [1, 7, 64])
 
 
 @st.composite
@@ -117,3 +123,22 @@ class TestExactBisection:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestOneChunkRule:
+    @CELLS
+    @settings(max_examples=20, deadline=None)
+    @given(G=gnp(10))
+    def test_modularity_in_small_chunks(self, cells, G):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modularity, "EXACT_CELLS", cells)
+            assert_modularity_matches(G)
+
+    @CELLS
+    @pytest.mark.parametrize("low", [bisection.EXACT_BISECTION_LOW, 3],
+                             ids=["default-low", "low-3"])
+    @pytest.mark.parametrize("n, p, seed", [(17, 0.3, 3), (18, 0.5, 4)])
+    def test_bisection_in_small_chunks(self, monkeypatch, cells, low, n, p, seed):
+        monkeypatch.setattr(modularity, "EXACT_CELLS", cells)
+        monkeypatch.setattr(bisection, "EXACT_BISECTION_LOW", low)
+        assert_bisection_matches(sample_gnp(n, p, seed))

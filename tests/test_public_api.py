@@ -1,4 +1,9 @@
-"""The names gnpmod exports: adding or removing one is a deliberate edit here."""
+"""The names gnpmod exports: adding or removing one is a deliberate edit
+here.  The package's one version string is the one pyproject.toml declares."""
+
+import pathlib
+
+import pytest
 
 import gnpmod
 
@@ -23,3 +28,10 @@ PUBLIC_API = [
 
 def test_public_api_is_pinned():
     assert sorted(gnpmod.__all__) == PUBLIC_API
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert gnpmod.__version__ == tomllib.load(fh)["project"]["version"]

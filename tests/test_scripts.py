@@ -1,9 +1,9 @@
 """Smoke runs of the instrumentation scripts under scripts/.
 
-They patch private library names (the stay table rule, the swap search,
-one local-search restart, one Louvain run, the stages of a sweep trial),
-so a refactor that renames or reshapes one of those breaks them; each
-runs here on a small graph.
+scripts/trial_profile.py wraps private library names (the stages of a
+sweep trial, the swap search, the stay table rule and its start shares),
+so a refactor that renames or reshapes one of those breaks it; it runs
+here on a small graph.
 scripts/freeze_exact_corpus.py is left out: it rewrites the golden
 corpus.  scripts/appendix_sharpness.py reads the appendix report's
 thresholds and certified lower bounds.
@@ -11,8 +11,13 @@ thresholds and certified lower bounds.
 
 import importlib.util
 import pathlib
+import re
 
 import pytest
+
+from gnpmod import bisection, modularity
+from gnpmod.graph import sample_gnp
+from gnpmod.rng import generator, trial_seed
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,11 +30,9 @@ def load(name):
 
 
 @pytest.mark.parametrize("name, extra, header", [
-    ("louvain_sweeps", [], "# n=200 d=8.0 seed=1 m="),
-    ("bisection_restarts", [], "# n=200 d=8.0 seed=1 m="),
     ("corridor_sweep", ["--trials", "1"], "d,mean_heuristic_x_sqrtd,"),
-    ("trial_memory", [], "# n=200 d=8.0 seed=1 m="),
-], ids=["louvain_sweeps", "bisection_restarts", "corridor_sweep", "trial_memory"])
+    ("trial_profile", [], "# n=200 d=8.0 seed=1 m="),
+], ids=["corridor_sweep", "trial_profile"])
 def test_script_runs(capsys, name, extra, header):
     code = load(name).main(["--n", "200", "--d", "8", *extra])
     out = capsys.readouterr().out
@@ -48,13 +51,44 @@ def test_appendix_sharpness(capsys):
     assert all(p == ("1" if z >= 2.0 else "0") for z, p in passed.items())
 
 
-def test_trial_memory_stages(capsys):
-    """One line per stage call of a sweep trial, in the trial's order."""
-    assert load("trial_memory").main(["--n", "200", "--d", "8", "--restarts", "2"]) == 0
+def test_trial_profile_tables(capsys, monkeypatch):
+    """One stage row per stage call of a sweep trial, in the trial's order,
+    each restart with its cut and gain-matrix fallbacks; one level row per
+    level of its Louvain run; and the default shares' row matching them."""
+    script = load("trial_profile")
+    assert script.main(["--n", "200", "--d", "8", "--restarts", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    at = lines.index("stage,call,traced_peak_mib,maxrss_mib")
-    rows = [line.split(",") for line in lines[at + 1:]]
-    assert [(stage, int(call)) for stage, call, *_ in rows] == [
+    at = lines.index("stage,call,wall_s,traced_peak_mib,maxrss_mib,detail")
+    to = lines.index("level,nodes,sweeps,total_ms,table,before_sweep,sweep_ms")
+    end = next(i for i in range(to, len(lines)) if lines[i].startswith("#"))
+    stages = [line.split(",") for line in lines[at + 1:to]]
+    levels = [line.split(",") for line in lines[to + 1:end]]
+    assert [(stage, int(call)) for stage, call, *_ in stages] == [
         ("sample", 1), ("components", 1), ("score_definition", 1), ("louvain", 1),
         ("score_definition", 2), ("restart", 1), ("restart", 2), ("score_edge_form", 1)]
-    assert all(float(peak) >= 0 and float(rss) > 0 for *_, peak, rss in rows)
+    assert all(float(wall) >= 0 and float(peak) >= 0 and float(rss) > 0
+               for _, _, wall, peak, rss, _ in stages)
+
+    G = sample_gnp(200, 8 / 200, 1)
+    builds = []
+    gains = bisection._swap_gains
+    monkeypatch.setattr(bisection, "_swap_gains", lambda *a: builds.append(1) or gains(*a))
+    for r, row in enumerate(stages[5:7]):
+        builds.clear()
+        _, cut = bisection._single_local_search(G, generator(trial_seed(1, r)))
+        assert row[5] == f"cut={cut} fallbacks={len(builds)}"
+
+    rng = script.TimedRng(generator(trial_seed(1, 0)))
+    modularity._louvain_labels(G, rng)
+    sizes = [n for n, _ in rng.calls]
+    assert stages[3][5] == f"levels={len(levels)}"
+    assert [(int(nodes), int(sweeps)) for _, nodes, sweeps, *_ in levels] == [
+        (n, sizes.count(n)) for n in dict.fromkeys(sizes)]
+    for _, _, sweeps, _, table, sweep, ms in levels:
+        assert len(ms.split("/")) == int(sweeps)
+        assert (table, sweep) == ("-", "-") or (
+            re.fullmatch(r"(dense|slots):\d+", table) and 1 <= int(sweep) <= int(sweeps))
+    default = next(line for line in lines
+                   if line.startswith(f"STAY_MOVED_SHARE={modularity.STAY_MOVED_SHARE},"))
+    assert default.split(",")[3] == "/".join(
+        "-" if table == "-" else f"{sweep}:{table}" for *_, table, sweep, _ in levels)
