@@ -28,13 +28,6 @@ includes the merge).  modularity._stay_table_kind is wrapped to report
 the stay table a level builds, its width (dense: columns; slots: slots)
 and the sweep before which it is built.
 
-shares: that Louvain run (stream trial_seed(seed, 0)) with
-modularity.STAY_MOVED_SHARE (dense table) or SLOT_MOVED_SHARE (slot
-table) set to each of SHARES: a level builds that table only after a
-sweep in which at most 1/share of its nodes moved.  The settings take
-turns, REPEATS runs each, and the fastest run of each is shown.  The
-labels must be the trial's under every setting.
-
 Usage:
     python3 scripts/trial_profile.py --n 4000 --d 25 --seed 1
 """
@@ -47,10 +40,6 @@ import time
 import tracemalloc
 
 from gnpmod import bisection, cli, modularity
-from gnpmod.rng import generator, trial_seed
-
-SHARES = (1, 2, 4, 8, 16)
-REPEATS = 5
 
 
 @contextlib.contextmanager
@@ -84,8 +73,8 @@ class TimedRng:
 
 
 def louvain_run(louvain, G, rng):
-    """Labels of louvain(G, rng), its wall seconds, and per level (nodes,
-    [sweep ms, ...], (sweep, width) of its stay table or None)."""
+    """Labels of louvain(G, rng) and per level (nodes, [sweep ms, ...],
+    (sweep, width) of its stay table or None)."""
     timed = TimedRng(rng)
     kind, built = modularity._stay_table_kind, {}
 
@@ -106,14 +95,13 @@ def louvain_run(louvain, G, rng):
         return build
 
     with patched((modularity, "_stay_table_kind", spy)):
-        t0 = time.perf_counter()
         labels = louvain(G, timed)
-        t1 = time.perf_counter()
+        stop = time.perf_counter()
     sweeps: dict[int, list[float]] = {}
-    ends = [t for _, t in timed.calls[1:]] + [t1]
+    ends = [t for _, t in timed.calls[1:]] + [stop]
     for (size, t), end in zip(timed.calls, ends):
         sweeps.setdefault(size, []).append(1e3 * (end - t))
-    return labels, t1 - t0, [(size, ms, built.get(size)) for size, ms in sweeps.items()]
+    return labels, [(size, ms, built.get(size)) for size, ms in sweeps.items()]
 
 
 def run_trial(task: tuple, traced: bool):
@@ -140,8 +128,8 @@ def run_trial(task: tuple, traced: bool):
 
     def louvain(G, rng):
         seen["graph"] = G
-        seen["labels"], _, seen["levels"] = louvain_run(labels_of, G, rng)
-        return seen["labels"]
+        labels, seen["levels"] = louvain_run(labels_of, G, rng)
+        return labels
 
     def counted(*args):
         swaps[0] += 1
@@ -202,28 +190,7 @@ def main(argv=None):
         print(f"{i},{size},{len(ms)},{sum(ms):.1f},{table},{sweep},"
               + "/".join(f"{x:.1f}" for x in ms))
 
-    print(f"# STAY_MOVED_SHARE={modularity.STAY_MOVED_SHARE} "
-          f"SLOT_MOVED_SHARE={modularity.SLOT_MOVED_SHARE}")
-    print("setting,min_s,level_s,table_sweep_kind_width")
-    settings = [(name, share) for name in ("STAY_MOVED_SHARE", "SLOT_MOVED_SHARE")
-                for share in SHARES]
-    best: dict[tuple, tuple] = {}
-    same = True
-    for _ in range(REPEATS):
-        for name, share in settings:
-            with patched((modularity, name, share)):
-                run = louvain_run(modularity._louvain_labels, G,
-                                  generator(trial_seed(args.seed, 0)))
-            same = same and bool((run[0] == seen["labels"]).all())
-            if (name, share) not in best or run[1] < best[name, share][1]:
-                best[name, share] = run
-    for name, share in settings:
-        _, wall, levels = best[name, share]
-        per_level = "/".join(f"{sum(ms) / 1e3:.3f}" for _, ms, _ in levels)
-        tables = "/".join("-" if b is None else f"{b[0]}:{b[1]}" for _, _, b in levels)
-        print(f"{name}={share},{wall:.3f},{per_level},{tables}")
-    print(f"# labels identical under every share: {same}")
-    return 0 if same else 1
+    return 0
 
 
 if __name__ == "__main__":

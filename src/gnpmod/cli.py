@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, bisection, bounds, concentration, modularity, spectral
 from .errors import CapExceeded, ValidationError
@@ -241,6 +240,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             tasks.append((args.n, d, tseed, args.restarts))
     t0 = time.perf_counter()
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_trial, tasks))
     else:

@@ -54,7 +54,10 @@ the level into the next (_coarsen), read it in row slices of about
 graph.CSR_SLICE entries, so their temporaries do not grow with the
 level.  So does the scoring pass (_block_stats): each score of a
 partition of G(4000, d=400) holds under 2 MiB of temporaries, against
-26 MiB when it read all 1.6 million CSR entries at once.
+26 MiB when it read all 1.6 million CSR entries at once.  The slot table
+build and the merge group entries by key with numpy's default sort,
+which leaves equal keys in no fixed order, so the merge takes each key's
+smallest traversal position, not its first entry's.
 """
 
 from __future__ import annotations
@@ -113,19 +116,11 @@ class Partition:
         if lab.ndim != 1 or lab.size == 0 or lab.dtype.kind not in "iu":
             raise ValidationError("a partition needs one integer label per vertex")
         # numbering labels by first appearance numbers blocks by smallest
-        # member.  After a stable sort each label's run starts at its first
-        # appearance.  (Only stable sorts: np.unique and numpy's default
-        # sort page in about 0.4 MiB more of numpy's code on first use.)
-        order = np.argsort(lab, kind="stable")
-        srt = lab[order]
-        starts = np.empty(len(lab), dtype=bool)
-        starts[0] = True
-        np.not_equal(srt[1:], srt[:-1], out=starts[1:])
-        first = order[starts]
+        # member: each label becomes the rank of its first index
+        _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
         rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first, kind="stable")] = np.arange(len(first))
-        self.labels = np.empty(len(lab), dtype=np.int64)
-        self.labels[order] = rank[np.cumsum(starts) - 1]
+        rank[np.argsort(first)] = np.arange(len(first))
+        self.labels = rank[inverse]
         self.labels.flags.writeable = False
         self.n = len(lab)
 
@@ -166,6 +161,7 @@ class Partition:
 
     def canonical_blocks(self) -> list[list[int]]:
         """Blocks as sorted lists, ordered by smallest member."""
+        # stable: members stay ascending within a block
         order = np.argsort(self.labels, kind="stable") + 1
         ends = np.cumsum(np.bincount(self.labels))
         return [b.tolist() for b in np.split(order, ends[:-1])]
@@ -249,6 +245,7 @@ def exact_modularity(G: Graph) -> ModularityResult:
     w = 4 * m * subset_edges(G) - vol * vol
     rev = bit_reversal(n)
     pc = np.bitwise_count(np.arange(1 << n))
+    # stable: a radix sort on the 8-bit popcounts
     by_layer = np.argsort(pc, kind="stable")
     ends = np.cumsum(np.bincount(pc))
     f = np.zeros(1 << n, dtype=np.int64)
@@ -407,9 +404,9 @@ class _SlotTable(_Table):
             key = np.repeat(np.arange(r0, r1) * nnodes, deg[r0:r1])
             key += comm[indices[s:e]]
             if weights is None:
-                key.sort(kind="stable")
+                key.sort()
             else:
-                order = np.argsort(key, kind="stable")
+                order = np.argsort(key)
                 key = key[order]
             run = np.empty(len(key), dtype=bool)
             run[0] = True
@@ -594,14 +591,14 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
 
 
 def _sum_by_key(key: np.ndarray, pos: np.ndarray, w):
-    """The distinct values of `key` in ascending order, each with its
-    first entry's `pos` and the sum of its entries' weights `w` (None:
-    its entry count)."""
-    order = np.argsort(key, kind="stable")
+    """The distinct values of the nonnegative `key` in ascending order,
+    each with its smallest `pos` and the sum of its entries' weights `w`
+    (None: its entry count)."""
+    order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     wsum = np.diff(starts, append=len(key)) if w is None else np.add.reduceat(w[order], starts)
-    return key[starts], pos[order[starts]], wsum
+    return key[starts], np.minimum.reduceat(pos[order], starts), wsum
 
 
 def _coarsen(indptr: np.ndarray, indices: np.ndarray, weights,
@@ -626,8 +623,6 @@ def _coarsen(indptr: np.ndarray, indices: np.ndarray, weights,
         key, first, wsum = _sum_by_key(src[off] * k + dst[off], off,
                                        None if weights is None else weights[s:e][off])
         parts.append((key, s + first, wsum))
-    # the slices come in traversal order, so each key's first entry in
-    # the merge is its first in the traversal
     key, first, wsum = _sum_by_key(*(np.concatenate(a) for a in zip(*parts)))
     csrc, cdst = np.divmod(key, k)
     rows = np.lexsort((first, csrc))

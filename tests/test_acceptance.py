@@ -102,7 +102,7 @@ def test_c03_spectral_dominance():
            f"{exceptions} exceptions, min margin {margin:.3e}, {el:.0f}s")
 
 
-def test_c04_appendix_grid():
+def test_c04_appendix_certificate():
     t0 = time.perf_counter()
     rep = verify_appendix()
     ok = (rep.passed
@@ -120,8 +120,10 @@ def test_c04_appendix_grid():
     ok = ok and abs(float(corner) - rep.min_f) < 1e-12
     el = time.perf_counter() - t0
     report(4, ok and el < 60.0,
-           f"appendix grid: min_f {rep.min_f:.7f} at {rep.argmin_f}, "
-           f"min_g {rep.min_g:.5f}, 0 monotonicity violations, "
+           f"appendix certificate: min_f {rep.min_f:.7f} at {rep.argmin_f}, "
+           f"f_lower {rep.f_lower:.10f}, min_g {rep.min_g:.5f}, "
+           f"g_lower {rep.g_lower:.10f}, "
+           f"{rep.monotonicity_violations} monotonicity violations, "
            f"mpmath corner agrees, {el:.1f}s")
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import os
@@ -236,7 +237,7 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         args = ("sweep", "--n", "60", "--d", "4", "--trials", "2", "--seed", "1",
                 "--restarts", "2")
         code, clamped = run(capsys, *args, "--jobs", "1000")
@@ -417,15 +418,27 @@ class TestErrorChannel:
 
 
 class TestEntryPoint:
-    def test_console_script(self):
+    @staticmethod
+    def python(*argv):
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "gnpmod.cli", "bounds",
-                               "--n", "100", "--d", "9"],
-                              capture_output=True, text=True,
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
+
+    def test_console_script(self):
+        proc = self.python("-m", "gnpmod.cli", "bounds", "--n", "100", "--d", "9")
         assert proc.returncode == 0
         assert bounds.BoundReport.CSV_COLUMNS in proc.stdout
+
+    def test_import_loads_no_process_pool(self):
+        """Importing the CLI loads neither the process pool, which only
+        `sweep --jobs` above 1 uses, nor importlib.metadata."""
+        proc = self.python("-c", "import sys, gnpmod.cli; print(*sorted(sys.modules))")
+        assert proc.returncode == 0
+        loaded = set(proc.stdout.split())
+        assert "gnpmod.cli" in loaded
+        for name in ("concurrent.futures.process", "multiprocessing", "importlib.metadata"):
+            assert name not in loaded
 
 
 class TestDocs:

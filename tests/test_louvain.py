@@ -194,6 +194,29 @@ def test_sliced_coarsen_matches_one_shot(level, slice_):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
+@given(data=st.data())
+def test_sum_by_key_matches_a_dict_loop(data):
+    """Each distinct key in ascending order, with its smallest position and
+    its exact weight sum (its entry count without weights), whatever the
+    order of the positions."""
+    pool = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+    keys = data.draw(st.lists(st.sampled_from(pool), max_size=60))
+    pos = data.draw(st.lists(st.integers(0, 2**40), min_size=len(keys),
+                             max_size=len(keys), unique=True))
+    wts = data.draw(st.none() | st.lists(st.integers(-2**56, 2**56), min_size=len(keys),
+                                         max_size=len(keys)))
+    want = {}
+    for i, (key, p) in enumerate(zip(keys, pos)):
+        first, total = want.get(key, (p, 0))
+        want[key] = min(first, p), total + (1 if wts is None else wts[i])
+    key, first, total = modularity._sum_by_key(
+        np.array(keys, dtype=np.int64), np.array(pos, dtype=np.int64),
+        None if wts is None else np.array(wts, dtype=np.int64))
+    assert key.tolist() == sorted(want)
+    assert first.tolist() == [want[k][0] for k in sorted(want)]
+    assert total.tolist() == [want[k][1] for k in sorted(want)]
+
+
 def recount(indptr, indices, weights, comm):
     """Each node's edge weight into each community, from the CSR."""
     rows = [{} for _ in range(len(indptr) - 1)]

@@ -1,7 +1,7 @@
 """Smoke runs of the instrumentation scripts under scripts/.
 
 scripts/trial_profile.py wraps private library names (the stages of a
-sweep trial, the swap search, the stay table rule and its start shares),
+sweep trial, the swap search and the stay table rule),
 so a refactor that renames or reshapes one of those breaks it; it runs
 here on a small graph.
 scripts/freeze_exact_corpus.py is left out: it rewrites the golden
@@ -54,15 +54,14 @@ def test_appendix_sharpness(capsys):
 def test_trial_profile_tables(capsys, monkeypatch):
     """One stage row per stage call of a sweep trial, in the trial's order,
     each restart with its cut and gain-matrix fallbacks; one level row per
-    level of its Louvain run; and the default shares' row matching them."""
+    level of its Louvain run."""
     script = load("trial_profile")
     assert script.main(["--n", "200", "--d", "8", "--restarts", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("stage,call,wall_s,traced_peak_mib,maxrss_mib,detail")
     to = lines.index("level,nodes,sweeps,total_ms,table,before_sweep,sweep_ms")
-    end = next(i for i in range(to, len(lines)) if lines[i].startswith("#"))
     stages = [line.split(",") for line in lines[at + 1:to]]
-    levels = [line.split(",") for line in lines[to + 1:end]]
+    levels = [line.split(",") for line in lines[to + 1:]]
     assert [(stage, int(call)) for stage, call, *_ in stages] == [
         ("sample", 1), ("components", 1), ("score_definition", 1), ("louvain", 1),
         ("score_definition", 2), ("restart", 1), ("restart", 2), ("score_edge_form", 1)]
@@ -88,7 +87,3 @@ def test_trial_profile_tables(capsys, monkeypatch):
         assert len(ms.split("/")) == int(sweeps)
         assert (table, sweep) == ("-", "-") or (
             re.fullmatch(r"(dense|slots):\d+", table) and 1 <= int(sweep) <= int(sweeps))
-    default = next(line for line in lines
-                   if line.startswith(f"STAY_MOVED_SHARE={modularity.STAY_MOVED_SHARE},"))
-    assert default.split(",")[3] == "/".join(
-        "-" if table == "-" else f"{sweep}:{table}" for *_, table, sweep, _ in levels)
