@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import modularity
+from . import modularity, trace
 from .errors import CapExceeded, ValidationError, require_reals
 from .graph import (Graph, _frozen, _inner_degrees, bit_reversal, check_subset,
                     edge_counts, neighbour_masks, subset_edges, subset_volumes)
@@ -161,41 +161,43 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     when they are adjacent is the gain matrix over the vertices within 2
     of each side's largest D built, as only they can host the best
     swap."""
-    n = G.n
-    perm = rng.permutation(n)
-    side = np.zeros(n, dtype=bool)
-    side[perm[: (n + 1) // 2]] = True
-    if G.m == 0:
-        return side, 0
-    # D = ext - int = deg - 2 int, and the cut entries number 2m - sum(int)
-    inner = _inner_degrees(G, side)
-    D = G.degrees - 2 * inner
-    cut = (len(G.indices) - int(inner.sum())) // 2
-    neg = np.int64(-(1 << 40))
-    while True:
-        DS = np.where(side, D, neg)
-        DT = np.where(side, neg, D)
-        a, b = int(DS.argmax()), int(DT.argmax())
-        if D[a] + D[b] <= 0:
-            break
-        row = G.indices[G.indptr[a]:G.indptr[a + 1]]
-        k = int(np.searchsorted(row, b))
-        if k < len(row) and row[k] == b:
-            cand_a = np.nonzero(DS >= D[a] - 2)[0]
-            cand_b = np.nonzero(DT >= D[b] - 2)[0]
-            gain = _swap_gains(G, D, cand_a, cand_b)
-            best = int(np.argmax(gain))
-            if gain.flat[best] <= 0:
+    with trace.stage("restart") as record:
+        n = G.n
+        perm = rng.permutation(n)
+        side = np.zeros(n, dtype=bool)
+        side[perm[: (n + 1) // 2]] = True
+        # D = ext - int = deg - 2 int, and the cut entries number 2m - sum(int)
+        inner = _inner_degrees(G, side)
+        D = G.degrees - 2 * inner
+        cut = (len(G.indices) - int(inner.sum())) // 2
+        neg = np.int64(-(1 << 40))
+        fallbacks = 0  # gain matrices built
+        while True:
+            DS = np.where(side, D, neg)
+            DT = np.where(side, neg, D)
+            a, b = int(DS.argmax()), int(DT.argmax())
+            if D[a] + D[b] <= 0:
                 break
-            i, j = divmod(best, len(cand_b))
-            a, b = int(cand_a[i]), int(cand_b[j])
-        for x in (a, b):
-            cut -= int(D[x])
-            ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
-            same = side[ns] == side[x]
-            D[ns] += np.where(same, 2, -2)
-            D[x] = -D[x]
-            side[x] = not side[x]
+            row = G.indices[G.indptr[a]:G.indptr[a + 1]]
+            k = int(np.searchsorted(row, b))
+            if k < len(row) and row[k] == b:
+                cand_a = np.nonzero(DS >= D[a] - 2)[0]
+                cand_b = np.nonzero(DT >= D[b] - 2)[0]
+                fallbacks += 1
+                gain = _swap_gains(G, D, cand_a, cand_b)
+                best = int(np.argmax(gain))
+                if gain.flat[best] <= 0:
+                    break
+                i, j = divmod(best, len(cand_b))
+                a, b = int(cand_a[i]), int(cand_b[j])
+            for x in (a, b):
+                cut -= int(D[x])
+                ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
+                same = side[ns] == side[x]
+                D[ns] += np.where(same, 2, -2)
+                D[x] = -D[x]
+                side[x] = not side[x]
+        record.update(cut=cut, fallbacks=fallbacks)
     return side, cut
 
 
@@ -210,10 +212,12 @@ def local_search_bisection(G: Graph, seed: int = 0, restarts: int = 10) -> Bisec
         raise ValidationError("restarts must be >= 1")
     if G.n < 2:
         raise ValidationError("bisection needs n >= 2")
-    runs = (_single_local_search(G, generator(trial_seed(seed, r)))
-            for r in range(restarts))
-    cut, S = min(((cut, _canonical_side(side, G.n)) for side, cut in runs),
-                 key=lambda run: (run[0], (~run[1]).tobytes()))
+    with trace.stage("bisection") as record:
+        runs = (_single_local_search(G, generator(trial_seed(seed, r)))
+                for r in range(restarts))
+        r, (cut, S) = min(enumerate((cut, _canonical_side(side, G.n)) for side, cut in runs),
+                          key=lambda run: (run[1][0], (~run[1][1]).tobytes()))
+        record["restart"] = r
     return Bisection(S, cut)
 
 

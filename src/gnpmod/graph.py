@@ -39,6 +39,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
+from . import trace
 from .errors import CapExceeded, ValidationError
 from .rng import generator
 
@@ -268,12 +269,16 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     if p * npairs > MAX_EXPECTED_EDGES:
         raise CapExceeded("sample_gnp expected edges p n(n-1)/2", round(p * npairs),
                           MAX_EXPECTED_EDGES)
-    if npairs == 0 or p == 0.0:
-        return Graph(n, [])
-    rng = generator(seed)
-    return Graph._from_pair_indices(n, np.concatenate([
-        np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p) + start
-        for start in range(0, npairs, SAMPLE_CHUNK)]))
+    with trace.stage("sample") as record:
+        if npairs == 0 or p == 0.0:
+            G = Graph(n, [])
+        else:
+            rng = generator(seed)
+            G = Graph._from_pair_indices(n, np.concatenate([
+                np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p) + start
+                for start in range(0, npairs, SAMPLE_CHUNK)]))
+        record["m"] = G.m
+    return G
 
 
 def degree(G: Graph, v: int) -> int:
@@ -379,21 +384,22 @@ def component_roots(G: Graph) -> np.ndarray:
     label's label and no edge joins unequal labels, each component
     carries its smallest vertex.
     """
-    label = np.arange(G.n)
-    rows = np.flatnonzero(G.degrees)
-    # the non-empty rows' entries, row after row: row rows[j] is
-    # indices[ptr[j]:ptr[j+1]]
-    ptr = np.append(G.indptr[rows], G.indptr[-1])
-    low = np.empty(len(rows), dtype=np.int64)
-    while len(rows):
-        new = label[label]
-        for j0, j1 in _row_slices(ptr):
-            s, e = ptr[j0], ptr[j1]
-            low[j0:j1] = np.minimum.reduceat(new[G.indices[s:e]], ptr[j0:j1] - s)
-        np.minimum.at(new, label[rows], low)
-        if np.array_equal(new, label):
-            break
-        label = new
+    with trace.stage("components"):
+        label = np.arange(G.n)
+        rows = np.flatnonzero(G.degrees)
+        # the non-empty rows' entries, row after row: row rows[j] is
+        # indices[ptr[j]:ptr[j+1]]
+        ptr = np.append(G.indptr[rows], G.indptr[-1])
+        low = np.empty(len(rows), dtype=np.int64)
+        while len(rows):
+            new = label[label]
+            for j0, j1 in _row_slices(ptr):
+                s, e = ptr[j0], ptr[j1]
+                low[j0:j1] = np.minimum.reduceat(new[G.indices[s:e]], ptr[j0:j1] - s)
+            np.minimum.at(new, label[rows], low)
+            if np.array_equal(new, label):
+                break
+            label = new
     return label
 
 

@@ -62,11 +62,13 @@ smallest traversal position, not its first entry's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
 
+from . import trace
 from .errors import CapExceeded, ValidationError
 from .graph import (Graph, _inner_degrees, _parse_ints, _row_slices, bit_reversal,
                     component_roots, subset_edges, subset_volumes)
@@ -202,21 +204,23 @@ def _block_stats(G: Graph, P: Partition) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def score_definition(G: Graph, P: Partition) -> float:
     """Modularity score, definition form. Zero-edge graphs score 0."""
-    e_in, _, vol = _block_stats(G, P)
-    m = G.m
-    if m == 0:
-        return 0.0
-    return int((4 * m * e_in - vol * vol).sum()) / (4 * m * m)
+    with trace.stage("score_definition"):
+        e_in, _, vol = _block_stats(G, P)
+        m = G.m
+        if m == 0:
+            return 0.0
+        return int((4 * m * e_in - vol * vol).sum()) / (4 * m * m)
 
 
 def score_edge_form(G: Graph, P: Partition) -> float:
     """Modularity score, edge form: per-block (4 e(S)e(Sbar) - e(S,Sbar)^2)."""
-    e_in, cross, _ = _block_stats(G, P)
-    m = G.m
-    if m == 0:
-        return 0.0
-    e_out = m - e_in - cross
-    return int((4 * e_in * e_out - cross * cross).sum()) / (4 * m * m)
+    with trace.stage("score_edge_form"):
+        e_in, cross, _ = _block_stats(G, P)
+        m = G.m
+        if m == 0:
+            return 0.0
+        e_out = m - e_in - cross
+        return int((4 * e_in * e_out - cross * cross).sum()) / (4 * m * m)
 
 
 def exact_modularity(G: Graph) -> ModularityResult:
@@ -344,6 +348,7 @@ class _StayTable(_Table):
         self.cols = np.flatnonzero(present)
         self.colmap = np.cumsum(present) - 1  # community -> column
         k = len(self.cols)
+        self.label = f"dense:{k}"  # kind:width, for its level's trace record
         self.K = np.empty((nnodes, k), dtype=np.int64)
         for r0, r1 in _row_slices(indptr, k):
             s, e = indptr[r0], indptr[r1]
@@ -391,6 +396,7 @@ class _SlotTable(_Table):
         deg = np.diff(indptr)
         self.sptr = np.zeros(nnodes + 1, dtype=np.int64)
         np.cumsum(np.minimum(deg, k), out=self.sptr[1:])
+        self.label = f"slots:{self.sptr[-1]}"
         self.scomm = np.empty(self.sptr[-1], dtype=np.int32)
         self.sw = np.empty(self.sptr[-1], dtype=np.int64)
         self.used = np.zeros(nnodes, dtype=np.int64)
@@ -496,7 +502,7 @@ def _stay_table_kind(nnodes: int, k: int, nnz: int, moved: int):
 
 
 def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
-                      strength: np.ndarray, two_m: int, rng) -> np.ndarray:
+                      strength: np.ndarray, two_m: int, rng, level: dict) -> np.ndarray:
     """One level of greedy moves to a fixed point: each node, in a fresh
     random order per sweep, joins the neighbouring community with the
     largest exact integer gain 2m k_c - d_v vol_c, if that is strictly
@@ -508,7 +514,7 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
     self loops included.  A row of NUMPY_ROW_MIN or more neighbours is
     scored by numpy (bincount, gain vector, first-position argmax), a
     shorter one by a dict loop in row order.  Returns each node's
-    community (a node index).
+    community (a node index), and writes the level's trace record `level`.
 
     Before each sweep, until it has one, the level asks _stay_table_kind
     which stay table to build, if any, given the nodes moved in the sweep
@@ -533,60 +539,66 @@ def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
         wt_l = None if weights is None else weights.tolist()
     table = None
     moved = nnodes  # the first sweep follows none
+    sweeps = 0
     while moved:
-        order = rng.permutation(nnodes)
-        if table is None:
-            kind = _stay_table_kind(nnodes, np.count_nonzero(np.bincount(comm)),
-                                    len(indices), moved)
-            if kind is not None:
-                table = kind(indptr, indices, weights, strength, comm, vol, two_m)
-        moved = 0
-        for v in order.tolist() if table is None else table.unproven(order):
-            s, e = ptr[v], ptr[v + 1]
-            if s == e:
-                continue
-            a = comm_l[v]
-            dv = str_l[v]
-            if e - s >= NUMPY_ROW_MIN:
-                cr = comm[indices[s:e]]
-                if weights is None:
-                    kc = np.bincount(cr)
-                else:  # float sums of integers below 2^53 are exact
-                    kc = np.bincount(cr, weights[s:e]).astype(np.int64)
-                stay = two_m * (int(kc[a]) if a < len(kc) else 0) - dv * (vol_l[a] - dv)
-                # entries of a itself score stay - dv^2, so never win
-                gains = two_m * kc[cr] - dv * vol[cr]
-                j = int(gains.argmax())
-                best_c = int(cr[j]) if gains[j] > stay else a
-            else:
-                kv: dict[int, int] = {}
-                if weights is None:
-                    for w in idx_l[s:e]:
-                        c = comm_l[w]
-                        kv[c] = kv.get(c, 0) + 1
+        with trace.stage("sweep") as sweep:
+            order = rng.permutation(nnodes)
+            sweeps += 1
+            if table is None:
+                kind = _stay_table_kind(nnodes, np.count_nonzero(np.bincount(comm)),
+                                        len(indices), moved)
+                if kind is not None:
+                    table = kind(indptr, indices, weights, strength, comm, vol, two_m)
+                    level.update(table=table.label, before_sweep=sweeps)
+            moved = 0
+            for v in order.tolist() if table is None else table.unproven(order):
+                s, e = ptr[v], ptr[v + 1]
+                if s == e:
+                    continue
+                a = comm_l[v]
+                dv = str_l[v]
+                if e - s >= NUMPY_ROW_MIN:
+                    cr = comm[indices[s:e]]
+                    if weights is None:
+                        kc = np.bincount(cr)
+                    else:  # float sums of integers below 2^53 are exact
+                        kc = np.bincount(cr, weights[s:e]).astype(np.int64)
+                    stay = two_m * (int(kc[a]) if a < len(kc) else 0) - dv * (vol_l[a] - dv)
+                    # entries of a itself score stay - dv^2, so never win
+                    gains = two_m * kc[cr] - dv * vol[cr]
+                    j = int(gains.argmax())
+                    best_c = int(cr[j]) if gains[j] > stay else a
                 else:
-                    for w, wt in zip(idx_l[s:e], wt_l[s:e]):
-                        c = comm_l[w]
-                        kv[c] = kv.get(c, 0) + wt
-                best_c = a
-                best_gain = two_m * kv.get(a, 0) - dv * (vol_l[a] - dv)
-                for c, k in kv.items():
-                    if c != a:
-                        gain = two_m * k - dv * vol_l[c]
-                        if gain > best_gain:
-                            best_c, best_gain = c, gain
-            if best_c != a:
-                comm_l[v] = comm[v] = best_c
-                vol_l[a] -= dv
-                vol_l[best_c] += dv
-                vol[a] -= dv
-                vol[best_c] += dv
-                moved += 1
-                if table is not None:
-                    table.move(a, best_c, indices[s:e],
-                               1 if weights is None else weights[s:e])
-            elif table is not None:
-                raise RuntimeError(f"Louvain stay table flagged node {v}, which stays put")
+                    kv: dict[int, int] = {}
+                    if weights is None:
+                        for w in idx_l[s:e]:
+                            c = comm_l[w]
+                            kv[c] = kv.get(c, 0) + 1
+                    else:
+                        for w, wt in zip(idx_l[s:e], wt_l[s:e]):
+                            c = comm_l[w]
+                            kv[c] = kv.get(c, 0) + wt
+                    best_c = a
+                    best_gain = two_m * kv.get(a, 0) - dv * (vol_l[a] - dv)
+                    for c, k in kv.items():
+                        if c != a:
+                            gain = two_m * k - dv * vol_l[c]
+                            if gain > best_gain:
+                                best_c, best_gain = c, gain
+                if best_c != a:
+                    comm_l[v] = comm[v] = best_c
+                    vol_l[a] -= dv
+                    vol_l[best_c] += dv
+                    vol[a] -= dv
+                    vol[best_c] += dv
+                    moved += 1
+                    if table is not None:
+                        table.move(a, best_c, indices[s:e],
+                                   1 if weights is None else weights[s:e])
+                elif table is not None:
+                    raise RuntimeError(f"Louvain stay table flagged node {v}, which stays put")
+            sweep["moved"] = moved
+    level.update(nodes=nnodes, sweeps=sweeps)
     return comm
 
 
@@ -639,20 +651,23 @@ def _louvain_labels(G: Graph, rng) -> np.ndarray:
     strength = G.degrees
     two_m = 2 * G.m
     labels = np.arange(G.n)
-    while True:
-        comm = _local_move_level(indptr, indices, weights, strength, two_m, rng)
-        present = np.zeros(len(strength), dtype=bool)
-        present[comm] = True
-        node = np.cumsum(present) - 1
-        k = int(node[-1]) + 1
-        if k == len(strength):
-            break
-        node = node[comm]
-        indptr, indices, weights, strength = _coarsen(indptr, indices, weights,
-                                                      strength, node, k)
-        labels = node[labels]
-        if k == 1:
-            break
+    with trace.stage("louvain") as run:
+        for levels in itertools.count(1):
+            with trace.stage("level") as level:
+                comm = _local_move_level(indptr, indices, weights, strength, two_m, rng, level)
+                present = np.zeros(len(strength), dtype=bool)
+                present[comm] = True
+                node = np.cumsum(present) - 1
+                k = int(node[-1]) + 1
+                if k == len(strength):
+                    break
+                node = node[comm]
+                indptr, indices, weights, strength = _coarsen(indptr, indices, weights,
+                                                              strength, node, k)
+                labels = node[labels]
+                if k == 1:
+                    break
+        run["levels"] = levels
     return labels
 
 
@@ -669,15 +684,18 @@ def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> Modularity
         raise ValidationError("heuristic_modularity needs at least one edge")
     if G.m > SCORE_M_CAP:  # the integer gains lie within +-4 m^2
         raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
-    candidates: list[ModularityResult] = [
-        ModularityResult(0.0, Partition.trivial(G.n), "trivial"),
-        score_components(G),
-    ]
-    for r in range(budget):
-        rng = generator(trial_seed(seed, r))
-        P = Partition(_louvain_labels(G, rng))
-        candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
-    return max(candidates, key=lambda r: r.score)
+    with trace.stage("heuristic") as record:
+        candidates: list[ModularityResult] = [
+            ModularityResult(0.0, Partition.trivial(G.n), "trivial"),
+            score_components(G),
+        ]
+        for r in range(budget):
+            rng = generator(trial_seed(seed, r))
+            P = Partition(_louvain_labels(G, rng))
+            candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
+        i, best = max(enumerate(candidates), key=lambda c: c[1].score)
+        record.update(method=best.method, run=i - 2 if i >= 2 else None)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import contextlib
 import itertools
 
 import numpy as np
 import pytest
 
+from gnpmod import trace
 from gnpmod.graph import Graph, component_roots, sample_gnp
 
 
@@ -62,3 +64,29 @@ def subset(members, n: int) -> np.ndarray:
     S = np.zeros(n, dtype=bool)
     S[np.fromiter(members, dtype=np.int64) - 1] = True
     return S
+
+
+class Recorder:
+    """A gnpmod.trace sink keeping each stage's (name, details), in the
+    order the stages end."""
+
+    def __init__(self):
+        self.records: list[tuple[str, dict]] = []
+
+    def begin(self, name):
+        pass
+
+    def end(self, name, wall_s, details):
+        self.records.append((name, details))
+
+    def of(self, name: str) -> list[dict]:
+        """The details of each stage called `name`."""
+        return [details for stage, details in self.records if stage == name]
+
+
+@contextlib.contextmanager
+def recorded():
+    """A Recorder of the stages run in the block."""
+    sink = Recorder()
+    with trace.recording(sink):
+        yield sink

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gnpmod import bisection
 from gnpmod.bisection import (Bisection, _single_local_search,
                               bisection_modularity_certificate, error_decomposition,
                               exact_min_bisection, local_search_bisection)
@@ -17,7 +16,7 @@ from gnpmod.modularity import score_edge_form
 from gnpmod.rng import generator, trial_seed
 
 import oracles
-from conftest import subset
+from conftest import recorded, subset
 
 
 def members(S) -> list[int]:
@@ -143,18 +142,6 @@ def same_restart(G, seed: int) -> None:
     assert np.array_equal(got[0], want[0])
 
 
-def count_matrix_builds(monkeypatch) -> list[int]:
-    """Patch bisection._swap_gains to count its calls in calls[0]."""
-    calls, gains = [0], bisection._swap_gains
-
-    def spy(*args):
-        calls[0] += 1
-        return gains(*args)
-
-    monkeypatch.setattr(bisection, "_swap_gains", spy)
-    return calls
-
-
 class TestSwapSelection:
     """Each restart's swaps are the first maxima of the full gain matrix
     in oracles.local_search_matrix, whichever way they are found."""
@@ -179,32 +166,33 @@ class TestSwapSelection:
         same_restart(G, seed)
 
     @pytest.mark.parametrize("n", range(2, 21))
-    def test_complete_graph_uses_the_matrix(self, monkeypatch, n):
+    def test_complete_graph_uses_the_matrix(self, n):
         # in K_n every pair is adjacent and D[a] + D[b] = 2 on any balanced
         # split, so each restart builds the matrix at least once
-        calls = count_matrix_builds(monkeypatch)
         G = Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
         for seed in range(5):
-            calls[0] = 0
-            same_restart(G, seed)
-            assert calls[0] >= 1
+            with recorded() as sink:
+                same_restart(G, seed)
+            (restart,) = sink.of("restart")
+            assert restart["fallbacks"] >= 1
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 3), (3, 3), (4, 7), (10, 10), (6, 15)])
-    def test_complete_bipartite_uses_the_matrix(self, monkeypatch, a, b):
-        calls = count_matrix_builds(monkeypatch)
+    def test_complete_bipartite_uses_the_matrix(self, a, b):
         G = Graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
-        for seed in range(10):
-            same_restart(G, seed)
-        assert calls[0] >= 1
+        with recorded() as sink:
+            for seed in range(10):
+                same_restart(G, seed)
+        assert sum(restart["fallbacks"] for restart in sink.of("restart")) >= 1
 
-    def test_shortcut_skips_the_matrix(self, monkeypatch):
+    def test_shortcut_skips_the_matrix(self):
         # outputs stay the same if the shortcut stops firing, so count: the
         # full matrix would be built at each of this restart's 697 swaps,
         # and the two sides' first maxima are adjacent at 12 of them
-        calls = count_matrix_builds(monkeypatch)
         G = sample_gnp(4000, 25 / 4000, 1)
-        _single_local_search(G, generator(trial_seed(1, 0)))
-        assert 1 <= calls[0] <= 20
+        with recorded() as sink:
+            _single_local_search(G, generator(trial_seed(1, 0)))
+        (restart,) = sink.of("restart")
+        assert 1 <= restart["fallbacks"] <= 20
 
 
 class TestErrorDecomposition:

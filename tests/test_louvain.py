@@ -30,6 +30,7 @@ from gnpmod.modularity import (ModularityResult, Partition, heuristic_modularity
 from gnpmod.rng import generator, trial_seed
 
 import oracles
+from conftest import recorded
 
 ROW_MODES = {"numpy": 0, "dict": 10**9, "mixed": modularity.NUMPY_ROW_MIN}
 TABLE_MODES = {"": modularity._stay_table_kind,
@@ -306,33 +307,24 @@ def test_mixed_rows_at_scale():
     assert_matches_reference(G, seed=1, budget=1)
 
 
-def spy_on_kind(monkeypatch):
-    """The (nodes, table kind) answers of _stay_table_kind in one run."""
-    kind, answers = modularity._stay_table_kind, []
-
-    def spy(nnodes, *args):
-        answers.append((nnodes, kind(nnodes, *args)))
-        return answers[-1][1]
-
-    monkeypatch.setattr(modularity, "_stay_table_kind", spy)
-    return answers
+def table_kinds(G, nodes: int) -> set[str]:
+    """The kinds of the stay tables that the levels of `nodes` nodes build
+    while G matches the reference, read from their level records."""
+    with recorded() as sink:
+        assert_matches_reference(G, seed=1, budget=1)
+    return {level["table"].split(":")[0] for level in sink.of("level")
+            if level["nodes"] == nodes and "table" in level}
 
 
-def test_stay_table_at_scale(monkeypatch):
+def test_stay_table_at_scale():
     # at d=200 level 0 soon has fewer communities than the mean degree
-    answers = spy_on_kind(monkeypatch)
-    G = sample_gnp(2000, 200 / 2000, 1)
-    assert_matches_reference(G, seed=1, budget=1)
-    assert (2000, modularity._StayTable) in answers
+    assert "dense" in table_kinds(sample_gnp(2000, 200 / 2000, 1), 2000)
 
 
-def test_slot_table_at_scale(monkeypatch):
+def test_slot_table_at_scale():
     # at d=25 level 0 keeps more communities than the mean degree
-    answers = spy_on_kind(monkeypatch)
-    G = sample_gnp(2000, 25 / 2000, 1)
-    assert_matches_reference(G, seed=1, budget=1)
-    assert (2000, modularity._SlotTable) in answers
-    assert (2000, modularity._StayTable) not in answers
+    kinds = table_kinds(sample_gnp(2000, 25 / 2000, 1), 2000)
+    assert "slots" in kinds and "dense" not in kinds
 
 
 def test_stay_table_flag_without_move_is_an_error(monkeypatch):

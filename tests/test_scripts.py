@@ -1,23 +1,25 @@
-"""Smoke runs of the instrumentation scripts under scripts/.
+"""Smoke runs of the instrumentation scripts under scripts/, and a guard
+that keeps them on gnpmod's public names.
 
-scripts/trial_profile.py wraps private library names (the stages of a
-sweep trial, the swap search and the stay table rule),
-so a refactor that renames or reshapes one of those breaks it; it runs
-here on a small graph.
-scripts/freeze_exact_corpus.py is left out: it rewrites the golden
-corpus.  scripts/appendix_sharpness.py reads the appendix report's
-thresholds and certified lower bounds.
+scripts/trial_profile.py reads the stage records of gnpmod.trace for one
+sweep trial, so its tables must be those records; it runs here on a
+small graph.  No script may name a private gnpmod attribute or call
+setattr, so that a refactor of the library's internals needs no script
+change.  scripts/freeze_exact_corpus.py is not run: it rewrites the
+golden corpus.  scripts/appendix_sharpness.py reads the appendix
+report's thresholds and certified lower bounds.
 """
 
+import ast
 import importlib.util
 import pathlib
 import re
 
 import pytest
 
-from gnpmod import bisection, modularity
-from gnpmod.graph import sample_gnp
-from gnpmod.rng import generator, trial_seed
+from gnpmod import cli
+
+from conftest import recorded
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -51,10 +53,10 @@ def test_appendix_sharpness(capsys):
     assert all(p == ("1" if z >= 2.0 else "0") for z, p in passed.items())
 
 
-def test_trial_profile_tables(capsys, monkeypatch):
+def test_trial_profile_tables(capsys):
     """One stage row per stage call of a sweep trial, in the trial's order,
-    each restart with its cut and gain-matrix fallbacks; one level row per
-    level of its Louvain run."""
+    and one level row per level of its Louvain run, each with the details
+    of the trial's records."""
     script = load("trial_profile")
     assert script.main(["--n", "200", "--d", "8", "--restarts", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -68,22 +70,61 @@ def test_trial_profile_tables(capsys, monkeypatch):
     assert all(float(wall) >= 0 and float(peak) >= 0 and float(rss) > 0
                for _, _, wall, peak, rss, _ in stages)
 
-    G = sample_gnp(200, 8 / 200, 1)
-    builds = []
-    gains = bisection._swap_gains
-    monkeypatch.setattr(bisection, "_swap_gains", lambda *a: builds.append(1) or gains(*a))
-    for r, row in enumerate(stages[5:7]):
-        builds.clear()
-        _, cut = bisection._single_local_search(G, generator(trial_seed(1, r)))
-        assert row[5] == f"cut={cut} fallbacks={len(builds)}"
-
-    rng = script.TimedRng(generator(trial_seed(1, 0)))
-    modularity._louvain_labels(G, rng)
-    sizes = [n for n, _ in rng.calls]
+    with recorded() as sink:
+        assert cli.main(["sweep", "--n", "200", "--d", "8.0", "--seed", "1",
+                         "--restarts", "2", "--exact-seed"]) == 0
+    capsys.readouterr()
+    (heuristic,), (won,) = sink.of("heuristic"), sink.of("bisection")
+    assert lines[1].endswith(
+        f" method={heuristic['method']} run={heuristic['run']} restart={won['restart']}")
+    assert [row[5] for row in stages[5:7]] == [
+        f"cut={r['cut']} fallbacks={r['fallbacks']}" for r in sink.of("restart")]
     assert stages[3][5] == f"levels={len(levels)}"
     assert [(int(nodes), int(sweeps)) for _, nodes, sweeps, *_ in levels] == [
-        (n, sizes.count(n)) for n in dict.fromkeys(sizes)]
+        (level["nodes"], level["sweeps"]) for level in sink.of("level")]
     for _, _, sweeps, _, table, sweep, ms in levels:
         assert len(ms.split("/")) == int(sweeps)
         assert (table, sweep) == ("-", "-") or (
             re.fullmatch(r"(dense|slots):\d+", table) and 1 <= int(sweep) <= int(sweeps))
+
+
+def private_uses(source: str) -> list[str]:
+    """The private gnpmod names (`<module>._name`, or `_name` imported from
+    gnpmod) that `source` reaches, and its setattr calls."""
+    tree = ast.parse(source)
+    bound = {"gnpmod"}  # names the script binds to gnpmod or its members
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gnpmod"):
+            bound |= {alias.asname or alias.name for alias in node.names}
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                      if alias.name.startswith("gnpmod")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.endswith("__"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and "setattr" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(ast.unparse(node.func))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_script_reaches_no_private_name(path):
+    assert private_uses(path.read_text()) == []
+
+
+def test_private_name_guard():
+    assert sorted(private_uses("from gnpmod import cli, modularity as m\nimport gnpmod.graph\n"
+                        "cli._sweep_trial; m._SlotTable.KIND; gnpmod.graph._row_slices\n"
+                        "from gnpmod.bisection import _swap_gains\n"
+                        "setattr(cli, 'x', 1); monkeypatch.setattr(cli, 'y', 2)\n"
+                        "cli.main; other._private; cli.__doc__\n")) == [
+        "cli._sweep_trial", "gnpmod.bisection._swap_gains", "gnpmod.graph._row_slices",
+        "m._SlotTable", "monkeypatch.setattr", "setattr"]

@@ -1,0 +1,127 @@
+"""The stage records of gnpmod.trace, against independent references.
+
+A recording sink changes no output, and `recording` unsets it however
+its block ends.  On one sweep trial, each restart's record must hold
+the cut that _single_local_search returns and the gain-matrix builds a
+_swap_gains spy counts, and each Louvain level's record the node and
+sweep counts read from the permutations its run draws.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from gnpmod import bisection, cli, modularity, trace
+from gnpmod.bisection import local_search_bisection
+from gnpmod.graph import sample_gnp
+from gnpmod.modularity import heuristic_modularity
+from gnpmod.rng import generator, trial_seed
+
+from conftest import Recorder, recorded
+
+N, D, SEED, RESTARTS = 200, 8.0, 1, 3
+
+
+class CountingRng:
+    """A generator whose `permutation` calls are logged by size: Louvain
+    draws one per sweep, of its level's node count."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes = rng, []
+
+    def permutation(self, n):
+        self.sizes.append(n)
+        return self.rng.permutation(n)
+
+
+def sweep_stdout(capsys, sink=None) -> str:
+    argv = ["sweep", "--n", "200", "--d", "8,12", "--trials", "2", "--seed", "3",
+            "--restarts", "2"]
+    if sink is None:
+        assert cli.main(argv) == 0
+    else:
+        with trace.recording(sink):
+            assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_sink_changes_no_output(capsys):
+    sink = Recorder()
+    assert sweep_stdout(capsys, sink) == sweep_stdout(capsys)
+    # 2 densities x 2 trials, each with 2 restarts
+    assert len(sink.of("sample")) == 4 and len(sink.of("restart")) == 8
+
+
+def test_recording_unsets_the_sink_when_its_block_raises():
+    outer, inner = Recorder(), Recorder()
+    with trace.recording(outer):
+        with pytest.raises(ZeroDivisionError):
+            with trace.recording(inner):
+                with trace.stage("sample") as details:
+                    details["m"] = 1
+                    1 / 0
+        sample_gnp(10, 0.5, 1)
+    sample_gnp(10, 0.5, 1)
+    assert inner.records == [("sample", {"m": 1})]  # ended, although it raised
+    assert outer.of("sample") == [{"m": sample_gnp(10, 0.5, 1).m}]
+
+
+@pytest.fixture(scope="module")
+def trial():
+    """The records of the trial `gnpmod sweep --n 200 --d 8 --seed 1
+    --restarts 3 --exact-seed` runs, and its graph."""
+    with recorded() as sink:
+        assert cli.main(["sweep", "--n", str(N), "--d", repr(D), "--seed", str(SEED),
+                         "--restarts", str(RESTARTS), "--exact-seed"]) == 0
+    return sink, sample_gnp(N, D / N, SEED)
+
+
+def test_stages_in_trial_order(trial):
+    sink, G = trial
+    outer = [name for name, _ in sink.records if name not in ("level", "sweep")]
+    assert outer == ["sample", "components", "score_definition", "louvain",
+                     "score_definition", "heuristic", "restart", "restart", "restart",
+                     "bisection", "score_edge_form"]
+    assert sink.of("sample") == [{"m": G.m}]
+
+
+def test_restarts_match_the_search_and_a_gain_matrix_spy(trial, monkeypatch):
+    sink, G = trial
+    builds, gains = [], bisection._swap_gains
+    monkeypatch.setattr(bisection, "_swap_gains", lambda *a: builds.append(1) or gains(*a))
+    want, sides = [], []
+    for r in range(RESTARTS):
+        builds.clear()
+        side, cut = bisection._single_local_search(G, generator(trial_seed(SEED, r)))
+        want.append({"cut": cut, "fallbacks": len(builds)})
+        sides.append(bisection._canonical_side(side, G.n))
+    assert sink.of("restart") == want
+    assert any(w["fallbacks"] for w in want)  # the spy's count is put to the test
+    (won,) = sink.of("bisection")
+    assert np.array_equal(sides[won["restart"]],
+                          local_search_bisection(G, seed=SEED, restarts=RESTARTS).S)
+
+
+def test_levels_match_the_drawn_permutations(trial):
+    sink, G = trial
+    rng = CountingRng(generator(trial_seed(SEED, 0)))
+    modularity._louvain_labels(G, rng)
+    nodes = list(dict.fromkeys(rng.sizes))
+    levels = sink.of("level")
+    assert [(level["nodes"], level["sweeps"]) for level in levels] == [
+        (n, rng.sizes.count(n)) for n in nodes]
+    assert sink.of("louvain") == [{"levels": len(nodes)}]
+    assert len(sink.of("sweep")) == len(rng.sizes)
+    assert sink.of("sweep")[-1] == {"moved": 0}  # a level ends on a sweep without moves
+    for level in levels:
+        assert "table" not in level or (
+            re.fullmatch(r"(dense|slots):\d+", level["table"])
+            and 1 <= level["before_sweep"] <= level["sweeps"])
+
+
+def test_heuristic_winner(trial):
+    sink, G = trial
+    best = heuristic_modularity(G, seed=SEED, budget=1)
+    (won,) = sink.of("heuristic")
+    assert won == {"method": best.method, "run": 0 if best.method == "heuristic" else None}
