@@ -130,20 +130,19 @@ def _canonical_side(side: np.ndarray, n: int) -> np.ndarray:
     return side if 2 * np.count_nonzero(side) > n else ~side
 
 
-def _swap_gains(G: Graph, D: np.ndarray, cand_a: np.ndarray,
-                cand_b: np.ndarray) -> np.ndarray:
-    """gain[i, j] = D[a] + D[b] - 2*[a~b] for a = cand_a[i], b = cand_b[j],
-    with the adjacent pairs found from the CSR rows of cand_a."""
-    gain = D[cand_a][:, None] + D[cand_b][None, :]
+def _swap_gains(G: Graph, cand_a: np.ndarray, Da: np.ndarray, cand_b: np.ndarray,
+                Db: np.ndarray) -> np.ndarray:
+    """gain[i, j] = Da[i] + Db[j] - 2*[a~b] for a = cand_a[i], b = cand_b[j]
+    (Da, Db: their D values), with the adjacent pairs found from the CSR
+    rows of cand_a.  cand_b must be ascending."""
+    gain = Da[:, None] + Db[None, :]
     starts = G.indptr[cand_a]
     counts = G.indptr[cand_a + 1] - starts
     # positions of every neighbour of every candidate a, row after row
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     nbrs = G.indices[np.repeat(starts, counts) + offsets]
-    col = np.full(G.n, -1, dtype=np.int64)
-    col[cand_b] = np.arange(len(cand_b))
-    cols = col[nbrs]
-    hit = cols >= 0
+    cols = np.minimum(np.searchsorted(cand_b, nbrs), len(cand_b) - 1)
+    hit = cand_b[cols] == nbrs
     gain[np.repeat(np.arange(len(cand_a)), counts)[hit], cols[hit]] -= 2
     return gain
 
@@ -160,7 +159,16 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
     no earlier row or column does, so it is the first maximum.  Only
     when they are adjacent is the gain matrix over the vertices within 2
     of each side's largest D built, as only they can host the best
-    swap."""
+    swap.
+
+    DS holds D on the S side and DT on the other; each holds a sentinel
+    far below any D (-2^40) at the other side's vertices.  A swap
+    updates both only on the two swapped vertices' CSR rows, so it costs
+    two argmax and O(degree) work.  An entry whose vertex is on the
+    other side moves by at most 4 per swap (+-2 for each swapped
+    neighbour), and each swap lowers the cut, so there are no more swaps
+    than the first cut, at most m: a sentinel stays within 4m of its
+    start, below every D in [-n, n] while 4m + n < 2^40."""
     with trace.stage("restart") as record:
         n = G.n
         perm = rng.permutation(n)
@@ -171,33 +179,34 @@ def _single_local_search(G: Graph, rng) -> tuple[np.ndarray, int]:
         D = G.degrees - 2 * inner
         cut = (len(G.indices) - int(inner.sum())) // 2
         neg = np.int64(-(1 << 40))
-        fallbacks = 0  # gain matrices built
+        DS, DT = np.where(side, D, neg), np.where(side, neg, D)
+        fallbacks = swaps = 0  # gain matrices built, swaps made
         while True:
-            DS = np.where(side, D, neg)
-            DT = np.where(side, neg, D)
             a, b = int(DS.argmax()), int(DT.argmax())
-            if D[a] + D[b] <= 0:
+            if DS[a] + DT[b] <= 0:
                 break
             row = G.indices[G.indptr[a]:G.indptr[a + 1]]
             k = int(np.searchsorted(row, b))
             if k < len(row) and row[k] == b:
-                cand_a = np.nonzero(DS >= D[a] - 2)[0]
-                cand_b = np.nonzero(DT >= D[b] - 2)[0]
+                cand_a = np.nonzero(DS >= DS[a] - 2)[0]
+                cand_b = np.nonzero(DT >= DT[b] - 2)[0]
                 fallbacks += 1
-                gain = _swap_gains(G, D, cand_a, cand_b)
+                gain = _swap_gains(G, cand_a, DS[cand_a], cand_b, DT[cand_b])
                 best = int(np.argmax(gain))
                 if gain.flat[best] <= 0:
                     break
                 i, j = divmod(best, len(cand_b))
                 a, b = int(cand_a[i]), int(cand_b[j])
-            for x in (a, b):
-                cut -= int(D[x])
+            swaps += 1
+            # x leaves its side: its neighbours there gain 2, those across lose 2
+            for x, mine, other in ((a, DS, DT), (b, DT, DS)):
+                cut -= int(mine[x])
                 ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
-                same = side[ns] == side[x]
-                D[ns] += np.where(same, 2, -2)
-                D[x] = -D[x]
+                mine[ns] += 2
+                other[ns] -= 2
+                other[x], mine[x] = -mine[x], neg
                 side[x] = not side[x]
-        record.update(cut=cut, fallbacks=fallbacks)
+        record.update(cut=cut, fallbacks=fallbacks, swaps=swaps)
     return side, cut
 
 

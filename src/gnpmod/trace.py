@@ -5,10 +5,11 @@ components, score_definition, score_edge_form, heuristic (the winning
 method and Louvain run), louvain (levels), level (nodes, sweeps, stay
 table kind:width and the sweep it was built before), sweep (moved),
 bisection (the winning restart) and restart (cut, gain-matrix
-fallbacks).  Inside `recording(sink)` a stage calls `sink.begin(name)`
-as it starts and `sink.end(name, wall_s, details)` as it ends or raises.
-The library only writes details, so a sink never changes a result.  The
-sink is set in this context only: `sweep --jobs` workers record nothing.
+fallbacks, swaps).  Inside `recording(sink)` a stage calls
+`sink.begin(name)` as it starts and `sink.end(name, wall_s, details)` as
+it ends or raises.  The library only writes details, so a sink never
+changes a result.  The sink is set in this context only: `sweep --jobs`
+workers record nothing.
 """
 
 import contextlib

@@ -34,9 +34,10 @@ label-propagation components must give the same arrays and sets.
 restarts, on sorted member tuples: the library compares the boolean
 sides directly and must pick the same cut and S.  `local_search_matrix`
 is one restart that picks every swap from the full gain matrix of the
-candidate vertices, as the library did before it tried the two sides'
-first maxima alone; the library's restart must end at the same side and
-cut.
+candidate vertices, rebuilding each side's D from the whole D array at
+every swap, as the library did before it tried the two sides' first
+maxima alone and kept each side's D in place; the library's restart must
+end at the same side and cut after the same number of swaps.
 """
 
 import math
@@ -111,18 +112,18 @@ def best_restart(n: int, runs) -> tuple[int, tuple[int, ...]]:
     return min(keys)
 
 
-def local_search_matrix(G, rng) -> tuple[np.ndarray, int]:
-    """(side, cut) of one local-search restart that picks every swap
-    from the full gain matrix gain[i, j] = D[a] + D[b] - 2*[a~b] over
-    the vertices a, b within 2 of their side's largest D, taking its
-    first maximum, until no gain is positive."""
+def local_search_matrix(G, rng) -> tuple[np.ndarray, int, int]:
+    """(side, cut, swaps) of one local-search restart that picks every
+    swap from the full gain matrix gain[i, j] = D[a] + D[b] - 2*[a~b]
+    over the vertices a, b within 2 of their side's largest D, taking
+    its first maximum, until no gain is positive."""
     n = G.n
     u, v = G.edges[:, 0] - 1, G.edges[:, 1] - 1
     perm = rng.permutation(n)
     side = np.zeros(n, dtype=bool)
     side[perm[: (n + 1) // 2]] = True
     if G.m == 0:
-        return side, 0
+        return side, 0, 0
     cross = side[u] != side[v]
     sign = np.where(cross, 1, -1)
     D = np.zeros(n, dtype=np.int64)
@@ -130,6 +131,7 @@ def local_search_matrix(G, rng) -> tuple[np.ndarray, int]:
     np.add.at(D, v, sign)
     cut = int(cross.sum())
     neg = np.int64(-(1 << 40))
+    swaps = 0
     while True:
         DS = np.where(side, D, neg)
         DT = np.where(side, neg, D)
@@ -143,6 +145,7 @@ def local_search_matrix(G, rng) -> tuple[np.ndarray, int]:
         if gain.flat[best] <= 0:
             break
         i, j = divmod(best, len(cand_b))
+        swaps += 1
         for x in (int(cand_a[i]), int(cand_b[j])):
             cut -= int(D[x])
             ns = G.indices[G.indptr[x]:G.indptr[x + 1]]
@@ -150,7 +153,7 @@ def local_search_matrix(G, rng) -> tuple[np.ndarray, int]:
             D[ns] += np.where(same, 2, -2)
             D[x] = -D[x]
             side[x] = not side[x]
-    return side, cut
+    return side, cut, swaps
 
 
 def enumerate_partitions_rgs(n: int):

@@ -135,11 +135,26 @@ class TestLocalSearch:
         assert sum(vals) / len(vals) < 0.0
 
 
-def same_restart(G, seed: int) -> None:
-    got = _single_local_search(G, generator(seed))
-    want = oracles.local_search_matrix(G, generator(seed))
-    assert got[1] == want[1]
-    assert np.array_equal(got[0], want[0])
+def same_restart(G, seed: int) -> dict:
+    """Check one restart's side, cut and swap count against the matrix
+    oracle; return its stage record."""
+    with recorded() as sink:
+        side, cut = _single_local_search(G, generator(seed))
+    want_side, want_cut, want_swaps = oracles.local_search_matrix(G, generator(seed))
+    (restart,) = sink.of("restart")
+    assert cut == restart["cut"] == want_cut
+    assert restart["swaps"] == want_swaps
+    assert np.array_equal(side, want_side)
+    return restart
+
+
+def shortcut_counts(p: float) -> tuple[int, int]:
+    """(swaps, fallbacks) of the first corridor restart on G(4000, p)."""
+    G = sample_gnp(4000, p, 1)
+    with recorded() as sink:
+        _single_local_search(G, generator(trial_seed(1, 0)))
+    (restart,) = sink.of("restart")
+    return restart["swaps"], restart["fallbacks"]
 
 
 class TestSwapSelection:
@@ -153,6 +168,15 @@ class TestSwapSelection:
         G = sample_gnp(n, p, graph_seed)
         for seed in seeds:
             same_restart(G, seed)
+
+    @pytest.mark.parametrize("n,p", [(300, 0.3), (1000, 0.1), (2000, 0.1)])
+    def test_large_gnp_matches_matrix_reference(self, n, p):
+        # 59 to 462 swaps and 18 to 53 gain matrices a restart, while the sentinels
+        # of both sides' D arrays drift with every swap
+        G = sample_gnp(n, p, n)
+        restarts = [same_restart(G, seed) for seed in range(3)]
+        assert min(restart["swaps"] for restart in restarts) >= 50
+        assert min(restart["fallbacks"] for restart in restarts) >= 10
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 40), st.data(), st.integers(0, 2**32 - 1),
@@ -171,28 +195,23 @@ class TestSwapSelection:
         # split, so each restart builds the matrix at least once
         G = Graph(n, list(itertools.combinations(range(1, n + 1), 2)))
         for seed in range(5):
-            with recorded() as sink:
-                same_restart(G, seed)
-            (restart,) = sink.of("restart")
-            assert restart["fallbacks"] >= 1
+            assert same_restart(G, seed)["fallbacks"] >= 1
 
     @pytest.mark.parametrize("a,b", [(1, 1), (1, 5), (2, 3), (3, 3), (4, 7), (10, 10), (6, 15)])
     def test_complete_bipartite_uses_the_matrix(self, a, b):
         G = Graph(a + b, [(i, j) for i in range(1, a + 1) for j in range(a + 1, a + b + 1)])
-        with recorded() as sink:
-            for seed in range(10):
-                same_restart(G, seed)
-        assert sum(restart["fallbacks"] for restart in sink.of("restart")) >= 1
+        assert sum(same_restart(G, seed)["fallbacks"] for seed in range(10)) >= 1
 
     def test_shortcut_skips_the_matrix(self):
         # outputs stay the same if the shortcut stops firing, so count: the
-        # full matrix would be built at each of this restart's 697 swaps,
-        # and the two sides' first maxima are adjacent at 12 of them
-        G = sample_gnp(4000, 25 / 4000, 1)
-        with recorded() as sink:
-            _single_local_search(G, generator(trial_seed(1, 0)))
-        (restart,) = sink.of("restart")
-        assert 1 <= restart["fallbacks"] <= 20
+        # full matrix would be built at each of this restart's 696 swaps and
+        # at its final check, and the two sides' first maxima are adjacent
+        # at 12 of those
+        assert shortcut_counts(25 / 4000) == (696, 12)
+
+    def test_shortcut_skips_the_matrix_on_a_dense_graph(self):
+        # the corridor-d400 graph: fallbacks are about one swap in nine
+        assert shortcut_counts(0.1) == (959, 108)
 
 
 class TestErrorDecomposition:

@@ -78,7 +78,8 @@ def test_trial_profile_tables(capsys):
     assert lines[1].endswith(
         f" method={heuristic['method']} run={heuristic['run']} restart={won['restart']}")
     assert [row[5] for row in stages[5:7]] == [
-        f"cut={r['cut']} fallbacks={r['fallbacks']}" for r in sink.of("restart")]
+        f"cut={r['cut']} fallbacks={r['fallbacks']} swaps={r['swaps']}"
+        for r in sink.of("restart")]
     assert stages[3][5] == f"levels={len(levels)}"
     assert [(int(nodes), int(sweeps)) for _, nodes, sweeps, *_ in levels] == [
         (level["nodes"], level["sweeps"]) for level in sink.of("level")]

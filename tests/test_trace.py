@@ -2,9 +2,10 @@
 
 A recording sink changes no output, and `recording` unsets it however
 its block ends.  On one sweep trial, each restart's record must hold
-the cut that _single_local_search returns and the gain-matrix builds a
-_swap_gains spy counts, and each Louvain level's record the node and
-sweep counts read from the permutations its run draws.
+the cut that _single_local_search returns, the gain-matrix builds a
+_swap_gains spy counts and the swaps oracles.local_search_matrix makes,
+and each Louvain level's record the node and sweep counts read from the
+permutations its run draws.
 """
 
 import re
@@ -18,6 +19,7 @@ from gnpmod.graph import sample_gnp
 from gnpmod.modularity import heuristic_modularity
 from gnpmod.rng import generator, trial_seed
 
+import oracles
 from conftest import Recorder, recorded
 
 N, D, SEED, RESTARTS = 200, 8.0, 1, 3
@@ -94,10 +96,12 @@ def test_restarts_match_the_search_and_a_gain_matrix_spy(trial, monkeypatch):
     for r in range(RESTARTS):
         builds.clear()
         side, cut = bisection._single_local_search(G, generator(trial_seed(SEED, r)))
-        want.append({"cut": cut, "fallbacks": len(builds)})
+        _, _, swaps = oracles.local_search_matrix(G, generator(trial_seed(SEED, r)))
+        want.append({"cut": cut, "fallbacks": len(builds), "swaps": swaps})
         sides.append(bisection._canonical_side(side, G.n))
     assert sink.of("restart") == want
     assert any(w["fallbacks"] for w in want)  # the spy's count is put to the test
+    assert all(w["swaps"] for w in want)
     (won,) = sink.of("bisection")
     assert np.array_equal(sides[won["restart"]],
                           local_search_bisection(G, seed=SEED, restarts=RESTARTS).S)
