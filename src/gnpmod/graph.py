@@ -17,23 +17,27 @@ sorted unique indices of its pairs in the lexicographic order (1,2),
 (1,3), ..., (n-1,n): `Graph(n, pairs)` validates, sorts and dedups its
 input first, while `sample_gnp`, whose draw yields exactly those
 indices, hands them over directly.  The draw is streamed, SAMPLE_CHUNK
-uniforms at a time, and keeps only the indices of the pairs it accepts.
+uniforms at a time, and keeps only the indices of the pairs it accepts,
+in one buffer with room for 2m entries; the builder fills the CSR's
+indices into that same buffer over the keys it has read.
 
 Every O(m) pass over a graph (the CSR build, component labels, the
 per-vertex counts behind the scores and the bisection's degrees) reads
 its input in slices of about CSR_SLICE entries (see _row_slices), so
 besides the CSR's own 16 bytes an edge its temporaries are O(n +
-CSR_SLICE).  `sample_gnp` peaks at 25-30 bytes per kept edge, most of
-it the 8 of the accepted pair indices and the 16 of the CSR it fills
-from them (tracemalloc: 22.8 MiB for the 800 000 edges of n = 4000,
-p = 0.1).  Connected components are found by min-label propagation over
-the CSR rows, so no step loops over vertices in Python.
+CSR_SLICE).  So `sample_gnp` peaks at 16-21 bytes per kept edge: the
+16 of the CSR, which holds the pair indices until it replaces them, plus
+one chunk of uniforms and the build's slices (tracemalloc: 16.2 MiB for
+the 800 000 edges of n = 4000, p = 0.1; 157.5 MiB for the 10^7 of
+n = 10 000, p = 0.2).  Connected components are found by min-label
+propagation over the CSR rows, so no step loops over vertices in Python.
 
 A vertex subset S is a boolean array of length n, S[v-1] for vertex v.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -45,15 +49,15 @@ from .rng import generator
 
 # Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
 # is the largest accepted size.  The streamed draw holds one chunk of
-# uniforms plus 25-30 bytes per kept edge (tracemalloc peak, 16 of them
-# in the finished Graph), so the cap no longer bounds memory, only the
+# uniforms plus 16-21 bytes per kept edge (tracemalloc peak, 16 of them
+# the finished Graph's CSR), so the cap no longer bounds memory, only the
 # draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
 # 2-vCPU box.
 MAX_PAIRS = 50_000_000
 # Largest expected edge count p n(n-1)/2 that sample_gnp draws.  At about
-# 25 bytes per kept edge at this size (234 MiB traced for the 10^7 edges
-# of n = 10 000, p = 0.2) the draw's peak stays under 300 MiB; the drawn
-# m exceeds its expectation by more than a few standard deviations
+# 16.5 bytes per kept edge at this size (157.5 MiB traced for the 10^7
+# edges of n = 10 000, p = 0.2) the draw's peak stays under 200 MiB; the
+# drawn m exceeds its expectation by more than a few standard deviations
 # sqrt(m (1-p)) (about 3 500 edges here) only with negligible probability.
 MAX_EXPECTED_EDGES = 12_000_000
 # Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
@@ -104,9 +108,9 @@ def _row_starts(n: int) -> np.ndarray:
 
 def _key_slices(keys: np.ndarray, rs: np.ndarray, first: np.ndarray):
     """(lo, hi, i0) of the pairs keys[i0:i0 + CSR_SLICE], one slice at a
-    time, with rs = _row_starts(n) and keys[first[r]:first[r+1]] the
-    pairs with lo = r."""
-    for i0 in range(0, len(keys), CSR_SLICE):
+    time from the last to the first, with rs = _row_starts(n) and
+    keys[first[r]:first[r+1]] the pairs with lo = r."""
+    for i0 in reversed(range(0, len(keys), CSR_SLICE)):
         i1 = min(i0 + CSR_SLICE, len(keys))
         a = int(np.searchsorted(first, i0, side="right")) - 1
         b = int(np.searchsorted(first, i1 - 1, side="right"))
@@ -152,30 +156,43 @@ class Graph:
         lo = np.minimum(u, v).astype(np.int64) - 1
         hi = np.maximum(u, v).astype(np.int64) - 1
         keys = np.sort(_row_starts(n)[lo] + hi - lo - 1)
-        self._build(n, keys[np.diff(keys, prepend=-1) != 0])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        m = len(keys)
+        buf = np.empty(2 * m, dtype=np.int64)
+        buf[:m] = keys
+        del keys
+        self._build(n, buf, m)
 
     @classmethod
-    def _from_pair_indices(cls, n: int, keys: np.ndarray) -> "Graph":
-        """Trusted constructor: the int64 indices of the edges among the
-        n(n-1)/2 pairs in lexicographic order, ascending and unique, skip
-        validation and sorting."""
+    def _from_pair_indices(cls, n: int, buf: np.ndarray, m: int) -> "Graph":
+        """Trusted constructor: buf[:m] holds the int64 indices of the
+        edges among the n(n-1)/2 pairs in lexicographic order, ascending
+        and unique, and buf has room for 2m entries; skips validation and
+        sorting, and takes buf over."""
         G = cls.__new__(cls)
-        G._build(n, keys)
+        G._build(n, buf, m)
         return G
 
-    def _build(self, n: int, keys: np.ndarray) -> None:
-        """Set the CSR from the ascending unique pair indices `keys`.
+    def _build(self, n: int, buf: np.ndarray, m: int) -> None:
+        """Set the CSR from the ascending unique pair indices buf[:m],
+        filling it into buf[:2m] in place.
 
         Row r of the CSR is the lo's of the edges with hi = r, then the
         hi's of the edges with lo = r, both ascending.  The keys are read
-        twice, CSR_SLICE at a time: once to count each row's smaller
-        neighbours, once to fill the rows.  Key i with lo = r is the
-        (i - first[r])-th of r's larger neighbours.  Each slice hands its
-        lo's to their rows sorted by hi * n + lo, and lo never falls from
-        one slice to the next, so each row's smaller neighbours arrive in
-        ascending order; nxt[r] is where row r's next one goes.
+        twice, CSR_SLICE at a time from the last to the first: once to
+        count each row's smaller neighbours, once to fill the rows.  Key i
+        with lo = r is the (i - first[r])-th of r's larger neighbours and
+        goes to indptr[r] + n_hi[r] + i - first[r] >= i, as indptr[r] >=
+        first[r]; as a smaller neighbour it goes to row hi at or after
+        indptr[hi] >= first[hi] > i.  So a slice writes only at or after
+        its own first key, over keys already read, and the CSR takes the
+        keys' place with no second array of 2m entries beside them.  Each
+        slice hands its lo's to their rows sorted by hi * n + lo, and lo
+        never rises from one slice to the next, so each row's smaller
+        neighbours arrive in descending runs that are each ascending;
+        end[r] is where the run last placed in row r begins.
         """
-        m = len(keys)
+        keys = buf[:m]
         rs = _row_starts(n)
         # the keys of the edges with lo = r are keys[first[r]:first[r+1]]
         first = np.searchsorted(keys, rs)
@@ -186,19 +203,19 @@ class Graph:
         degrees = n_lo + n_hi
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        indices = np.empty(2 * m, dtype=np.int64)
+        indices = buf[:2 * m]
         upper = indptr[:-1] + n_hi - first[:-1]
-        nxt = indptr[:-1].copy()
+        end = indptr[:-1] + n_hi
         for lo, hi, i0 in _key_slices(keys, rs, first):
             indices[upper[lo] + np.arange(i0, i0 + len(lo))] = hi
             hs, ls = np.divmod(np.sort(hi * n + lo), n)
             starts = np.flatnonzero(np.diff(hs, prepend=-1))
             runs = np.diff(starts, append=len(hs))
-            indices[nxt[hs] + np.arange(len(hs)) - np.repeat(starts, runs)] = ls
-            nxt[hs[starts]] += runs
+            end[hs[starts]] -= runs
+            indices[end[hs] + np.arange(len(hs)) - np.repeat(starts, runs)] = ls
         self.n = n
         self.indptr = _frozen(indptr)
-        self.indices = _frozen(indices)
+        self.indices = _frozen(buf)[:2 * m]
         self.degrees = _frozen(degrees)
 
     @property
@@ -246,6 +263,15 @@ class EdgeCounts:
     vol_Sbar: int
 
 
+def _edge_capacity(npairs: int, p: float) -> int:
+    """How many pair indices sample_gnp makes room for before its draw:
+    the expected edge count p npairs plus eight of its standard
+    deviations, at most npairs.  A draw that keeps more grows its buffer
+    by a copy."""
+    mean = p * npairs
+    return min(npairs, math.ceil(mean + 8 * math.sqrt(mean * (1 - p))))
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n,p): each of the n(n-1)/2 vertex pairs is an edge
     independently with probability p.
@@ -255,9 +281,10 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     an edge iff the t-th uniform of the seed's stream is below p, so
     samples are bit-reproducible.  The uniforms are drawn SAMPLE_CHUNK at
     a time, which leaves the stream unchanged, and only the accepted pair
-    indices are kept.  More than MAX_PAIRS pairs, or more than
-    MAX_EXPECTED_EDGES expected edges, raise CapExceeded before anything
-    is allocated.
+    indices are kept, appended to one int64 buffer with room for twice
+    _edge_capacity of them, in which Graph._build then lays out the CSR.
+    More than MAX_PAIRS pairs, or more than MAX_EXPECTED_EDGES expected
+    edges, raise CapExceeded before anything is allocated.
     """
     if n < 1:
         raise ValidationError(f"n={n} must be a positive integer")
@@ -274,9 +301,19 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
             G = Graph(n, [])
         else:
             rng = generator(seed)
-            G = Graph._from_pair_indices(n, np.concatenate([
-                np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p) + start
-                for start in range(0, npairs, SAMPLE_CHUNK)]))
+            cap = _edge_capacity(npairs, p)
+            buf = np.empty(2 * cap, dtype=np.int64)
+            m = 0
+            for start in range(0, npairs, SAMPLE_CHUNK):
+                hits = np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p)
+                if m + len(hits) > cap:
+                    cap = min(npairs, max(2 * cap, m + len(hits)))
+                    grown = np.empty(2 * cap, dtype=np.int64)
+                    grown[:m] = buf[:m]
+                    buf = grown
+                np.add(hits, start, out=buf[m:m + len(hits)])
+                m += len(hits)
+            G = Graph._from_pair_indices(n, buf, m)
         record["m"] = G.m
     return G
 

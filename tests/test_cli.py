@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from gnpmod import bounds, cli, concentration, modularity
+from gnpmod import bisection, bounds, cli, concentration, modularity
 from gnpmod.cli import main
+from gnpmod.errors import ValidationError
 from gnpmod.graph import read_edge_list, sample_gnp
 from gnpmod.spectral import normalized_laplacian
 
@@ -249,6 +250,28 @@ class TestSweep:
     def test_needs_d(self, capsys):
         code, _ = run(capsys, "sweep", "--n", "60", "--trials", "1", "--p", "0.1")
         assert code == 2
+
+    def test_trial_without_edges_scores_zero(self, capsys):
+        """At n = 3, d = 1 the second trial draws no edges.  Its row scores
+        0 on both, score_definition's zero-edge convention, where the
+        library's heuristic and certificate refuse the graph; the first
+        trial's row keeps the library's scores."""
+        code, out = run(capsys, "sweep", "--n", "3", "--d", "1", "--trials", "2")
+        assert code == 0
+        rows = [r.split(",") for r in data_rows(out)[1:]]
+        graphs = [(sample_gnp(3, 1 / 3, int(r[2])), int(r[2])) for r in rows]
+        assert [G.m for G, _ in graphs] == [3, 0]
+        G, seed = graphs[0]
+        assert rows[0][3:5] == [
+            repr(modularity.heuristic_modularity(G, seed=seed, budget=1).score),
+            repr(bisection.bisection_modularity_certificate(G, seed=seed, restarts=10).score)]
+        assert rows[1][3:5] == ["0.0", "0.0"]
+        assert out.splitlines()[-1] == "# aggregate d=1.0 mean_heuristic=0.0 se=0.0"
+        G, seed = graphs[1]
+        with pytest.raises(ValidationError, match="at least one edge"):
+            modularity.heuristic_modularity(G, seed=seed, budget=1)
+        with pytest.raises(ValidationError, match="at least one edge"):
+            bisection.bisection_modularity_certificate(G, seed=seed, restarts=10)
 
 
 class TestConfigFile:

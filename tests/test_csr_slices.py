@@ -74,16 +74,43 @@ def test_slices_follow_the_patch(slice_):
     assert rows[-1][1] == G.n
     for r0, r1 in rows:
         assert G.indptr[r1] - G.indptr[r0] <= slice_ or r1 == r0 + 1
-    assert [i0 for *_, i0 in pairs] == list(range(0, G.m, slice_))
-    lo = np.concatenate([lo for lo, _, _ in pairs])
-    hi = np.concatenate([hi for _, hi, _ in pairs])
+    # last slice first, so the in-place build writes only over keys it has read
+    assert [i0 for *_, i0 in pairs] == list(range(0, G.m, slice_))[::-1]
+    lo = np.concatenate([lo for lo, _, _ in pairs[::-1]])
+    hi = np.concatenate([hi for _, hi, _ in pairs[::-1]])
     assert np.array_equal(np.column_stack((lo, hi)) + 1, G.edges)
+
+
+def complete(n):
+    return n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+
+
+def bipartite(a, b):
+    """K_{a,b} with the side of a vertices first."""
+    return a + b, [(u, v) for u in range(1, a + 1) for v in range(a + 1, a + b + 1)]
+
+
+# Cases the in-place build must get right under every slice: n <= 2;
+# complete graphs, where every pair is a key; graphs whose first rows have
+# no smaller neighbours, so their larger ones land on their own keys'
+# slots (indptr[r] + n_hi[r] - first[r] counts the edges among vertices
+# 1..r+1): vertex 1 of K_n, the first side of K_{a,b}; isolated vertices
+# first, last and between edges.
+EDGE_CASES = [(1, []), (2, []), (2, [(1, 2)]), (5, []), complete(3), complete(9),
+              complete(30), bipartite(4, 7), bipartite(10, 1),
+              (12, [(2, 3), (2, 7), (3, 7), (5, 9), (9, 11)]), (10, [(1, 10)])]
+
+
+def every_edge_case(test):
+    for case in EDGE_CASES:
+        for slice_ in SLICES:
+            test = example(case=case, slice_=slice_)(test)
+    return test
 
 
 @PER_CASE
 @given(case=graphs(), slice_=st.sampled_from(SLICES))
-@example(case=(1, []), slice_=1)
-@example(case=(5, []), slice_=2)
+@every_edge_case
 def test_sliced_build_matches_lexsort(case, slice_):
     n, edges = case
     rng = np.random.default_rng(len(edges))
@@ -110,6 +137,22 @@ def test_sliced_sample_matches_lexsort(n, p, seed, slice_):
     indptr, indices = oracles.csr_lexsort(n, oracles.gnp_edges_triu(n, p, seed))
     assert np.array_equal(G.indptr, indptr)
     assert np.array_equal(G.indices, indices)
+
+
+@pytest.mark.parametrize("n, p, seed", [(1, 0.5, 0), (2, 1.0, 0), (30, 1.0, 0),
+                                        (40, 0.05, 3), (60, 0.3, 1), (200, 0.01, 2)])
+@pytest.mark.parametrize("capacity", [1, 5])
+def test_buffer_growth_matches_unpatched_draw(n, p, seed, capacity):
+    """A draw that keeps more edges than sample_gnp made room for grows
+    its pair-index buffer, several times over across chunks of 7 pairs,
+    and still gives the graph of the unpatched draw."""
+    want = sample_gnp(n, p, seed)
+    with mock.patch.object(graph, "_edge_capacity", lambda npairs, p: capacity), \
+            mock.patch.object(graph, "SAMPLE_CHUNK", 7), sliced(7):
+        G = sample_gnp(n, p, seed)
+    assert G == want
+    assert np.array_equal(G.degrees, want.degrees)
+    assert not G.indices.flags.writeable
 
 
 @PER_CASE
@@ -159,10 +202,12 @@ def test_sliced_restart_matches_matrix_reference(case, slice_, seeds):
 
 # ---------------------------------------------------------------------------
 # Memory on G(4000, p=0.1): 800 000 edges, 1.6 million CSR entries, 12.2 MiB
-# of CSR indices.  Measured: the draw peaked at 22.8 MiB (62.0 when it
-# built the CSR from whole lo/hi arrays and an argsort), the passes below
-# at 0.7-1.7 MiB each (12.4 for component_roots' whole-CSR gather, 25.9
-# for each score and each restart).
+# of CSR indices.  Measured: the draw peaked at 16.2 MiB with the CSR built
+# in place over the drawn pair indices (22.1 with a second array of them
+# beside the CSR, 62.0 when it built the CSR from whole lo/hi arrays and
+# an argsort), the passes below at 0.7-1.7 MiB each (12.4 for
+# component_roots' whole-CSR gather, 25.9 for each score and each
+# restart).
 
 
 def traced_peak_mib(fn, *args, **kwargs) -> float:
@@ -181,7 +226,7 @@ def corridor():
 
 
 def test_sample_memory():
-    assert traced_peak_mib(sample_gnp, 4000, 0.1, 1) <= 32
+    assert traced_peak_mib(sample_gnp, 4000, 0.1, 1) <= 18
 
 
 def test_edges_memory(corridor):
