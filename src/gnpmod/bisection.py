@@ -255,10 +255,9 @@ def bisection_modularity_certificate(G: Graph, seed: int = 0,
 
     Any partition's score lower-bounds the modularity; when the
     bisection scores below 0 the trivial partition (score 0) is the
-    better certificate and is returned instead.
+    better certificate and is returned instead.  On a graph without
+    edges the bisection scores 0, the zero-edge convention of the scores.
     """
-    if G.m < 1:
-        raise ValidationError("certificate needs at least one edge")
     bis = local_search_bisection(G, seed=seed, restarts=restarts)
     P = bis.partition()
     score = score_edge_form(G, P)

@@ -210,13 +210,8 @@ def cmd_certificate(args: argparse.Namespace) -> int:
 def _sweep_trial(args: tuple) -> tuple:
     n, d, tseed, restarts = args
     G = sample_gnp(n, d / n, tseed)
-    # a trial that drew no edges scores 0 on both, the zero-edge convention
-    # of score_definition; the library's heuristic and certificate refuse it
-    h = c = 0.0
-    if G.m:
-        h = modularity.heuristic_modularity(G, seed=tseed, budget=1).score
-        c = bisection.bisection_modularity_certificate(
-            G, seed=tseed, restarts=restarts).score
+    h = modularity.heuristic_modularity(G, seed=tseed, budget=1).score
+    c = bisection.bisection_modularity_certificate(G, seed=tseed, restarts=restarts).score
     rep = bounds.bound_report(n, d)
     return (n, d, tseed, h, c, rep.upper_main, rep.lower_Pstar, rep.spectral_upper)
 

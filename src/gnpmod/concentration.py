@@ -18,9 +18,9 @@ event.  The thresholds are evaluated once per k in double precision and
 compared with strict inequality against exact integer edge counts; each
 chunk of subsets is added with four bincounts, and the small, middle and
 large regime rows are read off the table.  The exhaustive check feeds
-it every nonempty proper subset, EXHAUSTIVE_CHUNK masks at a time, up to
-the fixed ceiling n = EXHAUSTIVE_CAP; the sampled check feeds it one
-batch of SAMPLE_BATCH random subsets at a time.
+it every nonempty proper subset, modularity.EXACT_CELLS masks at a
+time, up to the fixed ceiling n = EXHAUSTIVE_CAP; the sampled check
+feeds it one batch of SAMPLE_BATCH random subsets at a time.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import modularity
 from .bounds import C_MIN_MAIN, LN2_PLUS_001
 from .errors import CapExceeded, ValidationError, require_reals, require_scalars
 from .graph import Graph, subset_edges
 from .rng import generator, trial_seed
 
 EXHAUSTIVE_CAP = 24
-EXHAUSTIVE_CHUNK = 1 << 16
 SAMPLE_BATCH = 512
 
 
@@ -339,7 +339,7 @@ def default_size_schedule(n: int) -> list[int]:
 
 def check_lemma32_events_exhaustive(G: Graph, C: float, d: float) -> EventCheckResult:
     """Check the three events for every nonempty proper subset of V,
-    EXHAUSTIVE_CHUNK masks at a time."""
+    modularity.EXACT_CELLS masks at a time."""
     require_reals(C=C, d=d)
     n = G.n
     if n > EXHAUSTIVE_CAP:
@@ -347,8 +347,8 @@ def check_lemma32_events_exhaustive(G: Graph, C: float, d: float) -> EventCheckR
     tally = _Tally(n, G.m, d, C)
     e_in_tab = subset_edges(G)
     full = (1 << n) - 1
-    for lo in range(1, full, EXHAUSTIVE_CHUNK):
-        masks = np.arange(lo, min(lo + EXHAUSTIVE_CHUNK, full))
+    for lo in range(1, full, modularity.EXACT_CELLS):
+        masks = np.arange(lo, min(lo + modularity.EXACT_CELLS, full))
         e_in = e_in_tab[masks]
         e_cross = G.m - e_in - e_in_tab[full ^ masks]
         tally.add(np.bitwise_count(masks), e_in, e_cross)

@@ -14,12 +14,11 @@ order, from the upper half of each row anew on every call.
 Graphs are immutable after construction and safe to share between
 parallel workers.  Every graph goes through one CSR builder fed the
 sorted unique indices of its pairs in the lexicographic order (1,2),
-(1,3), ..., (n-1,n): `Graph(n, pairs)` validates, sorts and dedups its
-input first, while `sample_gnp`, whose draw yields exactly those
-indices, hands them over directly.  The draw is streamed, SAMPLE_CHUNK
-uniforms at a time, and keeps only the indices of the pairs it accepts,
-in one buffer with room for 2m entries; the builder fills the CSR's
-indices into that same buffer over the keys it has read.
+(1,3), ..., (n-1,n), in a buffer with room for 2m entries, into which
+it fills the CSR over the keys it has read.  `Graph(n, pairs)` checks
+and encodes its pairs a slice at a time into that buffer, then sorts
+and dedups it in place; `sample_gnp`'s draw, streamed SAMPLE_CHUNK
+uniforms at a time, appends just the indices of the pairs it accepts.
 
 Every O(m) pass over a graph (the CSR build, component labels, the
 per-vertex counts behind the scores and the bisection's degrees) reads
@@ -37,6 +36,7 @@ A vertex subset S is a boolean array of length n, S[v-1] for vertex v.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -132,6 +132,13 @@ def _row_slices(indptr: np.ndarray, per_row: int = 0):
         r0 = r1
 
 
+def _check_vertex_count(n: int) -> None:
+    if n < 1:
+        raise ValidationError(f"n={n} must be a positive integer")
+    if n > MAX_VERTICES:
+        raise CapExceeded("graph vertex count n", n, MAX_VERTICES)
+
+
 class Graph:
     """Immutable simple undirected graph on vertex set {1, ..., n}.
 
@@ -140,28 +147,30 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 1:
-            raise ValidationError(f"n={n} must be a positive integer")
-        if n > MAX_VERTICES:
-            raise CapExceeded("graph vertex count n", n, MAX_VERTICES)
+        _check_vertex_count(n)
         pairs = _pair_array(edges)
-        u, v = pairs[:, 0], pairs[:, 1]
-        loops = np.nonzero(u == v)[0]
-        if loops.size:
-            raise ValidationError(f"self-loop at vertex {u[loops[0]]}")
-        bad = np.nonzero((np.minimum(u, v) < 1) | (np.maximum(u, v) > n))[0]
-        if bad.size:
-            i = bad[0]
-            raise ValidationError(f"edge ({u[i]},{v[i]}) out of range 1..{n}")
-        lo = np.minimum(u, v).astype(np.int64) - 1
-        hi = np.maximum(u, v).astype(np.int64) - 1
-        keys = np.sort(_row_starts(n)[lo] + hi - lo - 1)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        m = len(keys)
-        buf = np.empty(2 * m, dtype=np.int64)
-        buf[:m] = keys
-        del keys
-        self._build(n, buf, m)
+        buf = np.empty(2 * len(pairs), dtype=np.int64)
+        rs = _row_starts(n)
+        for i0 in range(0, len(pairs), CSR_SLICE):
+            u, v = pairs[i0:i0 + CSR_SLICE, 0], pairs[i0:i0 + CSR_SLICE, 1]
+            loops = np.flatnonzero(u == v)
+            if loops.size:
+                raise ValidationError(f"self-loop at vertex {u[loops[0]]}")
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            bad = np.flatnonzero((lo < 1) | (hi > n))
+            if bad.size:
+                raise ValidationError(f"edge ({u[bad[0]]},{v[bad[0]]}) out of range 1..{n}")
+            np.add(rs[lo - 1], (hi - lo - 1).astype(np.int64), out=buf[i0:i0 + len(lo)])
+        keys = buf[:len(pairs)]
+        keys.sort()
+        # dedup in place: a slice's keys unequal to their predecessor move down
+        m = 0
+        for i0 in range(0, len(keys), CSR_SLICE):
+            s = keys[i0:i0 + CSR_SLICE]
+            new = s[np.diff(s, prepend=keys[m - 1] if m else -1) != 0]
+            keys[m:m + len(new)] = new
+            m += len(new)
+        self._build(n, buf if m == len(pairs) else buf[:2 * m].copy(), m)
 
     @classmethod
     def _from_pair_indices(cls, n: int, buf: np.ndarray, m: int) -> "Graph":
@@ -286,8 +295,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     More than MAX_PAIRS pairs, or more than MAX_EXPECTED_EDGES expected
     edges, raise CapExceeded before anything is allocated.
     """
-    if n < 1:
-        raise ValidationError(f"n={n} must be a positive integer")
+    _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p={p} must lie in [0,1]")
     npairs = n * (n - 1) // 2
@@ -470,16 +478,17 @@ def _parse_ints(tokens: list[str], what: str) -> list[int]:
 
 def read_edge_list(inp: TextIO) -> Graph:
     """Parse the edge-list text format, rejecting malformed input: a bad
-    header (including a negative m) or edge line, a duplicate edge, or
-    non-blank lines after the m declared edges."""
+    header (a negative m, or an n a Graph refuses) or edge line, non-blank
+    lines after the m declared edges, or a duplicate edge, looked for only
+    once the Graph built from the lines holds fewer than m edges."""
     header = inp.readline().split()
     if len(header) != 2:
         raise ValidationError("first line must be 'n m'")
     n, m = _parse_ints(header, "header")
     if m < 0:
         raise ValidationError(f"edge count m={m} in the header is negative")
-    edges = []
-    seen = set()
+    _check_vertex_count(n)
+    flat = array.array("q")
     for _ in range(m):
         parts = inp.readline().split()
         if len(parts) != 2:
@@ -487,10 +496,13 @@ def read_edge_list(inp: TextIO) -> Graph:
         u, v = _parse_ints(parts, "edge line")
         if not (1 <= u < v <= n):
             raise ValidationError(f"edge ({u},{v}) violates 1 <= u < v <= {n}")
-        if (u, v) in seen:
-            raise ValidationError(f"duplicate edge ({u},{v})")
-        seen.add((u, v))
-        edges.append((u, v))
+        flat.extend((u, v))
     if any(line.strip() for line in inp):
         raise ValidationError(f"more than the {m} edge lines the header declares")
-    return Graph(n, edges)
+    pairs = np.frombuffer(flat, dtype=np.int64).reshape(-1, 2)
+    G = Graph(n, pairs)
+    if G.m < m:  # name the first line that is not its pair's first occurrence
+        first = np.unique(pairs[:, 0] * (n + 1) + pairs[:, 1], return_index=True)[1]
+        again = np.setdiff1d(np.arange(m), first)[0]
+        raise ValidationError(f"duplicate edge ({pairs[again, 0]},{pairs[again, 1]})")
+    return G

@@ -79,7 +79,8 @@ from .rng import generator, trial_seed
 # 82 MiB; each further vertex triples the time.
 EXACT_CAP_MAX = 20
 # Cells scored at once by the exact routines: candidate blocks in
-# exact_modularity, balanced subsets in bisection.exact_min_bisection.  A
+# exact_modularity, balanced subsets in bisection.exact_min_bisection and
+# subset masks in concentration.check_lemma32_events_exhaustive.  A
 # chunk's arrays hold this many entries each, or one row if that is more
 # (2^(n-1) blocks, or one pattern's subsets).
 EXACT_CELLS = 1 << 18
@@ -202,25 +203,25 @@ def _block_stats(G: Graph, P: Partition) -> tuple[np.ndarray, np.ndarray, np.nda
     return e_in, vol - 2 * e_in, vol
 
 
+def _over_4m2(numerator, m: int) -> float:
+    """A score from its exact integer numerator: numerator / (4 m^2), and
+    0 for a graph without edges, the zero-edge convention of every score."""
+    return int(numerator) / (4 * m * m) if m else 0.0
+
+
 def score_definition(G: Graph, P: Partition) -> float:
     """Modularity score, definition form. Zero-edge graphs score 0."""
     with trace.stage("score_definition"):
         e_in, _, vol = _block_stats(G, P)
-        m = G.m
-        if m == 0:
-            return 0.0
-        return int((4 * m * e_in - vol * vol).sum()) / (4 * m * m)
+        return _over_4m2((4 * G.m * e_in - vol * vol).sum(), G.m)
 
 
 def score_edge_form(G: Graph, P: Partition) -> float:
     """Modularity score, edge form: per-block (4 e(S)e(Sbar) - e(S,Sbar)^2)."""
     with trace.stage("score_edge_form"):
         e_in, cross, _ = _block_stats(G, P)
-        m = G.m
-        if m == 0:
-            return 0.0
-        e_out = m - e_in - cross
-        return int((4 * e_in * e_out - cross * cross).sum()) / (4 * m * m)
+        e_out = G.m - e_in - cross
+        return _over_4m2((4 * e_in * e_out - cross * cross).sum(), G.m)
 
 
 def exact_modularity(G: Graph) -> ModularityResult:
@@ -280,13 +281,11 @@ def exact_modularity(G: Graph) -> ModularityResult:
         blk = int(choice[mask])
         labels[[v for v in range(n) if blk >> v & 1]] = blk
         mask ^= blk
-    return ModularityResult(int(f[-1]) / (4 * m * m), Partition(labels), "exact")
+    return ModularityResult(_over_4m2(f[-1], m), Partition(labels), "exact")
 
 
 def score_components(G: Graph) -> ModularityResult:
     """Score of the connected-components partition."""
-    if G.m < 1:
-        raise ValidationError("score_components needs at least one edge")
     P = Partition(component_roots(G))
     return ModularityResult(score_definition(G, P), P, "components")
 
@@ -676,12 +675,11 @@ def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> Modularity
     the components partition, and `budget` seeded local-move runs.
 
     The returned score is the exact score of a real partition, hence
-    never exceeds the true modularity.
+    never exceeds the true modularity.  On a graph without edges every
+    candidate scores 0 and the trivial partition is returned.
     """
     if budget < 1:
         raise ValidationError("budget (Louvain restarts) must be >= 1")
-    if G.m < 1:
-        raise ValidationError("heuristic_modularity needs at least one edge")
     if G.m > SCORE_M_CAP:  # the integer gains lie within +-4 m^2
         raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
     with trace.stage("heuristic") as record:

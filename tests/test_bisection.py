@@ -257,10 +257,6 @@ class TestCertificate:
         assert r.score == 0.0
         assert r.method == "trivial"
 
-    def test_needs_an_edge(self):
-        with pytest.raises(ValidationError):
-            bisection_modularity_certificate(Graph(4, []))
-
     def test_corridor_certificate_pinned(self):
         # sha256 of the corridor-d25 certificate's labels, taken while the
         # restarts were still ranked by sorted member tuples

@@ -10,7 +10,6 @@ import pytest
 
 from gnpmod import bisection, bounds, cli, concentration, modularity
 from gnpmod.cli import main
-from gnpmod.errors import ValidationError
 from gnpmod.graph import read_edge_list, sample_gnp
 from gnpmod.spectral import normalized_laplacian
 
@@ -86,6 +85,14 @@ class TestScoring:
         assert code == 0
         a, b = data_rows(out)[1].split(",")
         assert float(a) == float(b) == r.score
+
+    @pytest.mark.parametrize("cmd, method", [("certificate", "bisection"),
+                                             ("mod-heuristic", "trivial")])
+    def test_graph_without_edges_scores_zero(self, capsys, cmd, method):
+        assert sample_gnp(10, 0.01, 0).m == 0
+        code, out = run(capsys, cmd, "--n", "10", "--p", "0.01", "--seed", "0")
+        assert code == 0
+        assert data_rows(out)[1].split(",")[:2] == ["0.0", method]
 
     def test_table_format(self, capsys):
         code, out = run(capsys, "mod-exact", "--n", "6", "--p", "0.5",
@@ -253,9 +260,8 @@ class TestSweep:
 
     def test_trial_without_edges_scores_zero(self, capsys):
         """At n = 3, d = 1 the second trial draws no edges.  Its row scores
-        0 on both, score_definition's zero-edge convention, where the
-        library's heuristic and certificate refuse the graph; the first
-        trial's row keeps the library's scores."""
+        0 on both, the library's own scores of a graph without edges, and
+        the first trial's row keeps the library's scores."""
         code, out = run(capsys, "sweep", "--n", "3", "--d", "1", "--trials", "2")
         assert code == 0
         rows = [r.split(",") for r in data_rows(out)[1:]]
@@ -268,10 +274,8 @@ class TestSweep:
         assert rows[1][3:5] == ["0.0", "0.0"]
         assert out.splitlines()[-1] == "# aggregate d=1.0 mean_heuristic=0.0 se=0.0"
         G, seed = graphs[1]
-        with pytest.raises(ValidationError, match="at least one edge"):
-            modularity.heuristic_modularity(G, seed=seed, budget=1)
-        with pytest.raises(ValidationError, match="at least one edge"):
-            bisection.bisection_modularity_certificate(G, seed=seed, restarts=10)
+        assert modularity.heuristic_modularity(G, seed=seed, budget=1).score == 0.0
+        assert bisection.bisection_modularity_certificate(G, seed=seed, restarts=10).score == 0.0
 
 
 class TestConfigFile:

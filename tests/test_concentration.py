@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import iv
 
-from gnpmod import concentration
+from gnpmod import concentration, modularity
 from gnpmod.errors import CapExceeded, ValidationError
 from gnpmod.concentration import (EXHAUSTIVE_CAP, F_THRESHOLD, F_TOL, G_THRESHOLD,
                                   G_X_MIN, SAMPLE_BATCH, Y_MIN,
@@ -424,7 +424,7 @@ class TestEventIdentity:
            event_C, st.floats(0.5, 12.0), st.sampled_from([1, 3, 64, 1 << 16]))
     def test_exhaustive_matches_reference(self, kind, n, p, seed, C, d, chunk):
         G = _graph(kind, n, p, seed)
-        with mock.patch.object(concentration, "EXHAUSTIVE_CHUNK", chunk):
+        with mock.patch.object(modularity, "EXACT_CELLS", chunk):
             got = check_lemma32_events_exhaustive(G, C, d)
         assert rows(got) == lemma32_events_exhaustive(G, C, d)
         assert sum(r[3] for r in rows(got)) == 2 ** n - 2

@@ -352,13 +352,30 @@ class TestEdgeListFormat:
         assert G.m > 2 * graph.SAMPLE_CHUNK
         assert peak < 64 * 2**20 // 16
 
-    @pytest.mark.parametrize("text", [
-        "2 1\n1 1\n",            # self loop (u < v fails)
-        "3 2\n1 2\n1 2\n",       # duplicate
-        "3 1\n1 4\n",            # out of range
-        "3 1\n2 1\n",            # wrong orientation
-        "oops\n",                # bad header
+    @pytest.mark.parametrize("text, message", [
+        ("2 1\n1 1\n", r"edge \(1,1\) violates 1 <= u < v <= 2"),  # self loop
+        ("3 2\n1 2\n1 2\n", r"duplicate edge \(1,2\)"),
+        ("3 1\n1 4\n", r"edge \(1,4\) violates 1 <= u < v <= 3"),  # out of range
+        ("3 1\n2 1\n", r"edge \(2,1\) violates 1 <= u < v <= 3"),  # wrong orientation
+        ("oops\n", "first line must be 'n m'"),
+        ("3 2\n1 2\n", "expected 2 edge lines 'u v'"),
+        ("3 1\n1 2\n2 3\n", "more than the 1 edge lines"),
+        ("3 1\n1 x\n", "edge line '1 x' is not integers"),
+        # the duplicate is found once every line has been read, so a later
+        # malformed line is reported instead
+        ("3 3\n1 2\n1 2\n2 x\n", "edge line '2 x' is not integers"),
     ])
-    def test_rejects_malformed(self, text):
-        with pytest.raises(ValidationError):
+    def test_rejects_malformed(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            read_edge_list(io.StringIO(text))
+
+    @pytest.mark.parametrize("lines, first", [
+        (["1 2", "3 4", "2 3", "3 4", "1 2", "2 3"], "3,4"),
+        # the first repeating line, not the smallest repeated pair
+        (["2 3", "1 2", "2 3", "1 2", "1 2"], "2,3"),
+        (["4 5", "1 2", "3 4", "1 2"], "1,2"),
+    ])
+    def test_names_the_first_repeated_line(self, lines, first):
+        text = f"5 {len(lines)}\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ValidationError, match=rf"duplicate edge \({first}\)"):
             read_edge_list(io.StringIO(text))

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gnpmod.bisection import bisection_modularity_certificate
 from gnpmod.errors import ValidationError
 from gnpmod.graph import Graph, sample_gnp
-from gnpmod.modularity import (Partition, exact_modularity,
+from gnpmod.modularity import (EXACT_CAP_MAX, Partition, exact_modularity,
                                heuristic_modularity, read_partition,
                                score_components, score_definition,
                                score_edge_form, write_partition)
@@ -129,10 +130,6 @@ class TestHeuristic:
             total += 1
         assert hits >= 0.9 * total
 
-    def test_zero_edge_rejected(self):
-        with pytest.raises(ValidationError):
-            heuristic_modularity(Graph(3, []))
-
     def test_sqrt_d_corridor(self):
         scores = []
         for s in range(20):
@@ -140,6 +137,34 @@ class TestHeuristic:
             scores.append(heuristic_modularity(G, seed=s, budget=1).score)
         mean = sum(scores) / len(scores)
         assert 0.4 <= mean * math.sqrt(25) <= 2.92
+
+
+# graphs without edges: empty ones and a G(n,p) draw that kept no pair
+ZERO_EDGE_GRAPHS = ([pytest.param(Graph(n, []), id=f"empty-{n}") for n in (1, 2, 3, 40)]
+                    + [pytest.param(sample_gnp(10, 0.01, 0), id="gnp-10-0.01-0")])
+
+
+@pytest.mark.parametrize("G", ZERO_EDGE_GRAPHS)
+def test_every_score_of_a_graph_without_edges_is_zero(G):
+    """score_definition's zero-edge convention holds through every
+    scoring entry point: each scores 0 on its own normal path."""
+    n = G.n
+    assert G.m == 0
+    for P in (Partition.trivial(n), Partition.singletons(n)):
+        assert score_definition(G, P) == score_edge_form(G, P) == 0.0
+    if n <= EXACT_CAP_MAX:
+        exact = exact_modularity(G)
+        assert (exact.score, exact.method, exact.partition) == (0.0, "exact", Partition.trivial(n))
+    comp = score_components(G)
+    assert (comp.score, comp.partition) == (0.0, Partition.singletons(n))
+    heur = heuristic_modularity(G, seed=3, budget=2)
+    assert (heur.score, heur.method, heur.partition) == (0.0, "trivial", Partition.trivial(n))
+    if n == 1:
+        with pytest.raises(ValidationError, match="bisection needs n >= 2"):
+            bisection_modularity_certificate(G)
+        return
+    cert = bisection_modularity_certificate(G, seed=3, restarts=2)
+    assert (cert.score, cert.method, cert.partition.k) == (0.0, "bisection", 2)
 
 
 class TestComponentsScore:
