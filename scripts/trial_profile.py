@@ -14,6 +14,7 @@ Usage:
 
 import argparse
 import contextlib
+import csv
 import io
 import resource
 import sys
@@ -80,8 +81,8 @@ def main(argv=None):
             (r[0], r[4]) for r in rss_log]:
         print("the traced and untraced trials differ", file=sys.stderr)
         return 1
-    # the row after two comments and the columns n,d,seed,heuristic_mod,certificate,...
-    heuristic, certificate = out.splitlines()[3].split(",")[3:5]
+    row, = csv.DictReader(line for line in out.splitlines() if not line.startswith("#"))
+    heuristic, certificate = row["heuristic_mod"], row["certificate"]
     last = {stage: details for stage, *_, details in rss_log}
     print(f"# n={args.n} d={args.d!r} seed={args.seed} m={last['sample']['m']} "
           f"restarts={args.restarts} maxrss_before_mib={before:.1f}")

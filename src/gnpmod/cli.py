@@ -216,6 +216,13 @@ def _sweep_trial(args: tuple) -> tuple:
     return (n, d, tseed, h, c, rep.upper_main, rep.lower_Pstar, rep.spectral_upper)
 
 
+def _mean_se(xs: list[float]) -> tuple[float, float]:
+    """The mean of `xs` and its standard error (0.0 for one value)."""
+    k = len(xs)
+    mean = sum(xs) / k
+    return mean, (sum((x - mean) ** 2 for x in xs) / max(1, k - 1)) ** 0.5 / k ** 0.5
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.n is None or args.n < 2:
         raise ValidationError("--n must be >= 2")
@@ -246,13 +253,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [_sweep_trial(t) for t in tasks]
     wall = time.perf_counter() - t0
     lines = [SWEEP_COLUMNS]
-    lines += [f"{r[0]},{r[1]!r},{r[2]},{r[3]!r},{r[4]!r},{r[5]!r},{r[6]!r},{r[7]!r}"
-              for r in rows]
+    lines += [",".join(map(repr, row)) for row in rows]
     for d in ds:
-        hs = [r[3] for r in rows if r[1] == d]
-        mean = sum(hs) / len(hs)
-        se = (sum((x - mean) ** 2 for x in hs) / max(1, len(hs) - 1)) ** 0.5 / len(hs) ** 0.5
-        lines.append(f"# aggregate d={d!r} mean_heuristic={mean!r} se={se!r}")
+        h_mean, h_se = _mean_se([r[3] for r in rows if r[1] == d])
+        c_mean, c_se = _mean_se([r[4] for r in rows if r[1] == d])
+        lines.append(f"# aggregate d={d!r} mean_heuristic={h_mean!r} se={h_se!r} "
+                     f"mean_certificate={c_mean!r} se_certificate={c_se!r}")
     if args.timestamp:
         lines.append(f"# wall_clock_s {wall:.3f}")
     _emit(args, lines)

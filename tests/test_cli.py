@@ -1,8 +1,11 @@
 import concurrent.futures
+import csv
 import itertools
 import json
+import math
 import os
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -198,6 +201,30 @@ class TestSweep:
         assert len(rows) == 5
         assert out.count("aggregate d=") == 2
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 2, 4])
+    def test_aggregates_match_rows(self, capsys, trials, jobs):
+        """Each d's aggregate line gives the mean and standard error of
+        that d's heuristic and certificate columns."""
+        code, out = run(capsys, "sweep", "--n", "60", "--d", "4,8", "--trials", str(trials),
+                        "--seed", "1", "--restarts", "2", "--jobs", str(jobs))
+        assert code == 0
+        rows = list(csv.DictReader(data_rows(out)))
+        aggregates = [line.split() for line in out.splitlines()
+                      if line.startswith("# aggregate ")]
+        assert [a[2] for a in aggregates] == ["d=4.0", "d=8.0"]
+        for d, (_, _, _, *tokens) in zip((4.0, 8.0), aggregates):
+            got = dict(token.split("=") for token in tokens)
+            assert list(got) == ["mean_heuristic", "se", "mean_certificate", "se_certificate"]
+            for column, mean_key, se_key in (("heuristic_mod", "mean_heuristic", "se"),
+                                             ("certificate", "mean_certificate",
+                                              "se_certificate")):
+                xs = [float(r[column]) for r in rows if float(r["d"]) == d]
+                assert len(xs) == trials
+                se = statistics.stdev(xs) / math.sqrt(trials) if trials > 1 else 0.0
+                assert float(got[mean_key]) == pytest.approx(statistics.fmean(xs), rel=1e-12)
+                assert float(got[se_key]) == pytest.approx(se, rel=1e-12)
+
     def test_replay_is_byte_identical(self, capsys):
         args = ("sweep", "--n", "60", "--d", "4", "--trials", "2", "--seed", "1",
                 "--restarts", "2")
@@ -272,7 +299,8 @@ class TestSweep:
             repr(modularity.heuristic_modularity(G, seed=seed, budget=1).score),
             repr(bisection.bisection_modularity_certificate(G, seed=seed, restarts=10).score)]
         assert rows[1][3:5] == ["0.0", "0.0"]
-        assert out.splitlines()[-1] == "# aggregate d=1.0 mean_heuristic=0.0 se=0.0"
+        assert out.splitlines()[-1] == ("# aggregate d=1.0 mean_heuristic=0.0 se=0.0 "
+                                        "mean_certificate=0.0 se_certificate=0.0")
         G, seed = graphs[1]
         assert modularity.heuristic_modularity(G, seed=seed, budget=1).score == 0.0
         assert bisection.bisection_modularity_certificate(G, seed=seed, restarts=10).score == 0.0

@@ -1,9 +1,10 @@
-"""Smoke runs of the instrumentation scripts under scripts/, and a guard
-that keeps them on gnpmod's public names.
+"""Smoke runs of the scripts under scripts/, and a guard that keeps them
+on gnpmod's public names.
 
 scripts/trial_profile.py reads the stage records of gnpmod.trace for one
 sweep trial, so its tables must be those records; it runs here on a
-small graph.  No script may name a private gnpmod attribute or call
+small graph.  The per-d means of a sweep are `gnpmod sweep`'s own
+`# aggregate` lines (tests/test_cli.py), so no script averages its rows.  No script may name a private gnpmod attribute or call
 setattr, so that a refactor of the library's internals needs no script
 change.  scripts/freeze_exact_corpus.py is not run: it rewrites the
 golden corpus.  scripts/appendix_sharpness.py reads the appendix
@@ -32,9 +33,8 @@ def load(name):
 
 
 @pytest.mark.parametrize("name, extra, header", [
-    ("corridor_sweep", ["--trials", "1"], "d,mean_heuristic_x_sqrtd,"),
     ("trial_profile", [], "# n=200 d=8.0 seed=1 m="),
-], ids=["corridor_sweep", "trial_profile"])
+], ids=["trial_profile"])
 def test_script_runs(capsys, name, extra, header):
     code = load(name).main(["--n", "200", "--d", "8", *extra])
     out = capsys.readouterr().out
