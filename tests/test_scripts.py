@@ -4,11 +4,12 @@ on gnpmod's public names.
 scripts/trial_profile.py reads the stage records of gnpmod.trace for one
 sweep trial, so its tables must be those records; it runs here on a
 small graph.  The per-d means of a sweep are `gnpmod sweep`'s own
-`# aggregate` lines (tests/test_cli.py), so no script averages its rows.  No script may name a private gnpmod attribute or call
-setattr, so that a refactor of the library's internals needs no script
-change.  scripts/freeze_exact_corpus.py is not run: it rewrites the
-golden corpus.  scripts/appendix_sharpness.py reads the appendix
-report's thresholds and certified lower bounds.
+`# aggregate` lines (tests/test_cli.py), so no script averages its rows.
+No script may name a private gnpmod attribute or call setattr, so that
+a refactor of the library's internals needs no script change.
+scripts/freeze_exact_corpus.py is not run: it rewrites the golden
+corpus.  scripts/appendix_sharpness.py reads the appendix report's
+thresholds and certified lower bounds.
 """
 
 import ast
@@ -32,11 +33,11 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name, extra, header", [
-    ("trial_profile", [], "# n=200 d=8.0 seed=1 m="),
+@pytest.mark.parametrize("name, header", [
+    ("trial_profile", "# n=200 d=8.0 seed=1 m="),
 ], ids=["trial_profile"])
-def test_script_runs(capsys, name, extra, header):
-    code = load(name).main(["--n", "200", "--d", "8", *extra])
+def test_script_runs(capsys, name, header):
+    code = load(name).main(["--n", "200", "--d", "8"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith(header)
