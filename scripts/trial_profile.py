@@ -5,8 +5,10 @@ The trial is `gnpmod sweep --n N --d D --seed S --restarts R
 records of gnpmod.trace: untraced, for wall times and ru_maxrss, then
 under tracemalloc, for each STAGES call's traced peak above what was
 allocated when it began.  Both runs must give the same output and
-records.  The tables: one row per STAGES call, with its details, and one
-per Louvain level, its wall time spanning its merge into the next.
+records.  The tables: one row per STAGES call, with its details (a
+per-run list joined by "/"), and one per annealing run of the heuristic,
+with its moves in the last hot sweep, its quench rounds and its quench
+steps that fell back to a single move.
 
 Usage:
     python3 scripts/trial_profile.py --n 4000 --d 25 --seed 1
@@ -22,8 +24,9 @@ import tracemalloc
 
 from gnpmod import cli, trace
 
-STAGES = ("sample", "components", "score_definition", "louvain", "restart",
+STAGES = ("sample", "components", "score_definition", "anneal", "restart",
           "score_edge_form")
+RUN_COUNTS = ("hot_moves", "quench_rounds", "fallbacks")
 
 
 def maxrss_mib() -> float:
@@ -95,19 +98,15 @@ def main(argv=None):
     for (stage, wall, _, rss, details), (_, _, peak, _, _) in zip(rss_log, traced[2]):
         if stage in STAGES:
             calls[stage] = calls.get(stage, 0) + 1
-            detail = " ".join(f"{k}={v}" for k, v in details.items())
+            detail = " ".join(f"{k}={'/'.join(map(str, v)) if isinstance(v, list) else v}"
+                              for k, v in details.items())
             print(f"{stage},{calls[stage]},{wall:.4f},{peak:.2f},{rss:.1f},{detail}")
 
-    print("level,nodes,sweeps,total_ms,table,before_sweep,sweep_ms")
-    level, ms = 0, []
-    for stage, wall, _, _, details in rss_log:
-        if stage == "sweep":
-            ms.append(1e3 * wall)
-        elif stage == "level":
-            print(f"{level},{details['nodes']},{details['sweeps']},{1e3 * wall:.1f},"
-                  f"{details.get('table', '-')},{details.get('before_sweep', '-')},"
-                  + "/".join(f"{x:.1f}" for x in ms))
-            level, ms = level + 1, []
+    print("run," + ",".join(RUN_COUNTS))
+    for stage, *_, details in rss_log:
+        if stage == "anneal":
+            for run, counts in enumerate(zip(*(details[key] for key in RUN_COUNTS))):
+                print(f"{run}," + ",".join(map(str, counts)))
     return 0
 
 

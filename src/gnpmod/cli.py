@@ -321,7 +321,8 @@ _COMMANDS = {
     "sample": (cmd_sample, "n p d seed out", {}),
     "score": (cmd_score, "graph partition out timestamp", {}),
     "mod-exact": (cmd_mod_exact, f"{_SOURCE} format out timestamp", {}),
-    "mod-heuristic": (cmd_mod_heuristic, f"{_SOURCE} restarts format out timestamp", {}),
+    "mod-heuristic": (cmd_mod_heuristic, f"{_SOURCE} restarts format out timestamp",
+                      {"restarts": {"help": "annealing runs"}}),
     "spectral": (cmd_spectral, f"{_SOURCE} out timestamp", {}),
     "bounds": (cmd_bounds, "n p d C format out timestamp", {}),
     "chernoff": (cmd_chernoff, "mu t out timestamp", {}),

@@ -70,7 +70,7 @@ SAMPLE_CHUNK = 1 << 18
 # counts take about 24 bytes per vertex, so a larger n (say from the
 # header of an edge-list file) is refused before anything is allocated.
 MAX_VERTICES = 10_000_000
-# Every O(m) pass over a CSR, here and in Louvain's level passes, reads it
+# Every O(m) pass over a CSR, here and in the annealer's table build, reads it
 # in slices of about this many entries (pairs, for the CSR build), so its
 # temporaries stay O(CSR_SLICE) whatever the graph's size.
 CSR_SLICE = 1 << 16

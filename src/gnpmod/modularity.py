@@ -12,57 +12,34 @@ can never flip an argmax decision:
 
 Exact maximization is a dynamic program over vertex subsets, run with
 numpy one popcount layer at a time (n <= EXACT_CAP_MAX = 20); the
-heuristic is a local-move + merge scheme (Louvain) that always returns
-the score of a genuine partition, hence a lower bound on the true
-modularity.
+heuristic anneals a k-label Potts model at resolution 1 (Reichardt &
+Bornholdt 2006), whose ground state is the best partition into at most
+k blocks, and always returns the score of a genuine partition, hence a
+lower bound on the true modularity.
 
-Louvain runs on CSR arrays, one level graph per merge.  A node v with
-weighted degree d_v joins the neighbouring community c that maximises
-the integer gain 2m k_c - d_v vol_c (k_c: v's edge weight into c,
-vol_c: c's volume without v), so every comparison is exact; the gains
-lie within +-4m^2, which SCORE_M_CAP keeps inside int64.  Ties go to
-staying put, then to the community that appears first in v's row.  A
-row of at least NUMPY_ROW_MIN neighbours is scored with numpy, a
-shorter one with a dict loop; both give the same choice, and the
-threshold only sets the speed (the two cost the same at 36-48
-neighbours in G(2000, d) on a 2-vCPU box).
-
-Late sweeps move few nodes, so once a level's sweeps settle it builds a
-stay table and checks whole windows of the sweep order against it at
-once: a node stays put iff no neighbouring community's gain beats its
-stay gain, which is the visit's own move condition on the same integers.
-Only the first node it cannot clear gets the exact visit, which then
-always moves it, so the visit order, the state and the labels are those
-of visiting every node.  There are two tables, and _stay_table_kind
-picks one from the level's size.  A level with so few communities that a
-node x community table of edge weights is no larger than its CSR keeps
-that dense table (_StayTable), built after a sweep that moved at most a
-quarter of its nodes (STAY_MOVED_SHARE); its columns are the
-communities present when it is built, which is why it waits for the busy
-first sweeps to end.  A wider level keeps per-node slots instead
-(_SlotTable): node v's weight into each community among its neighbours,
-at most min(deg(v), k) of them, built only after a sweep that moved at
-most 1/16 of its nodes (SLOT_MOVED_SHARE).  Each table wins on its own
-levels.  A slot move searches every neighbour's row: on the corridor-d400
-graph (n = 4000, d = 400) one took 93 us against 15 us for the dense
-table's two-column update, and with slots alone one Louvain run took
-0.86 s against 0.45 s.  The dense table does not fit a level of
-thousands of communities, whose late sweeps the slots clear in bulk.
-
-The two bulk passes over a level's CSR, building the table and merging
-the level into the next (_coarsen), read it in row slices of about
-graph.CSR_SLICE entries, so their temporaries do not grow with the
-level.  So does the scoring pass (_block_stats): each score of a
-partition of G(4000, d=400) holds under 2 MiB of temporaries, against
-26 MiB when it read all 1.6 million CSR entries at once.  The slot table
-build and the merge group entries by key with numpy's default sort,
-which leaves equal keys in no fixed order, so the merge takes each key's
-smallest traversal position, not its first entry's.
+The annealer keeps each vertex's edge count into each label in an n x k
+int64 table K, built in CSR row slices of about graph.CSR_SLICE entries
+like every O(m) pass, and the label volumes vol.  Moving v from label a
+to c changes the score numerator by the exact integer
+dN = 4m (K[v,c] - K[v,a]) - 2 d_v (vol_c - vol_a + d_v).  Each term lies
+within 4 m d_v, and the row scores the code compares (see _anneal_labels)
+within 10 m d_v < 10 m n: below 2^58, inside int64, for every m <=
+SCORE_M_CAP and n <= graph.MAX_VERTICES.  Each sweep cuts
+a fresh permutation into batches, and a batch's moves are drawn at once
+by Gumbel-max over dN / T, so the n-vertex Python loop of a local-move
+heuristic becomes a few numpy calls per batch; T falls geometrically
+over a fixed number of sweeps, so the run's cost follows n and m, not
+the graph's structure.  A zero-temperature quench then applies a batch's
+improving moves together only if they raise the exact numerator
+jointly, and its single best move otherwise, so each quench step raises
+an integer below 4m^2 and the quench ends.  The `budget` runs of one
+call are replicas of the graph in one table, so each numpy call serves
+every run; run r draws from its own generator only, so its labels are
+those it would reach alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -85,27 +62,41 @@ EXACT_CAP_MAX = 20
 # (2^(n-1) blocks, or one pattern's subsets).
 EXACT_CELLS = 1 << 18
 # Every partial sum of a score numerator lies within +-4 m^2, which must
-# fit in int64.
+# fit in int64.  The annealer's move gains lie within 10 m n, which at
+# this m and graph.MAX_VERTICES is below 2^58.
 SCORE_M_CAP = 1_518_500_249  # largest m with 4 m^2 < 2^63
-# Louvain scores a row of at least this many neighbours with numpy
-# (bincount + gain vector, about 10 us per visit at any length) and a
-# shorter one with a dict loop, whose cost grows with the row.
-NUMPY_ROW_MIN = 48
-# The stay table checks at least this many nodes of a sweep at once: a
-# check's fixed numpy cost is about that of 30 more rows.
-STAY_WINDOW_MIN = 32
-# A level builds its stay table only after a sweep in which at most
-# 1/STAY_MOVED_SHARE of its nodes moved: the table's columns are the
-# communities present when it is built, and each later check pays for
-# every column.
-STAY_MOVED_SHARE = 4
-# A level too wide for the dense stay table builds the slot table instead,
-# only after a sweep in which at most 1/SLOT_MOVED_SHARE of its nodes
-# moved: on G(4000, d=25) a slot move took about 35 us against about 5 us
-# for a dict visit, and with this share at 2, 4 or 8 one Louvain run there
-# took 0.77-0.82 s against 0.38 s at 16 (2-vCPU box).
-SLOT_MOVED_SHARE = 16
-_NO_GAIN = np.iinfo(np.int64).min
+# The annealing schedule.  Measured on a 2-vCPU box on G(4000, d) at
+# seeds 1 and 2, mean q*sqrt(d) at budget 1, and on the 60 desk graphs
+# with n <= 13 of the benchmark (perfbench desk-oracles, seed 1), exact
+# optima found at budget 3; each constant varied alone from these values.
+# Labels per run: k = 3, 4, 6, 8, 12 read 0.871, 0.930, 0.964, 0.957,
+# 0.925 at d = 25 and 0.801, 0.838, 0.837, 0.809, 0.795 at d = 400.
+ANNEAL_K = 6
+# Sweeps = ANNEAL_SWEEPS_PER_BIT * n.bit_length(): 48 at n = 4000, 16 at
+# n = 12, so tiny graphs cost little.  2, 4, 8 read 0.935, 0.964, 0.981
+# at d = 25 in 0.06, 0.09, 0.22 s a run, and found 51, 54, 55 desk optima.
+ANNEAL_SWEEPS_PER_BIT = 4
+# A batch holds about ANNEAL_BATCH_ENTRIES * n / (mean degree) vertices,
+# whose rows hold that many times n CSR entries: 1283 vertices at d = 25,
+# 80 at d = 400.  At 2 a d = 400 run took 0.58 s against 0.23 s.  At 32,
+# without the cap below, the d = 25 batch was the whole graph, whose
+# moves all at once oscillate: the quench fell back to single moves for
+# 3.6 s a run.
+ANNEAL_BATCH_ENTRIES = 8
+# So a batch holds at most half the graph, unless the graph has at most
+# ANNEAL_BATCH_MIN vertices, which go in one batch: one sweep is then a
+# few numpy calls, and a quench of single moves costs little.  With whole
+# batches G(4000, d = 5) left 3198 of 4000 vertices moving in its last
+# hot sweep and fell back to single moves 1210 times, reading 0.975 in
+# 1.75 s; half batches read 1.008 in 0.09 s (1.003 against 0.961 at
+# n = 1000, d = 4).
+ANNEAL_BATCH_MIN = 64
+# T falls geometrically from ANNEAL_T_HOT * 4m to ANNEAL_T_COLD * 4m, 4m
+# being dN's worth of one edge.  A hot end of 0.5, 2, 8 read 0.953, 0.964,
+# 0.951 at d = 25; a cold end of 0.005, 0.02, 0.08 read 0.950, 0.964,
+# 0.972 at d = 25 but found 54, 54, 52 desk optima.
+ANNEAL_T_HOT = 2.0
+ANNEAL_T_COLD = 0.02
 
 
 class Partition:
@@ -291,406 +282,182 @@ def score_components(G: Graph) -> ModularityResult:
 
 
 # ---------------------------------------------------------------------------
-# Heuristic maximization: greedy local moves + block merges, with restarts.
+# Heuristic maximization: heat-bath annealing of k labels, then a quench.
 
 
-class _Table:
-    """What both stay tables share: the level's own `comm` and `vol`
-    arrays, read in place, and the windowed check of a sweep order.  A
-    table gives `_moving(w)`, the positions in the node array `w` of the
-    nodes whose best neighbouring community's gain 2m k_c - d_v vol_c
-    beats their stay gain on the current state, ascending."""
+def _neighbours(G: Graph, X: np.ndarray) -> np.ndarray:
+    """The neighbours of the replica vertices X, those of X[0] first: x =
+    r n + v - 1 stands for vertex v of replica r, and so do its
+    neighbours."""
+    v = X % G.n
+    count = G.degrees[v]
+    start = G.indptr[v] - np.cumsum(count) + count
+    return (G.indices[np.repeat(start, count) + np.arange(count.sum())]
+            + np.repeat(X - v, count))
 
-    def __init__(self, strength, comm, vol, two_m):
-        self.strength, self.comm, self.vol, self.two_m = strength, comm, vol, two_m
-        self.win = STAY_WINDOW_MIN
 
-    def unproven(self, order: np.ndarray):
-        """Yield the nodes of `order` that the table cannot prove stay put,
-        each judged on the state left by the move of the one before.
+def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
+    """One annealing run per generator in `rngs`, side by side, on a
+    graph with edges: an (R, n) array of labels, row r drawn from
+    rngs[r] alone.  Writes the trace record `run`, whose lists hold one
+    entry per run.
 
-        A window of the order is checked at once; every node before its
-        first unproven one stays.  The window doubles after a window in
-        which all stay and shrinks to the gap before the last move, but
-        never below STAY_WINDOW_MIN.
-        """
-        i = 0
-        while i < len(order):
-            w = order[i:i + self.win]
-            moves = self._moving(w)
-            if len(moves) == 0:
-                i += len(w)
-                self.win *= 2
+    The R runs are replicas of G, vertex v of replica r at x = r n + v - 1,
+    so each numpy call serves every run.  Labels start uniform in
+    0..k-1, k = min(ANNEAL_K, n).  `K[x, c]` is x's edge count into label c
+    and `vol[r, c]` the volume of c in replica r.  Moving x from a to c
+    changes its replica's score numerator by
+    dN = 4m (K[x,c] - K[x,a]) - 2 d_x (vol_c - vol_a + d_x); dropping the
+    terms that do not depend on c, x scores s_c = 4m K[x,c] - 2 d_x vol_c,
+    plus 2 d_x^2 at c = a, so dN = s_c - s_a.  Each sweep cuts a fresh
+    permutation per replica into batches of about
+    ANNEAL_BATCH_ENTRIES n / (mean degree) vertices.  A batch's moves are
+    drawn at once from the current K and vol, by Gumbel-max over s / T,
+    and applied together.  T falls geometrically from ANNEAL_T_HOT 4m to
+    ANNEAL_T_COLD 4m over the sweeps.
+
+    The quench that follows moves each vertex of a batch to its best
+    label if that has dN > 0.  A replica's moves in a batch are applied
+    together only if they raise its exact numerator jointly; otherwise
+    just its single best move is.  So every quench step raises an integer
+    numerator below 4m^2, and a replica's quench ends on its first sweep
+    without a move.
+    """
+    R, n, m = len(rngs), G.n, G.m
+    k = min(ANNEAL_K, n)
+    deg = np.tile(G.degrees, R)
+    labels = np.concatenate([rng.integers(k, size=n) for rng in rngs])
+    K = np.empty((R * n, k), dtype=np.int64)
+    for r0, r1 in _row_slices(G.indptr, k):
+        s, e = G.indptr[r0], G.indptr[r1]
+        cell = np.repeat(np.arange(0, (r1 - r0) * k, k), G.degrees[r0:r1])
+        for x0 in range(0, R * n, n):
+            K[x0 + r0:x0 + r1] = np.bincount(cell + labels[x0 + G.indices[s:e]],
+                                             minlength=(r1 - r0) * k).reshape(r1 - r0, k)
+    flat = K.reshape(-1)
+    vol = np.zeros((R, k), dtype=np.int64)
+    np.add.at(vol, (np.arange(R * n) // n, labels), deg)
+    batch = max(min(round(ANNEAL_BATCH_ENTRIES * n * n / (2 * m)), (n + 1) // 2),
+                min(n, ANNEAL_BATCH_MIN))
+    sweeps = ANNEAL_SWEEPS_PER_BIT * n.bit_length()
+    cells = np.arange(0, R * batch * k, k)
+    in_batch = np.zeros(R * n, dtype=bool)
+
+    def scores(X, rep):
+        """s for the (R', b) replica vertices X of the replicas `rep`, and
+        their labels."""
+        a, d = labels[X], deg[X]
+        s = 4 * m * K[X] - 2 * d[..., None] * vol[rep, None]
+        s.reshape(-1)[cells[:a.size] + a.reshape(-1)] += 2 * (d * d).reshape(-1)
+        return s, a
+
+    def shift(table, row, X, a, c, w):
+        """Move the replica vertices X, whose vol rows in `table` are `row`,
+        from labels a to c there; and in K and labels too unless w, their
+        _neighbours, is None."""
+        d = deg[X]
+        np.subtract.at(table, (row, a), d)
+        np.add.at(table, (row, c), d)
+        if w is not None:
+            wk = w * k
+            np.subtract.at(flat, wk + np.repeat(a, d), 1)
+            np.add.at(flat, wk + np.repeat(c, d), 1)
+            labels[X] = c
+
+    def joint_gains(rep, row, X, a, c, w) -> list[int]:
+        """For each replica of `rep`, the exact change of its numerator
+        4m E_in - sum vol^2 if all of its X (at `row` in rep) move
+        together; an edge inside X is seen from both of its ends."""
+        d = deg[X]
+        was = labels[w] == np.repeat(a, d)
+        labels[X] = c
+        now = labels[w] == np.repeat(c, d)
+        labels[X] = a
+        in_batch[X] = True
+        # float sums of integers below 2^53 are exact
+        twice_e_in = np.bincount(np.repeat(row, d),
+                                 (now.astype(np.int64) - was) * (2 - in_batch[w]), len(rep))
+        in_batch[X] = False
+        before = vol[rep]
+        after = before.copy()
+        shift(after, row, X, a, c, None)
+        return [2 * m * int(t) - y + z for t, y, z in
+                zip(twice_e_in, (after * after).sum(1).tolist(),
+                    (before * before).sum(1).tolist())]
+
+    every = np.arange(R)
+    offsets = every[:, None] * n
+    for T in 4 * m * np.geomspace(ANNEAL_T_HOT, ANNEAL_T_COLD, sweeps):
+        start = labels.copy()
+        orders = np.stack([rng.permutation(n) for rng in rngs]) + offsets
+        noise = np.stack([rng.gumbel(size=(n, k)) for rng in rngs])
+        for lo in range(0, n, batch):
+            X = orders[:, lo:lo + batch]
+            s, a = scores(X, every)
+            c = np.argmax(s / T + noise[:, lo:lo + batch], axis=2)
+            go = c != a
+            if go.any():
+                row = go.nonzero()[0]
+                shift(vol, row, X[go], a[go], c[go], _neighbours(G, X[go]))
+    hot_moves = np.count_nonzero((labels != start).reshape(R, n), axis=1)
+    rounds, fallbacks = np.zeros(R, dtype=np.int64), np.zeros(R, dtype=np.int64)
+    live = every
+    while len(live):
+        rounds[live] += 1
+        orders = np.stack([rngs[r].permutation(n) for r in live]) + offsets[live]
+        moved = np.zeros(len(live), dtype=bool)
+        for lo in range(0, n, batch):
+            X = orders[:, lo:lo + batch]
+            s, a = scores(X, live)
+            own = s.reshape(-1)[cells[:a.size] + a.reshape(-1)].reshape(a.shape)
+            gain = s.max(axis=2) - own
+            go = gain > 0
+            if not go.any():
                 continue
-            j = int(moves[0])
-            yield int(w[j])
-            i += j + 1
-            self.win = max(j + 1, STAY_WINDOW_MIN)
-
-
-class _StayTable(_Table):
-    """Each node's edge weight into each community of one level, for
-    levels with few communities.
-
-    Column j stands for the community `cols[j]`, the j-th one present
-    when the table is built; within a level communities only empty, so
-    the columns stay valid.  `K[v, j]` is v's int64 edge weight into
-    column j, written one slice of rows at a time; `move` keeps it
-    current.
-    """
-
-    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
-        super().__init__(strength, comm, vol, two_m)
-        nnodes = len(strength)
-        present = np.zeros(nnodes, dtype=bool)
-        present[comm] = True
-        self.cols = np.flatnonzero(present)
-        self.colmap = np.cumsum(present) - 1  # community -> column
-        k = len(self.cols)
-        self.label = f"dense:{k}"  # kind:width, for its level's trace record
-        self.K = np.empty((nnodes, k), dtype=np.int64)
-        for r0, r1 in _row_slices(indptr, k):
-            s, e = indptr[r0], indptr[r1]
-            row = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
-            cells = np.bincount(row * k + self.colmap[comm[indices[s:e]]],
-                                None if weights is None else weights[s:e],
-                                minlength=(r1 - r0) * k)
-            # float sums of integers below 2^53 are exact
-            self.K[r0:r1] = cells.reshape(r1 - r0, k)
-
-    def _moving(self, w):
-        Kw = self.K[w]
-        dv = self.strength[w]
-        own = self.colmap[self.comm[w]]
-        cvol = self.vol[self.cols]
-        gain = self.two_m * Kw - dv[:, None] * cvol
-        best = np.where(Kw > 0, gain, _NO_GAIN).max(axis=1)
-        stay = self.two_m * Kw[np.arange(len(w)), own] - dv * (cvol[own] - dv)
-        return np.flatnonzero(best > stay)
-
-    def move(self, a: int, b: int, nbrs: np.ndarray, wts) -> None:
-        """A node with neighbours `nbrs` at edge weights `wts` moved from
-        community a to community b."""
-        self.K[nbrs, self.colmap[a]] -= wts
-        self.K[nbrs, self.colmap[b]] += wts
-
-
-class _SlotTable(_Table):
-    """Each node's edge weight into each of its neighbouring communities,
-    for levels with too many communities for _StayTable.
-
-    Node v owns the slots sptr[v] .. sptr[v+1]-1, min(deg(v), k) of them
-    for the k communities present when the table is built: v's
-    neighbours lie in at most that many communities, since within a level
-    communities only empty.  Its first `used[v]` slots hold, in no fixed
-    order, each community c with a neighbour of v (`scomm`, int32) and
-    v's positive int64 edge weight into c (`sw`), so a node without
-    neighbours has no slots and never moves.
-    """
-
-    def __init__(self, indptr, indices, weights, strength, comm, vol, two_m):
-        super().__init__(strength, comm, vol, two_m)
-        nnodes = len(strength)
-        k = np.count_nonzero(np.bincount(comm))
-        deg = np.diff(indptr)
-        self.sptr = np.zeros(nnodes + 1, dtype=np.int64)
-        np.cumsum(np.minimum(deg, k), out=self.sptr[1:])
-        self.label = f"slots:{self.sptr[-1]}"
-        self.scomm = np.empty(self.sptr[-1], dtype=np.int32)
-        self.sw = np.empty(self.sptr[-1], dtype=np.int64)
-        self.used = np.zeros(nnodes, dtype=np.int64)
-        for r0, r1 in _row_slices(indptr):
-            s, e = indptr[r0], indptr[r1]
-            if s == e:
-                continue
-            # one run of equal keys per (row, community); the key is summed
-            # and sorted in place and its runs marked with bools, since each
-            # slice-long int64 temporary showed in corridor-d25's peak RSS
-            key = np.repeat(np.arange(r0, r1) * nnodes, deg[r0:r1])
-            key += comm[indices[s:e]]
-            if weights is None:
-                key.sort()
-            else:
-                order = np.argsort(key)
-                key = key[order]
-            run = np.empty(len(key), dtype=bool)
-            run[0] = True
-            np.not_equal(key[1:], key[:-1], out=run[1:])
-            starts = np.flatnonzero(run)
-            if weights is None:
-                wsum = np.diff(starts, append=len(key))
-            else:
-                wsum = np.add.reduceat(weights[s:e][order], starts)
-            key = key[starts]
-            row, c = np.divmod(key, nnodes)
-            used = np.bincount(row - r0, minlength=r1 - r0)
-            self.used[r0:r1] = used
-            first = np.cumsum(used) - used  # each row's first run
-            at = self.sptr[row] + np.arange(len(starts)) - first[row - r0]
-            self.scomm[at] = c
-            self.sw[at] = wsum
-
-    def _slots(self, nodes, used):
-        """The used slots of `nodes` (each with `used` > 0), node by node,
-        and where each node's run starts among them."""
-        seg = np.cumsum(used) - used
-        return np.repeat(self.sptr[nodes] - seg, used) + np.arange(seg[-1] + used[-1]), seg
-
-    def _moving(self, w):
-        u = self.used[w]
-        live = np.flatnonzero(u)
-        if len(live) == 0:
-            return live
-        w, u = w[live], u[live]
-        slots, seg = self._slots(w, u)
-        c = self.scomm[slots]
-        kc = self.sw[slots]
-        dv = self.strength[w]
-        a = self.comm[w]
-        best = np.maximum.reduceat(self.two_m * kc - np.repeat(dv, u) * self.vol[c], seg)
-        own = np.add.reduceat(np.where(c == np.repeat(a, u), kc, 0), seg)
-        stay = self.two_m * own - dv * (self.vol[a] - dv)
-        return live[best > stay]
-
-    def move(self, a: int, b: int, nbrs: np.ndarray, wts) -> None:
-        """A node with neighbours `nbrs` at edge weights `wts` moved from
-        community a to community b.  Every neighbour's row holds a slot
-        for a; a slot that drops to 0 is freed, to b if the row has no
-        slot for b, else by moving the row's last used slot into it."""
-        slots, seg = self._slots(nbrs, self.used[nbrs])
-        c = self.scomm[slots]
-        sa = slots[c == a]
-        isb = c == b
-        hasb = np.logical_or.reduceat(isb, seg)
-        wts = np.broadcast_to(wts, nbrs.shape)
-        self.sw[sa] -= wts
-        self.sw[slots[isb]] += wts[hasb]
-        freed = self.sw[sa] == 0
-        take = freed & ~hasb
-        self.scomm[sa[take]] = b
-        self.sw[sa[take]] = wts[take]
-        grow = ~(freed | hasb)
-        rows = nbrs[grow]
-        at = self.sptr[rows] + self.used[rows]
-        self.scomm[at] = b
-        self.sw[at] = wts[grow]
-        self.used[rows] += 1
-        drop = freed & hasb
-        rows = nbrs[drop]
-        self.used[rows] -= 1
-        last = self.sptr[rows] + self.used[rows]
-        self.scomm[sa[drop]] = self.scomm[last]
-        self.sw[sa[drop]] = self.sw[last]
-
-
-def _stay_table_kind(nnodes: int, k: int, nnz: int, moved: int):
-    """The stay table class a level of `nnodes` nodes, `k` communities
-    and `nnz` CSR entries builds before its next sweep, or None for no
-    table yet, `moved` nodes having moved in the sweep before (all of
-    them before the first).
-
-    Both tables wait for the busy first sweeps to end: _StayTable's
-    columns are fixed when it is built, and a _SlotTable move costs
-    several dict visits.  A level takes _StayTable only if the
-    table is no larger than its CSR (nnodes * k <= nnz), after a sweep
-    that moved at most 1/STAY_MOVED_SHARE of its nodes, and _SlotTable
-    otherwise, after one that moved at most 1/SLOT_MOVED_SHARE."""
-    if nnodes * k <= nnz:
-        return _StayTable if moved * STAY_MOVED_SHARE <= nnodes else None
-    return _SlotTable if moved * SLOT_MOVED_SHARE <= nnodes else None
-
-
-def _local_move_level(indptr: np.ndarray, indices: np.ndarray, weights,
-                      strength: np.ndarray, two_m: int, rng, level: dict) -> np.ndarray:
-    """One level of greedy moves to a fixed point: each node, in a fresh
-    random order per sweep, joins the neighbouring community with the
-    largest exact integer gain 2m k_c - d_v vol_c, if that is strictly
-    larger than the gain of staying put; among equal gains the community
-    first seen in the node's row wins.
-
-    The level graph is a CSR triple without self loops (`weights` None
-    means all ones); `strength` holds each node's int64 weighted degree,
-    self loops included.  A row of NUMPY_ROW_MIN or more neighbours is
-    scored by numpy (bincount, gain vector, first-position argmax), a
-    shorter one by a dict loop in row order.  Returns each node's
-    community (a node index), and writes the level's trace record `level`.
-
-    Before each sweep, until it has one, the level asks _stay_table_kind
-    which stay table to build, if any, given the nodes moved in the sweep
-    before; the first sweep follows none, so it counts as every node
-    moving.  From then on the table skips the nodes it proves stay put
-    and hands on the others in sweep order.  Its test is the move
-    condition above, so each node handed on must move and each node
-    skipped would have stayed: the sweeps draw the same permutations and
-    make the same moves as visiting every node, and a handed-on node that
-    stays is an internal error.
-    """
-    nnodes = len(strength)
-    comm = np.arange(nnodes)
-    vol = strength.copy()
-    # list mirrors: the dict path reads Python ints, the numpy path arrays;
-    # the row lists are built only if some row takes the dict path
-    comm_l, vol_l, str_l = comm.tolist(), vol.tolist(), strength.tolist()
-    ptr = indptr.tolist()
-    idx_l = wt_l = None
-    if (np.diff(indptr) < NUMPY_ROW_MIN).any():
-        idx_l = indices.tolist()
-        wt_l = None if weights is None else weights.tolist()
-    table = None
-    moved = nnodes  # the first sweep follows none
-    sweeps = 0
-    while moved:
-        with trace.stage("sweep") as sweep:
-            order = rng.permutation(nnodes)
-            sweeps += 1
-            if table is None:
-                kind = _stay_table_kind(nnodes, np.count_nonzero(np.bincount(comm)),
-                                        len(indices), moved)
-                if kind is not None:
-                    table = kind(indptr, indices, weights, strength, comm, vol, two_m)
-                    level.update(table=table.label, before_sweep=sweeps)
-            moved = 0
-            for v in order.tolist() if table is None else table.unproven(order):
-                s, e = ptr[v], ptr[v + 1]
-                if s == e:
-                    continue
-                a = comm_l[v]
-                dv = str_l[v]
-                if e - s >= NUMPY_ROW_MIN:
-                    cr = comm[indices[s:e]]
-                    if weights is None:
-                        kc = np.bincount(cr)
-                    else:  # float sums of integers below 2^53 are exact
-                        kc = np.bincount(cr, weights[s:e]).astype(np.int64)
-                    stay = two_m * (int(kc[a]) if a < len(kc) else 0) - dv * (vol_l[a] - dv)
-                    # entries of a itself score stay - dv^2, so never win
-                    gains = two_m * kc[cr] - dv * vol[cr]
-                    j = int(gains.argmax())
-                    best_c = int(cr[j]) if gains[j] > stay else a
-                else:
-                    kv: dict[int, int] = {}
-                    if weights is None:
-                        for w in idx_l[s:e]:
-                            c = comm_l[w]
-                            kv[c] = kv.get(c, 0) + 1
-                    else:
-                        for w, wt in zip(idx_l[s:e], wt_l[s:e]):
-                            c = comm_l[w]
-                            kv[c] = kv.get(c, 0) + wt
-                    best_c = a
-                    best_gain = two_m * kv.get(a, 0) - dv * (vol_l[a] - dv)
-                    for c, k in kv.items():
-                        if c != a:
-                            gain = two_m * k - dv * vol_l[c]
-                            if gain > best_gain:
-                                best_c, best_gain = c, gain
-                if best_c != a:
-                    comm_l[v] = comm[v] = best_c
-                    vol_l[a] -= dv
-                    vol_l[best_c] += dv
-                    vol[a] -= dv
-                    vol[best_c] += dv
-                    moved += 1
-                    if table is not None:
-                        table.move(a, best_c, indices[s:e],
-                                   1 if weights is None else weights[s:e])
-                elif table is not None:
-                    raise RuntimeError(f"Louvain stay table flagged node {v}, which stays put")
-            sweep["moved"] = moved
-    level.update(nodes=nnodes, sweeps=sweeps)
-    return comm
-
-
-def _sum_by_key(key: np.ndarray, pos: np.ndarray, w):
-    """The distinct values of the nonnegative `key` in ascending order,
-    each with its smallest `pos` and the sum of its entries' weights `w`
-    (None: its entry count)."""
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    wsum = np.diff(starts, append=len(key)) if w is None else np.add.reduceat(w[order], starts)
-    return key[starts], np.minimum.reduceat(pos[order], starts), wsum
-
-
-def _coarsen(indptr: np.ndarray, indices: np.ndarray, weights,
-             strength: np.ndarray, node: np.ndarray, k: int):
-    """Collapse each level node into the coarse node `node[v]` (0..k-1).
-
-    Coarse edge weights sum the fine ones and self loops are dropped.
-    Each coarse row is ordered by where its entry first occurs in the
-    fine CSR traversal, which keeps first-appearance tie-breaks stable.
-
-    The fine CSR is read in row slices of about graph.CSR_SLICE entries (see
-    _row_slices), each reduced to its distinct coarse entries: key
-    src * k + dst, first traversal position and summed weight.  One
-    merge of the slices' entries then sums each key over the slices.
-    """
-    parts = []
-    for r0, r1 in _row_slices(indptr):
-        s, e = indptr[r0], indptr[r1]
-        src = np.repeat(node[r0:r1], np.diff(indptr[r0:r1 + 1]))
-        dst = node[indices[s:e]]
-        off = np.flatnonzero(src != dst)
-        key, first, wsum = _sum_by_key(src[off] * k + dst[off], off,
-                                       None if weights is None else weights[s:e][off])
-        parts.append((key, s + first, wsum))
-    key, first, wsum = _sum_by_key(*(np.concatenate(a) for a in zip(*parts)))
-    csrc, cdst = np.divmod(key, k)
-    rows = np.lexsort((first, csrc))
-    new_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(csrc, minlength=k), out=new_indptr[1:])
-    new_strength = np.bincount(node, strength, minlength=k).astype(np.int64)
-    return new_indptr, cdst[rows], wsum[rows], new_strength
-
-
-def _louvain_labels(G: Graph, rng) -> np.ndarray:
-    """Full local-move + merge hierarchy; returns the community of each
-    vertex (0-indexed positions)."""
-    indptr, indices, weights = G.indptr, G.indices, None
-    strength = G.degrees
-    two_m = 2 * G.m
-    labels = np.arange(G.n)
-    with trace.stage("louvain") as run:
-        for levels in itertools.count(1):
-            with trace.stage("level") as level:
-                comm = _local_move_level(indptr, indices, weights, strength, two_m, rng, level)
-                present = np.zeros(len(strength), dtype=bool)
-                present[comm] = True
-                node = np.cumsum(present) - 1
-                k = int(node[-1]) + 1
-                if k == len(strength):
-                    break
-                node = node[comm]
-                indptr, indices, weights, strength = _coarsen(indptr, indices, weights,
-                                                              strength, node, k)
-                labels = node[labels]
-                if k == 1:
-                    break
-        run["levels"] = levels
-    return labels
+            c = np.argmax(s, axis=2)
+            row = go.nonzero()[0]
+            w = _neighbours(G, X[go])
+            joint = joint_gains(live, row, X[go], a[go], c[go], w)
+            bad = [i for i in set(row.tolist()) if joint[i] <= 0]
+            if bad:
+                go[bad] = False
+                go[bad, np.argmax(gain[bad], axis=1)] = True
+                fallbacks[live[bad]] += 1
+                row = go.nonzero()[0]
+                w = _neighbours(G, X[go])
+            shift(vol, live[row], X[go], a[go], c[go], w)
+            moved[row] = True
+        live = live[moved]
+    run.update(k=k, sweeps=sweeps, batch=batch, hot_moves=hot_moves.tolist(),
+               quench_rounds=rounds.tolist(), fallbacks=fallbacks.tolist())
+    return labels.reshape(R, n)
 
 
 def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> ModularityResult:
     """Heuristic lower estimate of mod(G): best of the trivial partition,
-    the components partition, and `budget` seeded local-move runs.
+    the components partition, and `budget` seeded annealing runs, run r
+    drawing from generator(trial_seed(seed, r)) alone.
 
     The returned score is the exact score of a real partition, hence
     never exceeds the true modularity.  On a graph without edges every
     candidate scores 0 and the trivial partition is returned.
     """
     if budget < 1:
-        raise ValidationError("budget (Louvain restarts) must be >= 1")
-    if G.m > SCORE_M_CAP:  # the integer gains lie within +-4 m^2
+        raise ValidationError("budget (annealing runs) must be >= 1")
+    if G.m > SCORE_M_CAP:
         raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
     with trace.stage("heuristic") as record:
         candidates: list[ModularityResult] = [
             ModularityResult(0.0, Partition.trivial(G.n), "trivial"),
             score_components(G),
         ]
-        for r in range(budget):
-            rng = generator(trial_seed(seed, r))
-            P = Partition(_louvain_labels(G, rng))
-            candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
+        if G.m:
+            with trace.stage("anneal") as run:
+                runs = _anneal_labels(
+                    G, [generator(trial_seed(seed, r)) for r in range(budget)], run)
+            for labels in runs:
+                P = Partition(labels)
+                candidates.append(ModularityResult(score_definition(G, P), P, "heuristic"))
         i, best = max(enumerate(candidates), key=lambda c: c[1].score)
         record.update(method=best.method, run=i - 2 if i >= 2 else None)
     return best

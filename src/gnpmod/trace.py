@@ -2,10 +2,10 @@
 
 The library marks each stage once per call, never per node: sample (m),
 components, score_definition, score_edge_form, heuristic (the winning
-method and Louvain run), louvain (levels), level (nodes, sweeps, stay
-table kind:width and the sweep it was built before), sweep (moved),
-bisection (the winning restart) and restart (cut, gain-matrix
-fallbacks, swaps).  Inside `recording(sink)` a stage calls
+method and run), anneal (k, sweeps, batch size, and per run the moves of
+the last hot sweep, the quench rounds and the quench steps that fell
+back to a single move), bisection (the winning restart) and restart
+(cut, gain-matrix fallbacks, swaps).  Inside `recording(sink)` a stage calls
 `sink.begin(name)` as it starts and `sink.end(name, wall_s, details)` as
 it ends or raises.  The library only writes details, so a sink never
 changes a result.  The sink is set in this context only: `sweep --jobs`

@@ -11,13 +11,8 @@ in lexicographic order, and `jacobi_eigenvalues` is a cyclic Jacobi
 eigensolver: the library's vectorised exact routines and its LAPACK
 spectrum must agree with them.
 
-`louvain_labels` is the reference Louvain hierarchy: per-vertex dicts
-and float gains with a 1e-12 tolerance, against which the library's
-CSR kernel must give identical labels.  `coarsen_one_shot` merges a
-level graph with one sort over all of its CSR entries, as the library
-did before it read the CSR in slices; the sliced merge must return the
-same arrays.  `first_appearance_labels` numbers labels by first
-appearance with a dict, as `Partition` must.
+`first_appearance_labels` numbers labels by first appearance with a
+dict, as `Partition` must.
 
 `lemma32_events_exhaustive` and `lemma32_events_sampled` are the Lemma
 3.2 event checks with one array per subset and a per-trial dict tally;
@@ -38,6 +33,12 @@ candidate vertices, rebuilding each side's D from the whole D array at
 every swap, as the library did before it tried the two sides' first
 maxima alone and kept each side's D in place; the library's restart must
 end at the same side and cut after the same number of swaps.
+
+`anneal_run` is one annealing run one vertex at a time: it recounts each
+vertex's edges into each label from its neighbour list, and judges a
+quench batch's joint move by scoring the whole partition before and
+after in Python integers.  From the same generator the library's
+batched table must reach the same labels, rounds and fallbacks.
 """
 
 import math
@@ -223,102 +224,76 @@ def brute_force_modularity(n: int, edges) -> tuple[int, int, list[list[int]]]:
     return best_num, 4 * m * m, best_blocks
 
 
-def _local_move_level(adj: list[dict], strength: list[float], two_m: float,
-                      rng) -> list[int]:
-    """One level of greedy moves: each node to the neighboring community
-    with the best score gain, repeated to a fixed point."""
-    nnodes = len(adj)
-    comm = list(range(nnodes))
-    cvol = strength.copy()
-    moved_any = True
-    while moved_any:
-        moved_any = False
-        for v in rng.permutation(nnodes):
-            v = int(v)
-            a = comm[v]
-            kv: dict[int, float] = {}
-            for w, wt in adj[v].items():
-                if w == v:
-                    continue
-                c = comm[w]
-                kv[c] = kv.get(c, 0.0) + wt
-            dv = strength[v]
-            cvol[a] -= dv
-            best_c = a
-            best_gain = kv.get(a, 0.0) - dv * cvol[a] / two_m
-            for c, k in kv.items():
-                if c == a:
-                    continue
-                gain = k - dv * cvol[c] / two_m
-                if gain > best_gain + 1e-12:
-                    best_c, best_gain = c, gain
-            cvol[best_c] += dv
-            comm[v] = best_c
-            if best_c != a:
-                moved_any = True
-    return comm
+def anneal_run(G, rng, k: int, sweeps: int, batch: int, t_hot: float, t_cold: float):
+    """One annealing run on G from `rng`: (labels, moves in the last hot
+    sweep, quench rounds, quench fallbacks to a single move)."""
+    n, m = G.n, G.m
+    adj = [G.indices[G.indptr[v]:G.indptr[v + 1]].tolist() for v in range(n)]
+    labels = rng.integers(k, size=n).tolist()
 
+    def volumes(lab):
+        vol = [0] * k
+        for v in range(n):
+            vol[lab[v]] += len(adj[v])
+        return vol
 
-def louvain_labels(G, rng) -> list[int]:
-    """Full local-move + merge hierarchy; returns a community label per
-    vertex (0-indexed positions)."""
-    indptr, indices = G.indptr.tolist(), G.indices.tolist()
-    # ascending CSR rows fix each dict's insertion order, hence tie-breaks
-    adj = [dict.fromkeys(indices[indptr[v]:indptr[v + 1]], 1.0) for v in range(G.n)]
-    strength = G.degrees.astype(float).tolist()
-    two_m = 2.0 * G.m
-    members: list[list[int]] = [[v] for v in range(G.n)]
-    while True:
-        comm = _local_move_level(adj, strength, two_m, rng)
-        ids = sorted(set(comm))
-        if len(ids) == len(adj):
-            break
-        remap = {c: i for i, c in enumerate(ids)}
-        k = len(ids)
-        new_members: list[list[int]] = [[] for _ in range(k)]
-        new_strength = [0.0] * k
-        new_adj: list[dict] = [dict() for _ in range(k)]
-        for v, c in enumerate(comm):
-            i = remap[c]
-            new_members[i].extend(members[v])
-            new_strength[i] += strength[v]
-        for v, nbrs in enumerate(adj):
-            i = remap[comm[v]]
-            row = new_adj[i]
-            for w, wt in nbrs.items():
-                j = remap[comm[w]]
-                row[j] = row.get(j, 0.0) + wt
-        adj, strength, members = new_adj, new_strength, new_members
-        if len(adj) == 1:
-            break
-    labels = [0] * G.n
-    for i, mem in enumerate(members):
-        for v in mem:
-            labels[v] = i
-    return labels
+    def numerator(lab):
+        twice_in = sum(lab[v] == lab[w] for v in range(n) for w in adj[v])
+        return 2 * m * twice_in - sum(x * x for x in volumes(lab))
 
+    def row(lab, vol, v):
+        """4m K[v,c] - 2 d_v vol_c for each label c, plus 2 d_v^2 at v's own."""
+        d = len(adj[v])
+        kv = [0] * k
+        for w in adj[v]:
+            kv[lab[w]] += 1
+        return [4 * m * kv[c] - 2 * d * vol[c] + (2 * d * d if c == lab[v] else 0)
+                for c in range(k)]
 
-def coarsen_one_shot(indptr, indices, weights, strength, node, k):
-    """A level graph collapsed into the coarse nodes `node[v]` (0..k-1):
-    (indptr, indices, weights, strength) of the coarse CSR, self loops
-    dropped, each row in order of its entries' first appearance in the
-    fine traversal.  One stable sort over every entry at once."""
-    src = np.repeat(node, np.diff(indptr))
-    dst = node[indices]
-    off = np.flatnonzero(src != dst)
-    key = src[off] * k + dst[off]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    first = order[starts]  # traversal rank of each coarse entry's first term
-    w = np.ones(len(off), dtype=np.int64) if weights is None else weights[off]
-    wsum = np.add.reduceat(w[order], starts) if len(starts) else w[:0]
-    csrc, cdst = np.divmod(key[starts], k)
-    rows = np.lexsort((first, csrc))
-    new_indptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(csrc, minlength=k), out=new_indptr[1:])
-    new_strength = np.bincount(node, strength, minlength=k).astype(np.int64)
-    return new_indptr, cdst[rows], wsum[rows], new_strength
+    def first_max(values):
+        return max(range(len(values)), key=lambda i: (values[i], -i))
+
+    hot = 0
+    for T in 4 * m * np.geomspace(t_hot, t_cold, sweeps):
+        order = rng.permutation(n).tolist()
+        noise = rng.gumbel(size=(n, k)).tolist()
+        hot = 0
+        for lo in range(0, n, batch):
+            vol = volumes(labels)
+            new = labels.copy()
+            for i in range(lo, min(lo + batch, n)):
+                v = order[i]
+                s = row(labels, vol, v)
+                new[v] = first_max([float(s[c]) / float(T) + noise[i][c] for c in range(k)])
+                hot += new[v] != labels[v]
+            labels = new
+    rounds = fallbacks = 0
+    moved = True
+    while moved:
+        rounds += 1
+        moved = False
+        order = rng.permutation(n).tolist()
+        for lo in range(0, n, batch):
+            vol = volumes(labels)
+            moves = []
+            for v in order[lo:lo + batch]:
+                s = row(labels, vol, v)
+                c = first_max(s)
+                if s[c] > s[labels[v]]:
+                    moves.append((s[c] - s[labels[v]], v, c))
+            if not moves:
+                continue
+            new = labels.copy()
+            for _, v, c in moves:
+                new[v] = c
+            if numerator(new) <= numerator(labels):
+                _, v, c = moves[first_max([gain for gain, _, _ in moves])]
+                new = labels.copy()
+                new[v] = c
+                fallbacks += 1
+            labels = new
+            moved = True
+    return labels, hot, rounds, fallbacks
 
 
 def first_appearance_labels(labels) -> list[int]:

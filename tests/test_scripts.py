@@ -15,7 +15,6 @@ thresholds and certified lower bounds.
 import ast
 import importlib.util
 import pathlib
-import re
 
 import pytest
 
@@ -56,17 +55,17 @@ def test_appendix_sharpness(capsys):
 
 def test_trial_profile_tables(capsys):
     """One stage row per stage call of a sweep trial, in the trial's order,
-    and one level row per level of its Louvain run, each with the details
-    of the trial's records."""
+    and one run row per annealing run of its heuristic, each with the
+    details of the trial's records."""
     script = load("trial_profile")
     assert script.main(["--n", "200", "--d", "8", "--restarts", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = lines.index("stage,call,wall_s,traced_peak_mib,maxrss_mib,detail")
-    to = lines.index("level,nodes,sweeps,total_ms,table,before_sweep,sweep_ms")
+    to = lines.index("run,hot_moves,quench_rounds,fallbacks")
     stages = [line.split(",") for line in lines[at + 1:to]]
-    levels = [line.split(",") for line in lines[to + 1:]]
+    runs = [line.split(",") for line in lines[to + 1:]]
     assert [(stage, int(call)) for stage, call, *_ in stages] == [
-        ("sample", 1), ("components", 1), ("score_definition", 1), ("louvain", 1),
+        ("sample", 1), ("components", 1), ("score_definition", 1), ("anneal", 1),
         ("score_definition", 2), ("restart", 1), ("restart", 2), ("score_edge_form", 1)]
     assert all(float(wall) >= 0 and float(peak) >= 0 and float(rss) > 0
                for _, _, wall, peak, rss, _ in stages)
@@ -81,13 +80,11 @@ def test_trial_profile_tables(capsys):
     assert [row[5] for row in stages[5:7]] == [
         f"cut={r['cut']} fallbacks={r['fallbacks']} swaps={r['swaps']}"
         for r in sink.of("restart")]
-    assert stages[3][5] == f"levels={len(levels)}"
-    assert [(int(nodes), int(sweeps)) for _, nodes, sweeps, *_ in levels] == [
-        (level["nodes"], level["sweeps"]) for level in sink.of("level")]
-    for _, _, sweeps, _, table, sweep, ms in levels:
-        assert len(ms.split("/")) == int(sweeps)
-        assert (table, sweep) == ("-", "-") or (
-            re.fullmatch(r"(dense|slots):\d+", table) and 1 <= int(sweep) <= int(sweeps))
+    (anneal,) = sink.of("anneal")
+    assert stages[3][5] == " ".join(
+        f"{key}={value[0] if isinstance(value, list) else value}"
+        for key, value in anneal.items())
+    assert runs == [["0", *(str(anneal[key][0]) for key in script.RUN_COUNTS)]]
 
 
 def private_uses(source: str) -> list[str]:
@@ -124,9 +121,9 @@ def test_script_reaches_no_private_name(path):
 
 def test_private_name_guard():
     assert sorted(private_uses("from gnpmod import cli, modularity as m\nimport gnpmod.graph\n"
-                        "cli._sweep_trial; m._SlotTable.KIND; gnpmod.graph._row_slices\n"
+                        "cli._sweep_trial; m._neighbours.KIND; gnpmod.graph._row_slices\n"
                         "from gnpmod.bisection import _swap_gains\n"
                         "setattr(cli, 'x', 1); monkeypatch.setattr(cli, 'y', 2)\n"
                         "cli.main; other._private; cli.__doc__\n")) == [
         "cli._sweep_trial", "gnpmod.bisection._swap_gains", "gnpmod.graph._row_slices",
-        "m._SlotTable", "monkeypatch.setattr", "setattr"]
+        "m._neighbours", "monkeypatch.setattr", "setattr"]

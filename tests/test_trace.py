@@ -4,11 +4,9 @@ A recording sink changes no output, and `recording` unsets it however
 its block ends.  On one sweep trial, each restart's record must hold
 the cut that _single_local_search returns, the gain-matrix builds a
 _swap_gains spy counts and the swaps oracles.local_search_matrix makes,
-and each Louvain level's record the node and sweep counts read from the
-permutations its run draws.
+and the annealing record the schedule and the quench rounds read from
+the permutations and noise each run draws.
 """
-
-import re
 
 import numpy as np
 import pytest
@@ -26,15 +24,23 @@ N, D, SEED, RESTARTS = 200, 8.0, 1, 3
 
 
 class CountingRng:
-    """A generator whose `permutation` calls are logged by size: Louvain
-    draws one per sweep, of its level's node count."""
+    """A generator whose draws are logged: annealing draws one
+    permutation per sweep and per quench round, and one Gumbel (n, k)
+    noise block per sweep."""
 
     def __init__(self, rng):
-        self.rng, self.sizes = rng, []
+        self.rng, self.permutations, self.noise = rng, 0, []
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
 
     def permutation(self, n):
-        self.sizes.append(n)
+        self.permutations += 1
         return self.rng.permutation(n)
+
+    def gumbel(self, size):
+        self.noise.append(size)
+        return self.rng.gumbel(size=size)
 
 
 def sweep_stdout(capsys, sink=None) -> str:
@@ -81,8 +87,8 @@ def trial():
 
 def test_stages_in_trial_order(trial):
     sink, G = trial
-    outer = [name for name, _ in sink.records if name not in ("level", "sweep")]
-    assert outer == ["sample", "components", "score_definition", "louvain",
+    outer = [name for name, _ in sink.records]
+    assert outer == ["sample", "components", "score_definition", "anneal",
                      "score_definition", "heuristic", "restart", "restart", "restart",
                      "bisection", "score_edge_form"]
     assert sink.of("sample") == [{"m": G.m}]
@@ -107,21 +113,26 @@ def test_restarts_match_the_search_and_a_gain_matrix_spy(trial, monkeypatch):
                           local_search_bisection(G, seed=SEED, restarts=RESTARTS).S)
 
 
-def test_levels_match_the_drawn_permutations(trial):
+@pytest.mark.parametrize("runs", [1, 3])
+def test_anneal_record_matches_the_draws(trial, runs):
     sink, G = trial
-    rng = CountingRng(generator(trial_seed(SEED, 0)))
-    modularity._louvain_labels(G, rng)
-    nodes = list(dict.fromkeys(rng.sizes))
-    levels = sink.of("level")
-    assert [(level["nodes"], level["sweeps"]) for level in levels] == [
-        (n, rng.sizes.count(n)) for n in nodes]
-    assert sink.of("louvain") == [{"levels": len(nodes)}]
-    assert len(sink.of("sweep")) == len(rng.sizes)
-    assert sink.of("sweep")[-1] == {"moved": 0}  # a level ends on a sweep without moves
-    for level in levels:
-        assert "table" not in level or (
-            re.fullmatch(r"(dense|slots):\d+", level["table"])
-            and 1 <= level["before_sweep"] <= level["sweeps"])
+    rngs = [CountingRng(generator(trial_seed(SEED, r))) for r in range(runs)]
+    record = {}
+    modularity._anneal_labels(G, rngs, record)
+    if runs == 1:
+        assert sink.of("anneal") == [record]  # the trial's heuristic ran budget 1
+    k = min(modularity.ANNEAL_K, G.n)
+    sweeps = modularity.ANNEAL_SWEEPS_PER_BIT * G.n.bit_length()
+    assert (record["k"], record["sweeps"]) == (k, sweeps)
+    assert G.n > modularity.ANNEAL_BATCH_MIN
+    assert record["batch"] == min(round(modularity.ANNEAL_BATCH_ENTRIES * G.n * G.n / (2 * G.m)),
+                                  (G.n + 1) // 2)
+    for rng, rounds, hot, fallbacks in zip(rngs, record["quench_rounds"],
+                                          record["hot_moves"], record["fallbacks"]):
+        assert rng.permutations == sweeps + rounds
+        assert rng.noise == [(G.n, k)] * sweeps
+        assert 0 <= hot <= G.n and 0 <= fallbacks
+    assert len(record["quench_rounds"]) == len(record["hot_moves"]) == runs
 
 
 def test_heuristic_winner(trial):
