@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gnpmod import modularity
+from gnpmod.errors import CapExceeded, ValidationError
 from gnpmod.graph import Graph, sample_gnp
 from gnpmod.modularity import (EXACT_CAP_MAX, Partition, exact_modularity,
                                heuristic_modularity, score_definition)
@@ -193,3 +194,15 @@ def test_memory_follows_n_k_and_the_slice():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def test_budget_below_one_rejected(k4):
+    with pytest.raises(ValidationError, match=r"budget \(annealing runs\) must be >= 1"):
+        heuristic_modularity(k4, budget=0)
+
+
+def test_edge_cap_checked_before_work(monkeypatch, k4):
+    monkeypatch.setattr(modularity, "SCORE_M_CAP", 5)
+    monkeypatch.setattr(modularity, "_anneal_labels", None)  # never reached
+    with pytest.raises(CapExceeded):
+        heuristic_modularity(k4)
