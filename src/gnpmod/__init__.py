@@ -23,4 +23,4 @@ from .rng import generator, splitmix64, trial_seed
 from .spectral import SpectrumResult, normalized_laplacian, spectral_gap
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"
+__version__ = "0.2.0"

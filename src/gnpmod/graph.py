@@ -17,18 +17,21 @@ sorted unique indices of its pairs in the lexicographic order (1,2),
 (1,3), ..., (n-1,n), in a buffer with room for 2m entries, into which
 it fills the CSR over the keys it has read.  `Graph(n, pairs)` checks
 and encodes its pairs a slice at a time into that buffer, then sorts
-and dedups it in place; `sample_gnp`'s draw, streamed SAMPLE_CHUNK
-uniforms at a time, appends just the indices of the pairs it accepts.
+and dedups it in place; `sample_gnp`'s geometric skip draw sums its
+gaps there in place, at most SAMPLE_CHUNK at a time, into the ascending
+indices of the pairs it keeps.
 
 Every O(m) pass over a graph (the CSR build, component labels, the
 per-vertex counts behind the scores and the bisection's degrees) reads
 its input in slices of about CSR_SLICE entries (see _row_slices), so
 besides the CSR's own 16 bytes an edge its temporaries are O(n +
-CSR_SLICE).  So `sample_gnp` peaks at 16-21 bytes per kept edge: the
-16 of the CSR, which holds the pair indices until it replaces them, plus
-one chunk of uniforms and the build's slices (tracemalloc: 16.2 MiB for
-the 800 000 edges of n = 4000, p = 0.1; 157.5 MiB for the 10^7 of
-n = 10 000, p = 0.2).  Connected components are found by min-label
+CSR_SLICE).  So `sample_gnp` peaks at 16 bytes per kept edge, those of
+the CSR, which holds the pair indices until it replaces them, plus about
+64 bytes per vertex (the build's eight n-long int64 arrays), one chunk
+of gaps and the build's slices.  Tracemalloc: 16.1 MiB for the 799 076
+edges of n = 4000, p = 0.1; 157.9 MiB for the 10^7 of n = 10 000,
+p = 0.2; 142.1 MiB for the 5.0 10^6 of n = 10^6, d = 10, of which 61 MiB
+is the per-vertex term.  Connected components are found by min-label
 propagation over the CSR rows, so no step loops over vertices in Python.
 
 A vertex subset S is a boolean array of length n, S[v-1] for vertex v.
@@ -47,23 +50,19 @@ from . import trace
 from .errors import CapExceeded, ValidationError
 from .rng import generator
 
-# Largest number of vertex pairs n(n-1)/2 that sample_gnp draws: n = 10 000
-# is the largest accepted size.  The streamed draw holds one chunk of
-# uniforms plus 16-21 bytes per kept edge (tracemalloc peak, 16 of them
-# the finished Graph's CSR), so the cap no longer bounds memory, only the
-# draw time: one uniform per pair, 0.65 s for n = 10 000 at d = 25 on a
-# 2-vCPU box.
-MAX_PAIRS = 50_000_000
-# Largest expected edge count p n(n-1)/2 that sample_gnp draws.  At about
-# 16.5 bytes per kept edge at this size (157.5 MiB traced for the 10^7
-# edges of n = 10 000, p = 0.2) the draw's peak stays under 200 MiB; the
+# Largest expected edge count p n(n-1)/2 that sample_gnp draws.  The draw
+# traces 16 bytes per kept edge plus about 64 per vertex, so its peak at
+# this cap follows n: 194 MiB at n = 10^5 (d = 240), 249 MiB at n = 10^6
+# (d = 24), and by the same rates about 0.8 GiB at n = MAX_VERTICES.  The
 # drawn m exceeds its expectation by more than a few standard deviations
 # sqrt(m (1-p)) (about 3 500 edges here) only with negligible probability.
+# The draw's time follows the edges, not the pairs: 1.4 s for the 1.2 10^7
+# edges of n = 10^6, d = 24 on a 2-vCPU box.
 MAX_EXPECTED_EDGES = 12_000_000
-# Vertex pairs whose uniforms sample_gnp draws at once: 2 MiB of float64.
-# A larger chunk can cost resident memory, since glibc's mmap threshold
-# follows a freed chunk upward: the desk-oracles benchmark's max RSS was
-# 142 MiB with this chunk, 148 MiB with 2^20 pairs.  write_edge_list
+# Most geometric gaps sample_gnp draws at once: 2 MiB of int64.  A larger
+# chunk can cost resident memory, since glibc's mmap threshold follows a
+# freed chunk upward: the desk-oracles benchmark's max RSS was 142 MiB
+# with a chunk of this size, 148 MiB with 2^20 entries.  write_edge_list
 # formats this many edges at a time, so its Python lists stay bounded.
 SAMPLE_CHUNK = 1 << 18
 # Largest vertex count a Graph accepts.  Its CSR offsets, degrees and row
@@ -275,7 +274,7 @@ class EdgeCounts:
 def _edge_capacity(npairs: int, p: float) -> int:
     """How many pair indices sample_gnp makes room for before its draw:
     the expected edge count p npairs plus eight of its standard
-    deviations, at most npairs.  A draw that keeps more grows its buffer
+    deviations, at most npairs.  A draw that needs more grows its buffer
     by a copy."""
     mean = p * npairs
     return min(npairs, math.ceil(mean + 8 * math.sqrt(mean * (1 - p))))
@@ -285,22 +284,27 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Sample G(n,p): each of the n(n-1)/2 vertex pairs is an edge
     independently with probability p.
 
-    Deterministic for fixed (n, p, seed); pairs are examined in
-    lexicographic order (1,2), (1,3), ..., (n-1,n), pair t (0-based) being
-    an edge iff the t-th uniform of the seed's stream is below p, so
-    samples are bit-reproducible.  The uniforms are drawn SAMPLE_CHUNK at
-    a time, which leaves the stream unchanged, and only the accepted pair
-    indices are kept, appended to one int64 buffer with room for twice
-    _edge_capacity of them, in which Graph._build then lays out the CSR.
-    More than MAX_PAIRS pairs, or more than MAX_EXPECTED_EDGES expected
-    edges, raise CapExceeded before anything is allocated.
+    Deterministic for fixed (n, p, seed), in O(n + m) time and memory: a
+    geometric skip draw (Batagelj & Brandes 2005).  With the pairs in
+    lexicographic order (1,2), (1,3), ..., (n-1,n), 0-based, the first
+    edge is pair g_1 - 1 and each next one lies g_i pairs past the last,
+    g_1, g_2, ... being the seed's stream of rng.geometric(p) draws; the
+    draw ends at the first index >= n(n-1)/2.  The gaps are drawn in
+    chunks of the expected count of the edges still to come plus four of
+    its standard deviations and 16, at most SAMPLE_CHUNK and at most the
+    pairs left, which leaves the stream, and so the graph, unchanged.
+    Each chunk's gaps are clipped to n(n-1)/2 + 1, which reaches past the
+    last pair from anywhere (numpy's geometric saturates at 2^63 - 1 for
+    p below about 1e-18), and summed in place into one int64 buffer with
+    room for twice _edge_capacity indices, in which Graph._build then
+    lays out the CSR.
+    More than MAX_EXPECTED_EDGES expected edges raise CapExceeded before
+    anything is allocated.
     """
     _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p={p} must lie in [0,1]")
     npairs = n * (n - 1) // 2
-    if npairs > MAX_PAIRS:
-        raise CapExceeded("sample_gnp pairs n(n-1)/2", npairs, MAX_PAIRS)
     if p * npairs > MAX_EXPECTED_EDGES:
         raise CapExceeded("sample_gnp expected edges p n(n-1)/2", round(p * npairs),
                           MAX_EXPECTED_EDGES)
@@ -311,16 +315,29 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
             rng = generator(seed)
             cap = _edge_capacity(npairs, p)
             buf = np.empty(2 * cap, dtype=np.int64)
-            m = 0
-            for start in range(0, npairs, SAMPLE_CHUNK):
-                hits = np.flatnonzero(rng.random(min(SAMPLE_CHUNK, npairs - start)) < p)
-                if m + len(hits) > cap:
-                    cap = min(npairs, max(2 * cap, m + len(hits)))
+            m, last = 0, -1
+            while last < npairs - 1:
+                mean = p * (npairs - 1 - last)
+                size = min(SAMPLE_CHUNK, math.ceil(mean + 4 * math.sqrt(mean)) + 16,
+                           npairs - 1 - last)
+                if m + size > cap:
+                    cap = min(npairs, max(2 * cap, m + size))
                     grown = np.empty(2 * cap, dtype=np.int64)
                     grown[:m] = buf[:m]
                     buf = grown
-                np.add(hits, start, out=buf[m:m + len(hits)])
-                m += len(hits)
+                chunk = buf[m:m + size]
+                np.minimum(rng.geometric(p, size), npairs + 1, out=chunk)
+                chunk[0] += last
+                np.cumsum(chunk, out=chunk)
+                # a chunk's sums ascend up to its first index >= npairs; past
+                # that they may wrap around
+                beyond = chunk >= npairs
+                end = int(np.argmax(beyond))
+                if beyond[end]:
+                    m += end
+                    break
+                m += size
+                last = int(chunk[-1])
             G = Graph._from_pair_indices(n, buf, m)
         record["m"] = G.m
     return G

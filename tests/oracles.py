@@ -19,11 +19,12 @@ dict, as `Partition` must.
 they return the regime rows as (regime, k_min, k_max, trials, v1, v2,
 v3) tuples, which the library's chunked tally must reproduce.
 
-`gnp_edges_triu` draws G(n,p) with all n(n-1)/2 uniforms at once over
-`np.triu_indices`, `csr_lexsort` builds the CSR arrays by sorting every
-edge in both directions, and `components_dfs` finds components by depth
-first search: the library's streamed sampler, its CSR builder and its
-label-propagation components must give the same arrays and sets.
+`gnp_edges_triu` draws G(n,p) one geometric gap per edge in a Python
+loop and maps the pair indices through `np.triu_indices`, `csr_lexsort`
+builds the CSR arrays by sorting every edge in both directions, and
+`components_dfs` finds components by depth first search: the library's
+chunked skip draw, its CSR builder and its label-propagation components
+must give the same arrays and sets.
 
 `best_restart` is the rule by which local search picks among its
 restarts, on sorted member tuples: the library compares the boolean
@@ -54,11 +55,21 @@ JACOBI_TOL = 1e-10
 
 
 def gnp_edges_triu(n: int, p: float, seed: int) -> np.ndarray:
-    """The (m, 2) 1-indexed edges of G(n,p) from one draw of n(n-1)/2
-    uniforms, pair (u, v) kept when its uniform, in lexicographic pair
-    order, is below p."""
-    keep = generator(seed).random(n * (n - 1) // 2) < p
+    """The (m, 2) 1-indexed edges of G(n,p) by a geometric skip draw, one
+    rng.geometric(p) call per edge in a Python loop: walking the pairs in
+    lexicographic order, each edge lies that many pairs past the last
+    (the first that many minus one into the order), until a pair past
+    the last one."""
+    npairs = n * (n - 1) // 2
+    rng = generator(seed)
+    keep, at = [], -1
+    while p > 0:
+        at += int(rng.geometric(p))
+        if at >= npairs:
+            break
+        keep.append(at)
     iu, iv = np.triu_indices(n, k=1)
+    keep = np.array(keep, dtype=np.int64)
     return np.column_stack((iu[keep] + 1, iv[keep] + 1)).astype(np.int64)
 
 

@@ -50,9 +50,19 @@ class TestSample:
         assert code == 2
 
     def test_oversized_graph_exits_3(self, capsys):
-        code, out = run(capsys, "sample", "--n", "100000", "--d", "5")
+        code, out = run(capsys, "sample", "--n", "10000001", "--d", "5")
         assert code == 3
         assert out == ""
+
+    def test_large_sparse_graph_is_drawn(self, capsys, tmp_path):
+        # n = 10^5 is past the old cap of 5 * 10^7 pairs; the draw follows
+        # the 1.25 * 10^6 edges, not the pairs
+        path = tmp_path / "g.txt"
+        code, _ = run(capsys, "sample", "--n", "100000", "--d", "25", "--seed", "1",
+                      "--out", str(path))
+        assert code == 0
+        with open(path) as fh:
+            assert fh.readline() == f"100000 {sample_gnp(100_000, 25 / 100_000, 1).m}\n"
 
     def test_dense_graph_exits_3(self, capsys):
         code, out = run(capsys, "sample", "--n", "10000", "--p", "0.9")
@@ -92,8 +102,8 @@ class TestScoring:
     @pytest.mark.parametrize("cmd, method", [("certificate", "bisection"),
                                              ("mod-heuristic", "trivial")])
     def test_graph_without_edges_scores_zero(self, capsys, cmd, method):
-        assert sample_gnp(10, 0.01, 0).m == 0
-        code, out = run(capsys, cmd, "--n", "10", "--p", "0.01", "--seed", "0")
+        assert sample_gnp(10, 0.01, 2).m == 0
+        code, out = run(capsys, cmd, "--n", "10", "--p", "0.01", "--seed", "2")
         assert code == 0
         assert data_rows(out)[1].split(",")[:2] == ["0.0", method]
 
@@ -286,10 +296,11 @@ class TestSweep:
         assert code == 2
 
     def test_trial_without_edges_scores_zero(self, capsys):
-        """At n = 3, d = 1 the second trial draws no edges.  Its row scores
-        0 on both, the library's own scores of a graph without edges, and
-        the first trial's row keeps the library's scores."""
-        code, out = run(capsys, "sweep", "--n", "3", "--d", "1", "--trials", "2")
+        """At n = 3, d = 1 and seed 47 the second trial draws no edges.  Its
+        row scores 0 on both, the library's own scores of a graph without
+        edges, and the first trial's row keeps the library's scores."""
+        code, out = run(capsys, "sweep", "--n", "3", "--d", "1", "--trials", "2",
+                        "--seed", "47")
         assert code == 0
         rows = [r.split(",") for r in data_rows(out)[1:]]
         graphs = [(sample_gnp(3, 1 / 3, int(r[2])), int(r[2])) for r in rows]

@@ -330,7 +330,7 @@ class TestEventChecks:
         assert ok.total_violations == 0
         assert sum(r.trials for r in ok.regimes) == 2 ** 16 - 2
         bad = check_lemma32_events_exhaustive(G, 0.1, d)
-        assert bad.total_violations == 25124
+        assert bad.total_violations == 27876
 
     def test_regime_split(self):
         G = sample_gnp(16, 0.5, 42)

@@ -173,7 +173,7 @@ def test_sliced_sample_matches_lexsort(n, p, seed, slice_):
 @pytest.mark.parametrize("capacity", [1, 5])
 def test_buffer_growth_matches_unpatched_draw(n, p, seed, capacity):
     """A draw that keeps more edges than sample_gnp made room for grows
-    its pair-index buffer, several times over across chunks of 7 pairs,
+    its pair-index buffer, several times over across chunks of 7 gaps,
     and still gives the graph of the unpatched draw."""
     want = sample_gnp(n, p, seed)
     with mock.patch.object(graph, "_edge_capacity", lambda npairs, p: capacity), \
@@ -231,10 +231,11 @@ def test_sliced_restart_matches_matrix_reference(case, slice_, seeds):
 
 # ---------------------------------------------------------------------------
 # Memory on G(4000, p=0.1): 800 000 edges, 1.6 million CSR entries, 12.2 MiB
-# of CSR indices.  Measured: the draw peaked at 16.2 MiB with the CSR built
-# in place over the drawn pair indices (22.1 with a second array of them
-# beside the CSR, 62.0 when it built the CSR from whole lo/hi arrays and
-# an argsort), the passes below at 0.7-1.7 MiB each (12.4 for
+# of CSR indices.  Measured: the draw peaked at 16.1 MiB with the CSR built
+# in place over the drawn pair indices (16.2 when it drew a uniform for
+# every pair, 22.1 with a second array of them beside the CSR, 62.0 when
+# it built the CSR from whole lo/hi arrays and an argsort), the passes
+# below at 0.7-1.7 MiB each (12.4 for
 # component_roots' whole-CSR gather, 25.9 for each score and each
 # restart).
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import math
 import os
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gnpmod import graph
 from gnpmod.errors import CapExceeded, ValidationError
-from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_PAIRS, MAX_VERTICES, SAMPLE_CHUNK,
+from gnpmod.graph import (MAX_EXPECTED_EDGES, MAX_VERTICES, SAMPLE_CHUNK,
                           EdgeCounts, Graph, component_roots, degree, edge_counts,
                           read_edge_list, sample_gnp, subset_edges, subset_volumes,
                           write_edge_list)
@@ -103,12 +104,11 @@ class TestSampling:
         with pytest.raises(ValidationError):
             sample_gnp(5, -0.1, 0)
 
-    def test_pair_cap_refuses_before_allocating(self):
-        assert 10_000 * 9_999 // 2 <= MAX_PAIRS < 10_001 * 10_000 // 2
+    def test_sample_vertex_cap_refuses_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceeded):
-                sample_gnp(100_000, 5 / 100_000, 0)
+            with pytest.raises(CapExceeded, match="vertex count"):
+                sample_gnp(MAX_VERTICES + 1, 1e-9, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -116,7 +116,6 @@ class TestSampling:
 
     def test_expected_edge_cap_refuses_before_allocating(self):
         # 4.5e7 expected edges would hold about 1.1 GB at 25 bytes an edge
-        assert 10_000 * 9_999 // 2 <= MAX_PAIRS
         assert 8 * 10**5 < MAX_EXPECTED_EDGES <= 2**30 // 80
         tracemalloc.start()
         try:
@@ -148,17 +147,82 @@ class TestSampling:
         assert np.array_equal(G.edges, oracles.gnp_edges_triu(n, p, seed))
         assert_csr_matches_reference(G)
 
-    def test_chunked_uniforms_equal_one_call(self):
+    @pytest.mark.parametrize("p", [0.01, 0.5])
+    def test_chunked_gaps_equal_one_call(self, p):
+        # numpy draws geometric variates by inversion below p = 1/3 and by
+        # search above it; either way each takes the stream's next draws
         rng = generator(5)
-        parts = np.concatenate([rng.random(3), rng.random(2**20), rng.random(77)])
-        assert np.array_equal(parts, generator(5).random(3 + 2**20 + 77))
+        parts = np.concatenate([rng.geometric(p, 3), rng.geometric(p, 2**16),
+                                rng.geometric(p, 77)])
+        assert np.array_equal(parts, generator(5).geometric(p, 3 + 2**16 + 77))
+
+    # numpy's geometric saturates at 2^63 - 1 below p of about 1e-18, and
+    # geometric(1) is always 1
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-18, 1 - 1e-16, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("chunk", [1, 7, SAMPLE_CHUNK])
+    def test_extreme_p(self, monkeypatch, n, p, chunk):
+        monkeypatch.setattr(graph, "SAMPLE_CHUNK", chunk)
+        G = sample_gnp(n, p, 11)
+        assert np.array_equal(G.edges, oracles.gnp_edges_triu(n, p, 11))
+        assert_csr_matches_reference(G)
+        if p == 1.0:
+            assert G.m == n * (n - 1) // 2
+        if p <= 1e-18:
+            assert G.m == 0
+
+    def test_large_n_draws(self, monkeypatch):
+        # 5 * 10^6 edges among 5 * 10^11 pairs, far past the old cap of
+        # one uniform per pair at n = 10^4
+        G = sample_gnp(10**6, 10 / 10**6, 1)
+        mean = 10 / 10**6 * (10**6 * (10**6 - 1) // 2)
+        assert abs(G.m - mean) < 6 * np.sqrt(mean)
+        assert G.indptr[-1] == 2 * G.m == G.degrees.sum()
+        del G
+        # the stream's chunks end where they like, the graph stays the same
+        want = sample_gnp(10**5, 25 / 10**5, 2)
+        monkeypatch.setattr(graph, "SAMPLE_CHUNK", 1000)
+        assert sample_gnp(10**5, 25 / 10**5, 2) == want
+
+    @pytest.mark.parametrize("n, p", [(20, 0.05), (12, 0.5)])
+    def test_edge_count_is_binomial(self, n, p):
+        """e(G) over 4000 fixed seeds against Binomial(n(n-1)/2, p): a
+        chi-square test over the counts, the tails pooled until each bin
+        expects at least 20 graphs, held to its 1e-6 quantile (by the
+        Wilson-Hilferty approximation)."""
+        npairs, trials = n * (n - 1) // 2, 4000
+        counts = np.bincount([sample_gnp(n, p, s).m for s in range(trials)],
+                             minlength=npairs + 1)
+        expect = trials * np.array([math.comb(npairs, k) * p**k * (1 - p)**(npairs - k)
+                                    for k in range(npairs + 1)])
+        lo = int(np.searchsorted(np.cumsum(expect), 20))
+        hi = npairs - int(np.searchsorted(np.cumsum(expect[::-1]), 20))
+        seen = np.concatenate(([counts[:lo + 1].sum()], counts[lo + 1:hi], [counts[hi:].sum()]))
+        want = np.concatenate(([expect[:lo + 1].sum()], expect[lo + 1:hi], [expect[hi:].sum()]))
+        chi2 = float(((seen - want) ** 2 / want).sum())
+        dof = len(seen) - 1
+        z = 4.753  # the standard normal's 1 - 1e-6 quantile
+        assert chi2 < dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+
+    @pytest.mark.parametrize("p", [0.3, 0.7])
+    def test_each_pair_is_an_edge_with_probability_p(self, p):
+        """At n = 6 each of the 15 pairs is an edge in a share of 8000
+        fixed seeds within five standard errors of p, the first and last
+        pair too."""
+        trials = 8000
+        freq = np.zeros((6, 6))
+        for s in range(trials):
+            e = sample_gnp(6, p, s).edges - 1
+            freq[e[:, 0], e[:, 1]] += 1
+        share = freq[np.triu_indices(6, k=1)] / trials
+        assert np.all(np.abs(share - p) < 5 * math.sqrt(p * (1 - p) / trials))
 
     # sha256 of edges.tobytes() for the two benchmark corridor graphs, taken
-    # from the single-draw sampler.  A sampler that draws a different
-    # stream (a geometric skip draw, say) must change these on purpose.
+    # from the geometric skip draw.  A sampler that draws a different
+    # stream must change these on purpose.
     CORRIDOR_DIGESTS = {
-        25: "4bec5c30aa7c9cbd671b92d672a26a153d7b7e40b8860246c2176d2052ec7138",
-        400: "b6c36d230354ae65b618605fe74f377e8a442745191259397bb1ca420f87cb7e",
+        25: "5f14f0c13637741acc92c02856cc7947f809399fece15add8d2b9a2a0d71f7d9",
+        400: "0ad3e5bf80f479b44a61dfaa5340cdfd9c72fec0608e93f14b886dfe818f77b0",
     }
 
     @pytest.mark.parametrize("d", sorted(CORRIDOR_DIGESTS))
@@ -166,9 +230,10 @@ class TestSampling:
         G = sample_gnp(4000, d / 4000, 1)
         assert hashlib.sha256(G.edges.tobytes()).hexdigest() == self.CORRIDOR_DIGESTS[d]
 
-    # tracemalloc peaks measured on the streamed draw with the sliced CSR
-    # build: 23 MiB at d = 400 and 4 MiB at d = 25 (62 and 4 MiB with the
-    # whole-array build, 221 and 145 MiB when the draw held every pair).
+    # tracemalloc peaks measured on the geometric skip draw with the sliced
+    # CSR build: 16.8 MiB at d = 400 and 3.4 MiB at d = 25 (62 and 4 MiB
+    # with the whole-array build, 221 and 145 MiB when the draw held a
+    # uniform for every pair).
     @pytest.mark.parametrize("p, bound_mib", [(0.1, 96), (25 / 4000, 16)])
     def test_draw_memory_is_linear_in_edges(self, p, bound_mib):
         assert traced_peak_mib(sample_gnp, 4000, p, 3) < bound_mib

@@ -141,7 +141,7 @@ class TestHeuristic:
 
 # graphs without edges: empty ones and a G(n,p) draw that kept no pair
 ZERO_EDGE_GRAPHS = ([pytest.param(Graph(n, []), id=f"empty-{n}") for n in (1, 2, 3, 40)]
-                    + [pytest.param(sample_gnp(10, 0.01, 0), id="gnp-10-0.01-0")])
+                    + [pytest.param(sample_gnp(10, 0.01, 2), id="gnp-10-0.01-2")])
 
 
 @pytest.mark.parametrize("G", ZERO_EDGE_GRAPHS)
