@@ -55,8 +55,7 @@ class TestSample:
         assert out == ""
 
     def test_large_sparse_graph_is_drawn(self, capsys, tmp_path):
-        # n = 10^5 is past the old cap of 5 * 10^7 pairs; the draw follows
-        # the 1.25 * 10^6 edges, not the pairs
+        # 5 * 10^9 pairs: the draw's time follows the 1.25 * 10^6 edges
         path = tmp_path / "g.txt"
         code, _ = run(capsys, "sample", "--n", "100000", "--d", "25", "--seed", "1",
                       "--out", str(path))

@@ -172,8 +172,8 @@ class TestSampling:
             assert G.m == 0
 
     def test_large_n_draws(self, monkeypatch):
-        # 5 * 10^6 edges among 5 * 10^11 pairs, far past the old cap of
-        # one uniform per pair at n = 10^4
+        # 5 * 10^6 edges among 5 * 10^11 pairs: the draw's time follows the
+        # edges
         G = sample_gnp(10**6, 10 / 10**6, 1)
         mean = 10 / 10**6 * (10**6 * (10**6 - 1) // 2)
         assert abs(G.m - mean) < 6 * np.sqrt(mean)
