@@ -27,10 +27,10 @@ its input in slices of about CSR_SLICE entries (see _row_slices), so
 besides the CSR's own 16 bytes an edge its temporaries are O(n +
 CSR_SLICE).  So `sample_gnp` peaks at 16 bytes per kept edge, those of
 the CSR, which holds the pair indices until it replaces them, plus about
-64 bytes per vertex (the build's eight n-long int64 arrays), one chunk
+48 bytes per vertex (the build's six n-long int64 arrays), one chunk
 of gaps and the build's slices.  Tracemalloc: 16.1 MiB for the 799 076
-edges of n = 4000, p = 0.1; 157.9 MiB for the 10^7 of n = 10 000,
-p = 0.2; 142.1 MiB for the 5.0 10^6 of n = 10^6, d = 10, of which 61 MiB
+edges of n = 4000, p = 0.1; 157.1 MiB for the 10^7 of n = 10 000,
+p = 0.2; 126.8 MiB for the 5.0 10^6 of n = 10^6, d = 10, of which 46 MiB
 is the per-vertex term.  Connected components are found by min-label
 propagation over the CSR rows, so no step loops over vertices in Python.
 
@@ -51,9 +51,9 @@ from .errors import CapExceeded, ValidationError
 from .rng import generator
 
 # Largest expected edge count p n(n-1)/2 that sample_gnp draws.  The draw
-# traces 16 bytes per kept edge plus about 64 per vertex, so its peak at
-# this cap follows n: 194 MiB at n = 10^5 (d = 240), 249 MiB at n = 10^6
-# (d = 24), and by the same rates about 0.8 GiB at n = MAX_VERTICES.  The
+# traces 16 bytes per kept edge plus about 48 per vertex, so its peak at
+# this cap follows n: 192 MiB at n = 10^5 (d = 240), 234 MiB at n = 10^6
+# (d = 24), and by the same rates about 0.6 GiB at n = MAX_VERTICES.  The
 # drawn m exceeds its expectation by more than a few standard deviations
 # sqrt(m (1-p)) (about 3 500 edges here) only with negligible probability.
 # The draw's time follows the edges, not the pairs: 1.4 s for the 1.2 10^7
@@ -208,12 +208,15 @@ class Graph:
         n_hi = np.zeros(n, dtype=np.int64)
         for _, hi, _ in _key_slices(keys, rs, first):
             np.add.at(n_hi, hi, 1)
-        degrees = n_lo + n_hi
+        # degrees and end take over the buffers of n_lo and n_hi
+        degrees = n_lo
+        degrees += n_hi
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
         indices = buf[:2 * m]
-        upper = indptr[:-1] + n_hi - first[:-1]
-        end = indptr[:-1] + n_hi
+        end = n_hi
+        end += indptr[:-1]
+        upper = end - first[:-1]
         for lo, hi, i0 in _key_slices(keys, rs, first):
             indices[upper[lo] + np.arange(i0, i0 + len(lo))] = hi
             hs, ls = np.divmod(np.sort(hi * n + lo), n)

@@ -27,7 +27,9 @@ within 10 m d_v < 10 m n: below 2^58, inside int64, for every m <=
 SCORE_M_CAP and n <= graph.MAX_VERTICES.  Each sweep cuts
 a fresh permutation into batches, and a batch's moves are drawn at once
 by Gumbel-max over dN / T, so the n-vertex Python loop of a local-move
-heuristic becomes a few numpy calls per batch; T falls geometrically
+heuristic becomes a few numpy calls per batch.  The noise is one n x k
+block of uniforms a sweep, turned in place into Gumbel variates by
+rng.gumbel's own transform (see _gumbel).  T falls geometrically
 over a fixed number of sweeps, so the run's cost follows n and m, not
 the graph's structure.  A zero-temperature quench then applies a batch's
 improving moves together only if they raise the exact numerator
@@ -296,6 +298,23 @@ def _neighbours(G: Graph, X: np.ndarray) -> np.ndarray:
             + np.repeat(X - v, count))
 
 
+def _gumbel(u: np.ndarray) -> np.ndarray:
+    """Standard Gumbel noise from the uniforms u in [0, 1), in place:
+    numpy's own transform -log(-log(1 - u)), the one rng.gumbel applies to
+    the same draws, as five whole-array ufuncs.  1 - u is exact for numpy's
+    53-bit uniforms; the vectorised log may round differently from the
+    scalar libm log rng.gumbel calls, which moves a value by at most about
+    one unit in the last place of max(|value|, 1).  At u == 0 (probability
+    2^-53 a draw) rng.gumbel draws again, but this gives +inf, which can
+    only make its label the argmax."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    return np.negative(u, out=u)
+
+
 def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     """One annealing run per generator in `rngs`, side by side, on a
     graph with edges: an (R, n) array of labels, row r drawn from
@@ -314,7 +333,13 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     ANNEAL_BATCH_ENTRIES n / (mean degree) vertices.  A batch's moves are
     drawn at once from the current K and vol, by Gumbel-max over s / T,
     and applied together.  T falls geometrically from ANNEAL_T_HOT 4m to
-    ANNEAL_T_COLD 4m over the sweeps.
+    ANNEAL_T_COLD 4m over the sweeps.  Each sweep's noise is
+    rng.random((n, k)) from each run's generator, turned into Gumbel
+    variates in place by _gumbel: the stream and formula of rng.gumbel,
+    but for the last bit of the log's rounding.  A uniform of 0, which
+    rng.gumbel would draw again, gives +inf noise; that can only pick its
+    label, and every score stays exact, since s is an integer and the
+    labels are scored afresh.
 
     The quench that follows moves each vertex of a batch to its best
     label if that has dN > 0.  A replica's moves in a batch are applied
@@ -341,14 +366,18 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
                 min(n, ANNEAL_BATCH_MIN))
     sweeps = ANNEAL_SWEEPS_PER_BIT * n.bit_length()
     cells = np.arange(0, R * batch * k, k)
+    twice_deg = 2 * deg
+    twice_deg_sq = twice_deg * deg
     in_batch = np.zeros(R * n, dtype=bool)
 
     def scores(X, rep):
         """s for the (R', b) replica vertices X of the replicas `rep`, and
         their labels."""
-        a, d = labels[X], deg[X]
-        s = 4 * m * K[X] - 2 * d[..., None] * vol[rep, None]
-        s.reshape(-1)[cells[:a.size] + a.reshape(-1)] += 2 * (d * d).reshape(-1)
+        a = labels[X]
+        s = np.take(K, X, axis=0)
+        s *= 4 * m
+        s -= twice_deg[X][..., None] * vol[rep, None]
+        s.reshape(-1)[cells[:a.size] + a.reshape(-1)] += twice_deg_sq[X].reshape(-1)
         return s, a
 
     def shift(table, row, X, a, c, w):
@@ -390,11 +419,13 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     for T in 4 * m * np.geomspace(ANNEAL_T_HOT, ANNEAL_T_COLD, sweeps):
         start = labels.copy()
         orders = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-        noise = np.stack([rng.gumbel(size=(n, k)) for rng in rngs])
+        noise = _gumbel(np.stack([rng.random((n, k)) for rng in rngs]))
         for lo in range(0, n, batch):
             X = orders[:, lo:lo + batch]
             s, a = scores(X, every)
-            c = np.argmax(s / T + noise[:, lo:lo + batch], axis=2)
+            hot = s / T
+            hot += noise[:, lo:lo + batch]
+            c = np.argmax(hot, axis=2)
             go = c != a
             if go.any():
                 row = go.nonzero()[0]

@@ -238,6 +238,12 @@ class TestSampling:
     def test_draw_memory_is_linear_in_edges(self, p, bound_mib):
         assert traced_peak_mib(sample_gnp, 4000, p, 3) < bound_mib
 
+    def test_draw_memory_per_vertex(self):
+        # one edge at n = 10^6, so the peak is the build's n-long int64
+        # arrays: 46.4 MiB for its six, 61.7 MiB when degrees and end were
+        # new arrays beside n_lo and n_hi
+        assert traced_peak_mib(sample_gnp, 10**6, 1e-12, 1) <= 50
+
     def test_graph_holds_one_copy_of_its_edges(self):
         # 800k edges: the graph holds 13.0 MiB, 12.2 of them its 1.6M CSR
         # indices; with a stored (m, 2) edge array as well it held 25.2 MiB

@@ -5,7 +5,7 @@ its block ends.  On one sweep trial, each restart's record must hold
 the cut that _single_local_search returns, the gain-matrix builds a
 _swap_gains spy counts and the swaps oracles.local_search_matrix makes,
 and the annealing record the schedule and the quench rounds read from
-the permutations and noise each run draws.
+the permutations and noise uniforms each run draws.
 """
 
 import numpy as np
@@ -25,8 +25,9 @@ N, D, SEED, RESTARTS = 200, 8.0, 1, 3
 
 class CountingRng:
     """A generator whose draws are logged: annealing draws one
-    permutation per sweep and per quench round, and one Gumbel (n, k)
-    noise block per sweep."""
+    permutation per sweep and per quench round, and one (n, k) block of
+    uniforms per sweep, which it turns into Gumbel noise itself.  It has
+    no gumbel method, so a return to rng.gumbel fails here."""
 
     def __init__(self, rng):
         self.rng, self.permutations, self.noise = rng, 0, []
@@ -38,9 +39,9 @@ class CountingRng:
         self.permutations += 1
         return self.rng.permutation(n)
 
-    def gumbel(self, size):
+    def random(self, size):
         self.noise.append(size)
-        return self.rng.gumbel(size=size)
+        return self.rng.random(size)
 
 
 def sweep_stdout(capsys, sink=None) -> str:
@@ -130,7 +131,7 @@ def test_anneal_record_matches_the_draws(trial, runs):
     for rng, rounds, hot, fallbacks in zip(rngs, record["quench_rounds"],
                                           record["hot_moves"], record["fallbacks"]):
         assert rng.permutations == sweeps + rounds
-        assert rng.noise == [(G.n, k)] * sweeps
+        assert rng.noise == [(G.n, k)] * sweeps  # one block of uniforms a sweep
         assert 0 <= hot <= G.n and 0 <= fallbacks
     assert len(record["quench_rounds"]) == len(record["hot_moves"]) == runs
 
