@@ -158,9 +158,9 @@ def test_noise_is_rng_gumbel_of_the_same_uniforms(seed):
     """On 10^6 draws the annealer's noise lies within 2 units in the last
     place of max(|value|, 1) of what rng.gumbel draws from the same seed.
     Below 1 the bound is absolute: the vectorised log may round the inner
-    log(1 - u) one unit away from libm's, which moves the outer log by
-    about 2^-53 whatever its size, so near 0 by up to 1023 of the value's
-    own units (measured at seeds 2 and 12345)."""
+    log(1 - u) one unit away from libm's, which moves the outer log by up
+    to 2^-52 whatever its size, so near 0 by up to 1023 of the value's own
+    units (measured at seeds 2 and 12345)."""
     want = generator(seed).gumbel(size=10**6)
     got = modularity._gumbel(generator(seed).random(10**6))
     large = np.abs(want) >= 1
