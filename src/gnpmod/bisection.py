@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import modularity, trace
-from .errors import CapExceeded, ValidationError, require_reals
-from .graph import (Graph, _frozen, _inner_degrees, bit_reversal, check_subset,
+from .errors import CapExceeded, ValidationError, require_ints, require_reals
+from .graph import (Graph, _frozen, _inner_degrees, _neighbours, bit_reversal, check_subset,
                     edge_counts, neighbour_masks, subset_edges, subset_volumes)
 from .modularity import ModularityResult, Partition, score_edge_form
 from .rng import generator, trial_seed
@@ -136,14 +136,10 @@ def _swap_gains(G: Graph, cand_a: np.ndarray, Da: np.ndarray, cand_b: np.ndarray
     (Da, Db: their D values), with the adjacent pairs found from the CSR
     rows of cand_a.  cand_b must be ascending."""
     gain = Da[:, None] + Db[None, :]
-    starts = G.indptr[cand_a]
-    counts = G.indptr[cand_a + 1] - starts
-    # positions of every neighbour of every candidate a, row after row
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbrs = G.indices[np.repeat(starts, counts) + offsets]
+    nbrs = _neighbours(G, cand_a)
     cols = np.minimum(np.searchsorted(cand_b, nbrs), len(cand_b) - 1)
     hit = cand_b[cols] == nbrs
-    gain[np.repeat(np.arange(len(cand_a)), counts)[hit], cols[hit]] -= 2
+    gain[np.repeat(np.arange(len(cand_a)), G.degrees[cand_a])[hit], cols[hit]] -= 2
     return gain
 
 
@@ -217,8 +213,7 @@ def local_search_bisection(G: Graph, seed: int = 0, restarts: int = 10) -> Bisec
     minimum, so parallel restart order cannot change the result; the
     bytes of ~S order equal cuts by the first vertex in one S only.
     """
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
+    (restarts,) = require_ints(1, restarts=restarts)
     if G.n < 2:
         raise ValidationError("bisection needs n >= 2")
     with trace.stage("bisection") as record:

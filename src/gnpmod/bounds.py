@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, require_reals
+from .errors import ValidationError, require_ints, require_reals
 
 SQRT2 = math.sqrt(2.0)
 UPPER_MAIN_COEFF = (3.0 + 2.0 * SQRT2) / 2.0        # ~2.9142135
@@ -81,8 +81,7 @@ class BoundReport:
 
 def bound_report(n: int, d: float, C: float = C_MIN_MAIN) -> BoundReport:
     """Evaluate every closed-form bound at (n, d, C) and flag validity."""
-    if n < 1:
-        raise ValidationError(f"n={n} must be a positive integer")
+    (n,) = require_ints(1, n=n)
     if not (0.0 < d < n):
         raise ValidationError(f"d={d} must lie in (0, n)")
     require_reals(C=C)

@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__, bisection, bounds, concentration, modularity, spectral
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, ValidationError, require_ints
 from .graph import Graph, read_edge_list, sample_gnp, write_edge_list
 from .rng import trial_seed
 
@@ -234,10 +234,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"sweep d={d} must lie in (0, n)")
         if d in ds[:i]:
             raise ValidationError(f"sweep --d lists d={d} twice")
-    if args.trials < 1:
-        raise ValidationError("--trials must be >= 1")
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be >= 1")
+    require_ints(1, **{"--trials": args.trials, "--jobs": args.jobs})
     jobs = min(args.jobs, os.cpu_count() or 1)
     tasks = []
     for di, d in enumerate(ds):

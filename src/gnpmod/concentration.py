@@ -32,7 +32,7 @@ import numpy as np
 
 from . import modularity
 from .bounds import C_MIN_MAIN, LN2_PLUS_001
-from .errors import CapExceeded, ValidationError, require_reals, require_scalars
+from .errors import CapExceeded, ValidationError, require_ints, require_reals, require_scalars
 from .graph import Graph, subset_edges
 from .rng import generator, trial_seed
 
@@ -366,8 +366,7 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
     require_reals(C=C, d=d)
     if strategy not in ("uniform", "stratified"):
         raise ValidationError(f"unknown sampling strategy {strategy!r}")
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    (trials,) = require_ints(1, trials=trials)
     n = G.n
     edges = G.edges  # a property that builds the (m, 2) array on each read
     u, v = edges[:, 0] - 1, edges[:, 1] - 1

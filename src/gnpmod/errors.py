@@ -1,4 +1,8 @@
-"""Exceptions shared across the package, and the check of real arguments."""
+"""Exceptions shared across the package, and the checks of real and
+integer arguments.  Integer arguments, counts and seeds alike, accept Python
+and numpy integers, as int, and raise ValidationError for anything else."""
+
+import operator
 
 import numpy as np
 
@@ -38,3 +42,20 @@ def require_scalars(zero_ok: bool = False, **values) -> list[float]:
         if np.ndim(val) != 0:
             raise ValidationError(f"{name}={val!r} must be a single number")
     return [float(a) for a in require_reals(zero_ok, **values)]
+
+
+def require_ints(low: int | None = None, **values) -> list[int]:
+    """Each value as an int, through operator.index, so Python and numpy
+    integers pass; ValidationError names the first that is not an
+    integer, or is below `low` when that is given."""
+    out = []
+    for name, val in values.items():
+        try:
+            i = operator.index(val)
+        except TypeError:
+            i = None
+        if i is None or (low is not None and i < low):
+            raise ValidationError(
+                f"{name}={val!r} must be an integer{'' if low is None else f' >= {low}'}")
+        out.append(i)
+    return out

@@ -47,7 +47,7 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import trace
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, ValidationError, require_ints
 from .rng import generator
 
 # Largest expected edge count p n(n-1)/2 that sample_gnp draws.  The draw
@@ -131,11 +131,12 @@ def _row_slices(indptr: np.ndarray, per_row: int = 0):
         r0 = r1
 
 
-def _check_vertex_count(n: int) -> None:
-    if n < 1:
-        raise ValidationError(f"n={n} must be a positive integer")
+def _check_vertex_count(n: int) -> int:
+    """n as an int, refused unless an integer in 1..MAX_VERTICES."""
+    (n,) = require_ints(1, n=n)
     if n > MAX_VERTICES:
         raise CapExceeded("graph vertex count n", n, MAX_VERTICES)
+    return n
 
 
 class Graph:
@@ -146,7 +147,7 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        _check_vertex_count(n)
+        n = _check_vertex_count(n)
         pairs = _pair_array(edges)
         buf = np.empty(2 * len(pairs), dtype=np.int64)
         rs = _row_starts(n)
@@ -304,7 +305,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     More than MAX_EXPECTED_EDGES expected edges raise CapExceeded before
     anything is allocated.
     """
-    _check_vertex_count(n)
+    n = _check_vertex_count(n)
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"p={p} must lie in [0,1]")
     npairs = n * (n - 1) // 2
@@ -348,7 +349,8 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 def degree(G: Graph, v: int) -> int:
     """deg(v) = number of edges containing v."""
-    if not (1 <= v <= G.n):
+    (v,) = require_ints(1, vertex=v)
+    if v > G.n:
         raise ValidationError(f"vertex {v} out of range 1..{G.n}")
     return int(G.degrees[v - 1])
 
@@ -479,6 +481,17 @@ def _inner_degrees(G: Graph, labels: np.ndarray) -> np.ndarray:
         np.cumsum(same, out=count[1:])
         inner[r0:r1] = np.diff(count[G.indptr[r0:r1 + 1] - s])
     return inner
+
+
+def _neighbours(G: Graph, X: np.ndarray) -> np.ndarray:
+    """The neighbours of the replica vertices X, those of X[0] first: x = r n
+    + v - 1 stands for vertex v of replica r, and so do its neighbours; a
+    plain 0-indexed vertex is one of replica 0."""
+    v = X % G.n
+    count = G.degrees[v]
+    start = G.indptr[v] - np.cumsum(count) + count
+    return (G.indices[np.repeat(start, count) + np.arange(count.sum())]
+            + np.repeat(X - v, count))
 
 
 def write_edge_list(G: Graph, out: TextIO) -> None:

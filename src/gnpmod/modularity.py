@@ -48,9 +48,9 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from . import trace
-from .errors import CapExceeded, ValidationError
-from .graph import (Graph, _inner_degrees, _parse_ints, _row_slices, bit_reversal,
-                    component_roots, subset_edges, subset_volumes)
+from .errors import CapExceeded, ValidationError, require_ints
+from .graph import (Graph, _inner_degrees, _neighbours, _parse_ints, _row_slices,
+                    bit_reversal, component_roots, subset_edges, subset_volumes)
 from .rng import generator, trial_seed
 
 # exact_modularity refuses n above this.  The DP's 3^n/2 candidate
@@ -124,6 +124,7 @@ class Partition:
     def of(cls, blocks: Iterable[Iterable[int]], n: int) -> "Partition":
         """Partition from its blocks, which must be nonempty, disjoint,
         free of repeated members and cover 1..n."""
+        (n,) = require_ints(1, n=n)
         lab = np.full(n, -1, dtype=np.int64)
         for i, block in enumerate(blocks):
             members = list(block)
@@ -287,17 +288,6 @@ def score_components(G: Graph) -> ModularityResult:
 # Heuristic maximization: heat-bath annealing of k labels, then a quench.
 
 
-def _neighbours(G: Graph, X: np.ndarray) -> np.ndarray:
-    """The neighbours of the replica vertices X, those of X[0] first: x =
-    r n + v - 1 stands for vertex v of replica r, and so do its
-    neighbours."""
-    v = X % G.n
-    count = G.degrees[v]
-    start = G.indptr[v] - np.cumsum(count) + count
-    return (G.indices[np.repeat(start, count) + np.arange(count.sum())]
-            + np.repeat(X - v, count))
-
-
 def _gumbel(u: np.ndarray) -> np.ndarray:
     """Standard Gumbel noise from the uniforms u in [0, 1), in place:
     numpy's own transform -log(-log(1 - u)), the one rng.gumbel applies to
@@ -380,18 +370,16 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
         s.reshape(-1)[cells[:a.size] + a.reshape(-1)] += twice_deg_sq[X].reshape(-1)
         return s, a
 
-    def shift(table, row, X, a, c, w):
-        """Move the replica vertices X, whose vol rows in `table` are `row`,
-        from labels a to c there; and in K and labels too unless w, their
-        _neighbours, is None."""
+    def shift(row, X, a, c, w):
+        """Move the replica vertices X, whose vol rows are `row` and whose
+        _neighbours are w, from labels a to c in vol, K and labels."""
         d = deg[X]
-        np.subtract.at(table, (row, a), d)
-        np.add.at(table, (row, c), d)
-        if w is not None:
-            wk = w * k
-            np.subtract.at(flat, wk + np.repeat(a, d), 1)
-            np.add.at(flat, wk + np.repeat(c, d), 1)
-            labels[X] = c
+        np.subtract.at(vol, (row, a), d)
+        np.add.at(vol, (row, c), d)
+        wk = w * k
+        np.subtract.at(flat, wk + np.repeat(a, d), 1)
+        np.add.at(flat, wk + np.repeat(c, d), 1)
+        labels[X] = c
 
     def joint_gains(rep, row, X, a, c, w) -> list[int]:
         """For each replica of `rep`, the exact change of its numerator
@@ -409,15 +397,17 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
         in_batch[X] = False
         before = vol[rep]
         after = before.copy()
-        shift(after, row, X, a, c, None)
+        np.subtract.at(after, (row, a), d)
+        np.add.at(after, (row, c), d)
         return [2 * m * int(t) - y + z for t, y, z in
                 zip(twice_e_in, (after * after).sum(1).tolist(),
                     (before * before).sum(1).tolist())]
 
     every = np.arange(R)
     offsets = every[:, None] * n
-    for T in 4 * m * np.geomspace(ANNEAL_T_HOT, ANNEAL_T_COLD, sweeps):
-        start = labels.copy()
+    for sweep, T in enumerate(4 * m * np.geomspace(ANNEAL_T_HOT, ANNEAL_T_COLD, sweeps), 1):
+        if sweep == sweeps:  # hot_moves counts the moves of the last sweep
+            start = labels.copy()
         orders = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         noise = _gumbel(np.stack([rng.random((n, k)) for rng in rngs]))
         for lo in range(0, n, batch):
@@ -429,7 +419,7 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
             go = c != a
             if go.any():
                 row = go.nonzero()[0]
-                shift(vol, row, X[go], a[go], c[go], _neighbours(G, X[go]))
+                shift(row, X[go], a[go], c[go], _neighbours(G, X[go]))
     hot_moves = np.count_nonzero((labels != start).reshape(R, n), axis=1)
     rounds, fallbacks = np.zeros(R, dtype=np.int64), np.zeros(R, dtype=np.int64)
     live = every
@@ -456,7 +446,7 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
                 fallbacks[live[bad]] += 1
                 row = go.nonzero()[0]
                 w = _neighbours(G, X[go])
-            shift(vol, live[row], X[go], a[go], c[go], w)
+            shift(live[row], X[go], a[go], c[go], w)
             moved[row] = True
         live = live[moved]
     run.update(k=k, sweeps=sweeps, batch=batch, hot_moves=hot_moves.tolist(),
@@ -473,8 +463,7 @@ def heuristic_modularity(G: Graph, seed: int = 0, budget: int = 3) -> Modularity
     never exceeds the true modularity.  On a graph without edges every
     candidate scores 0 and the trivial partition is returned.
     """
-    if budget < 1:
-        raise ValidationError("budget (annealing runs) must be >= 1")
+    (budget,) = require_ints(1, budget=budget)
     if G.m > SCORE_M_CAP:
         raise CapExceeded("score edge count m", G.m, SCORE_M_CAP)
     with trace.stage("heuristic") as record:

@@ -412,6 +412,9 @@ class TestErrorChannel:
         ({"g.txt": "3 -1\n"}, ["mod-heuristic", "--graph", "g.txt"], "m=-1"),
         ({}, ["sweep", "--n", "50", "--d", "5,5", "--trials", "1"], "d=5.0 twice"),
         ({}, ["sweep", "--n", "50", "--d", "3,5,5.0", "--trials", "1"], "d=5.0 twice"),
+        ({}, ["sweep", "--n", "50", "--d", "5", "--trials", "0"], "--trials=0 must be"),
+        ({}, ["sweep", "--n", "50", "--d", "5", "--trials", "1", "--jobs", "0"],
+         "--jobs=0 must be"),
         ({}, ["chernoff", "--mu", "1", "--t", "nan"], "--t"),
         ({}, ["chernoff", "--mu", "inf", "--t", "1"], "--mu"),
         ({}, ["chernoff", "--mu", "1e308", "--t", "1e308"], "mu=1e+308, t=1e+308 overflow"),
@@ -447,6 +450,7 @@ class TestErrorChannel:
             "config-flag-not-bool", "mod-exact-cap-removed", "spectral-cap-removed",
             "bisect-cap-removed", "config-cap-removed", "flag-not-taken", "restarts-below-1",
             "negative-edge-count", "sweep-repeated-d", "sweep-repeated-d-spelled-apart",
+            "sweep-trials-below-1", "sweep-jobs-below-1",
             "t-nan", "mu-inf", "chernoff-overflow", "chernoff-t-over-mu-overflow", "appendix-step-removed", "p-nan",
             "C-inf", "bounds-C-negative", "sweep-d-nan", "config-t-nan",
             "config-appendix-step-removed", "config-sweep-d-nan",
