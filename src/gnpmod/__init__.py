@@ -19,7 +19,7 @@ from .modularity import (ModularityResult, Partition, exact_modularity,
                          heuristic_modularity, read_partition,
                          score_components, score_definition, score_edge_form,
                          write_partition)
-from .rng import generator, splitmix64, trial_seed
+from .rng import generator, trial_seed
 from .spectral import SpectrumResult, normalized_laplacian, spectral_gap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

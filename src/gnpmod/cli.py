@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__, bisection, bounds, concentration, modularity, spectral
-from .errors import CapExceeded, ValidationError, require_ints
+from .errors import CapExceeded, ValidationError, require_ints, require_reals
 from .graph import Graph, read_edge_list, sample_gnp, write_edge_list
 from .rng import trial_seed
 
@@ -234,7 +234,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"sweep d={d} must lie in (0, n)")
         if d in ds[:i]:
             raise ValidationError(f"sweep --d lists d={d} twice")
-    require_ints(1, **{"--trials": args.trials, "--jobs": args.jobs})
     jobs = min(args.jobs, os.cpu_count() or 1)
     tasks = []
     for di, d in enumerate(ds):
@@ -398,9 +397,19 @@ def _parse(argv: list[str]) -> argparse.Namespace:
         raise ValidationError(f"{exc} (in config file {args.config})") from exc
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse, before any work, a count below 1 or a C that is not > 0,
+    among the options the subcommand declares."""
+    require_ints(1, **{f"--{k}": getattr(args, k)
+                       for k in ("trials", "restarts", "jobs") if hasattr(args, k)})
+    if hasattr(args, "C"):
+        require_reals(**{"--C": args.C})
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
+        _check_counts(args)
         return _COMMANDS[args.subcommand][0](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ chunk of subsets is added with four bincounts, and the small, middle and
 large regime rows are read off the table.  The exhaustive check feeds
 it every nonempty proper subset, modularity.EXACT_CELLS masks at a
 time, up to the fixed ceiling n = EXHAUSTIVE_CAP; the sampled check
-feeds it one batch of SAMPLE_BATCH random subsets at a time.
+feeds it one batch of SAMPLE_BATCH random subsets at a time, and counts
+their e(S) over graph.CSR_SLICE edges at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import modularity
 from .bounds import C_MIN_MAIN, LN2_PLUS_001
 from .errors import CapExceeded, ValidationError, require_ints, require_reals, require_scalars
-from .graph import Graph, subset_edges
+from .graph import CSR_SLICE, Graph, subset_edges
 from .rng import generator, trial_seed
 
 EXHAUSTIVE_CAP = 24
@@ -383,10 +384,15 @@ def check_lemma32_events_sampled(G: Graph, C: float, d: float, trials: int,
             member = np.zeros((b, n), dtype=bool)
             for i in range(b):
                 member[i, rng.choice(n, size=int(kb[i]), replace=False)] = True
-        # one row per vertex, so each edge gathers two contiguous rows;
-        # vol(S) = 2 e(S) + e(S,Sbar), and the int64 product is exact
+        # one row per vertex, so each edge gathers two contiguous rows, a
+        # slice of CSR_SLICE edges at a time; vol(S) = 2 e(S) + e(S,Sbar),
+        # and the int64 sums are exact
         rows = np.ascontiguousarray(member.T)
-        e_in = (rows[u] & rows[v]).sum(axis=0)
+        e_in = np.zeros(b, dtype=np.int64)
+        for i0 in range(0, len(u), CSR_SLICE):
+            both = rows[u[i0:i0 + CSR_SLICE]]
+            both &= rows[v[i0:i0 + CSR_SLICE]]
+            e_in += both.sum(axis=0)
         tally.add(kb, e_in, member @ G.degrees - 2 * e_in)
     return EventCheckResult(n=n, d=d, C=C, mode=f"sampled/{strategy}",
                             regimes=tally.regimes())

@@ -294,14 +294,14 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     edge is pair g_1 - 1 and each next one lies g_i pairs past the last,
     g_1, g_2, ... being the seed's stream of rng.geometric(p) draws; the
     draw ends at the first index >= n(n-1)/2.  The gaps are drawn in
-    chunks of the expected count of the edges still to come plus four of
-    its standard deviations and 16, at most SAMPLE_CHUNK and at most the
-    pairs left, which leaves the stream, and so the graph, unchanged.
-    Each chunk's gaps are clipped to n(n-1)/2 + 1, which reaches past the
-    last pair from anywhere (numpy's geometric saturates at 2^63 - 1 for
-    p below about 1e-18), and summed in place into one int64 buffer with
-    room for twice _edge_capacity indices, in which Graph._build then
-    lays out the CSR.
+    chunks that fill the buffer's free room, at most SAMPLE_CHUNK at a
+    time; the stream is read in order, so the chunking leaves the graph
+    unchanged.  Each chunk's gaps are clipped to n(n-1)/2 + 1, which
+    reaches past the last pair from anywhere (numpy's geometric
+    saturates at 2^63 - 1 for p below about 1e-18), and summed in place
+    into one int64 buffer.  Room for _edge_capacity indices is doubled,
+    at most to n(n-1)/2, whenever it fills; the buffer holds twice the
+    room, in which Graph._build then lays out the CSR.
     More than MAX_EXPECTED_EDGES expected edges raise CapExceeded before
     anything is allocated.
     """
@@ -321,15 +321,13 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
             buf = np.empty(2 * cap, dtype=np.int64)
             m, last = 0, -1
             while last < npairs - 1:
-                mean = p * (npairs - 1 - last)
-                size = min(SAMPLE_CHUNK, math.ceil(mean + 4 * math.sqrt(mean)) + 16,
-                           npairs - 1 - last)
-                if m + size > cap:
-                    cap = min(npairs, max(2 * cap, m + size))
+                if m == cap:
+                    cap = min(npairs, 2 * cap)
                     grown = np.empty(2 * cap, dtype=np.int64)
                     grown[:m] = buf[:m]
                     buf = grown
-                chunk = buf[m:m + size]
+                chunk = buf[m:min(cap, m + SAMPLE_CHUNK)]
+                size = len(chunk)
                 np.minimum(rng.geometric(p, size), npairs + 1, out=chunk)
                 chunk[0] += last
                 np.cumsum(chunk, out=chunk)

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end checks, one printed verdict line each.
+"""Acceptance gate: thirteen end-to-end checks, one printed verdict line each.
 
 Each check records an "[acceptance NN] PASS/FAIL ..." line; the
 scoreboard is printed after the summary (see conftest) so a plain
@@ -15,7 +15,8 @@ import numpy as np
 from gnpmod.bisection import (error_decomposition, exact_min_bisection,
                               bisection_modularity_certificate,
                               local_search_bisection)
-from gnpmod.bounds import SUPREMUM_VALUE, asymptotic_constants, supremum_check
+from gnpmod.bounds import (P_STAR, SUPREMUM_VALUE, UPPER_MAIN_COEFF,
+                          asymptotic_constants, supremum_check)
 from gnpmod.cli import main as cli_main
 from gnpmod.concentration import (chernoff_lower, chernoff_upper,
                                   check_lemma32_events_sampled, verify_appendix)
@@ -281,3 +282,26 @@ def test_c12_csv_replay_determinism(capsys, tmp_path):
     report(12, ok,
            f"sweep replay: full run byte-identical, all {len(rows)} rows "
            "reproduced from their seed column")
+
+
+def test_c13_north_star_corridor():
+    """The production scores at the north star's size, G(10^5, d = 25):
+    P* <= heur*sqrt(d) <= the paper's upper coefficient, and the
+    certificate below the heuristic, each equal to its partition's score."""
+    t0 = time.perf_counter()
+    n, d = 100_000, 25
+    rd = math.sqrt(d)
+    ok = True
+    details = []
+    for seed in (1, 2):
+        G = sample_gnp(n, d / n, seed)
+        h = heuristic_modularity(G, seed=seed, budget=1)
+        c = bisection_modularity_certificate(G, seed=seed, restarts=1)
+        ok = (ok and P_STAR <= h.score * rd <= UPPER_MAIN_COEFF and c.score <= h.score
+              and h.score == score_definition(G, h.partition)
+              and c.score == score_definition(G, c.partition))
+        details.append(f"seed={seed}: heur*sqrt(d)={h.score * rd:.3f} "
+                       f"cert*sqrt(d)={c.score * rd:.3f}")
+    el = time.perf_counter() - t0
+    report(13, ok and el <= 60.0,
+           f"north-star corridor n={n}, d={d}; " + "; ".join(details) + f", {el:.0f}s")

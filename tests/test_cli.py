@@ -408,7 +408,7 @@ class TestErrorChannel:
          "'cap'"),
         ({}, ["bounds", "--n", "100", "--d", "9", "--jobs", "2"], "--jobs"),
         ({"g.txt": GRAPH}, ["mod-heuristic", "--graph", "g.txt", "--restarts", "-2"],
-         "budget"),
+         "--restarts=-2"),
         ({"g.txt": "3 -1\n"}, ["mod-heuristic", "--graph", "g.txt"], "m=-1"),
         ({}, ["sweep", "--n", "50", "--d", "5,5", "--trials", "1"], "d=5.0 twice"),
         ({}, ["sweep", "--n", "50", "--d", "3,5,5.0", "--trials", "1"], "d=5.0 twice"),
@@ -467,6 +467,27 @@ class TestErrorChannel:
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sweep", "--n", "60", "--d", "5", "--restarts", "0"], "--restarts=0"),
+        (["certificate", "--n", "60", "--d", "5", "--restarts", "0"], "--restarts=0"),
+        (["bisect", "--n", "60", "--d", "5", "--restarts", "0"], "--restarts=0"),
+        (["mod-heuristic", "--n", "60", "--d", "5", "--restarts", "0"], "--restarts=0"),
+        (["events", "--n", "60", "--d", "5", "--trials", "0"], "--trials=0"),
+        (["events", "--n", "60", "--d", "5", "--C", "-1"], "--C=-1.0"),
+    ], ids=["sweep-restarts", "certificate-restarts", "bisect-restarts",
+            "mod-heuristic-restarts", "events-trials", "events-C"])
+    def test_bad_count_exits_2_before_sampling(self, capsys, monkeypatch, argv, named):
+        """A count below 1 or a C not > 0 is refused before the graph is
+        drawn."""
+        draws = []
+        monkeypatch.setattr(cli, "sample_gnp", lambda *a: draws.append(a) or sample_gnp(*a))
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert named in captured.err
+        assert captured.out == ""
+        assert draws == []
 
     @pytest.mark.parametrize("graph, argv, named", [
         ("40 1\n1 2\n", ["mod-exact"], "exact_modularity n=40 exceeds cap 20"),

@@ -484,3 +484,15 @@ class TestEventMemory:
 
         _, peak = _traced_peak(refused)
         assert peak < 1 << 20
+
+    def test_sampled_batch_peak_does_not_grow_with_m(self):
+        """One batch of SAMPLE_BATCH subsets counts e(S) a slice of edges at
+        a time, so doubling m at d = 25 adds far less than the batch's
+        m x SAMPLE_BATCH gathers would."""
+        peaks = []
+        for n in (8000, 16000):
+            G = sample_gnp(n, 25 / n, 1)
+            _, peak = _traced_peak(check_lemma32_events_sampled, G, 1.999, 25.0,
+                                   concentration.SAMPLE_BATCH, 3)
+            peaks.append(peak)
+        assert peaks[1] < 1.25 * peaks[0]

@@ -21,7 +21,7 @@ PUBLIC_API = [
     "modularity", "normalized_laplacian", "phi", "read_edge_list",
     "read_partition", "rng", "sample_gnp", "score_components",
     "score_definition", "score_edge_form", "spectral", "spectral_gap",
-    "splitmix64", "supremum_check", "trace", "trial_seed", "verify_appendix",
+    "supremum_check", "trace", "trial_seed", "verify_appendix",
     "write_edge_list", "write_partition",
 ]
 
