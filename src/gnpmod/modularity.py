@@ -27,7 +27,10 @@ within 10 m d_v < 10 m n: below 2^58, inside int64, for every m <=
 SCORE_M_CAP and n <= graph.MAX_VERTICES.  Each sweep cuts
 a fresh permutation into batches, and a batch's moves are drawn at once
 by Gumbel-max over dN / T, so the n-vertex Python loop of a local-move
-heuristic becomes a few numpy calls per batch.  The noise is one n x k
+heuristic becomes a few numpy calls per batch.  A batch holds about
+8n / (mean degree) vertices, but at least n/16, so a dense graph is not
+cut into so many batches that their fixed calls outweigh the arithmetic.
+The noise is one n x k
 block of uniforms a sweep, turned in place into Gumbel variates by
 rng.gumbel's own transform (see _gumbel).  T falls geometrically
 over a fixed number of sweeps, so the run's cost follows n and m, not
@@ -80,10 +83,10 @@ ANNEAL_K = 6
 ANNEAL_SWEEPS_PER_BIT = 4
 # A batch holds about ANNEAL_BATCH_ENTRIES * n / (mean degree) vertices,
 # whose rows hold that many times n CSR entries: 1283 vertices at d = 25,
-# 80 at d = 400.  At 2 a d = 400 run took 0.58 s against 0.23 s.  At 32,
-# without the cap below, the d = 25 batch was the whole graph, whose
-# moves all at once oscillate: the quench fell back to single moves for
-# 3.6 s a run.
+# 80 at d = 400 (250 with the floor below).  At 2 a d = 400 run took
+# 0.58 s against 0.23 s.  At 32, without the cap below, the d = 25 batch
+# was the whole graph, whose moves all at once oscillate: the quench fell
+# back to single moves for 3.6 s a run.
 ANNEAL_BATCH_ENTRIES = 8
 # So a batch holds at most half the graph, unless the graph has at most
 # ANNEAL_BATCH_MIN vertices, which go in one batch: one sweep is then a
@@ -93,6 +96,17 @@ ANNEAL_BATCH_ENTRIES = 8
 # 1.75 s; half batches read 1.008 in 0.09 s (1.003 against 0.961 at
 # n = 1000, d = 4).
 ANNEAL_BATCH_MIN = 64
+# And at least ceil(n / ANNEAL_BATCH_SHARE) vertices, which binds only
+# above a mean degree of about ANNEAL_BATCH_ENTRIES * ANNEAL_BATCH_SHARE
+# = 128: at d = 400 a batch of 80 vertices paid more in its fixed numpy
+# calls than in arithmetic.  On G(4000, d = 400), seeds 1-4, the mean of
+# min-of-5 run times, q*sqrt(d) and quench rounds were, for no floor,
+# n/32, n/24, n/16, n/12 and n/8: 0.164 s, 0.166, 0.123, 0.116, 0.102,
+# 0.115; 0.8359, 0.8397, 0.8367, 0.8372, 0.8376, 0.8388; at most 26, 55,
+# 8, 14, 10, 33 rounds.  heuristic_modularity's traced peak on G(4000,
+# 0.1) grows with the batch: 1.89 MiB without a floor, 2.95 at n/16,
+# and 3.67 at n/12, over the 3 MiB the tests allow.
+ANNEAL_BATCH_SHARE = 16
 # T falls geometrically from ANNEAL_T_HOT * 4m to ANNEAL_T_COLD * 4m, 4m
 # being dN's worth of one edge.  A hot end of 0.5, 2, 8 read 0.953, 0.964,
 # 0.951 at d = 25; a cold end of 0.005, 0.02, 0.08 read 0.950, 0.964,
@@ -305,6 +319,16 @@ def _gumbel(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
+def _anneal_batch(n: int, m: int) -> int:
+    """Vertices per batch of the annealer's sweeps and quench on a graph of
+    n vertices and m >= 1 edges: about ANNEAL_BATCH_ENTRIES n / (mean
+    degree), but at least ceil(n / ANNEAL_BATCH_SHARE), at most half the
+    graph, and the whole graph up to ANNEAL_BATCH_MIN vertices."""
+    entries = round(ANNEAL_BATCH_ENTRIES * n * n / (2 * m))
+    return max(min(max(entries, -(-n // ANNEAL_BATCH_SHARE)), (n + 1) // 2),
+               min(n, ANNEAL_BATCH_MIN))
+
+
 def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     """One annealing run per generator in `rngs`, side by side, on a
     graph with edges: an (R, n) array of labels, row r drawn from
@@ -319,8 +343,9 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     dN = 4m (K[x,c] - K[x,a]) - 2 d_x (vol_c - vol_a + d_x); dropping the
     terms that do not depend on c, x scores s_c = 4m K[x,c] - 2 d_x vol_c,
     plus 2 d_x^2 at c = a, so dN = s_c - s_a.  Each sweep cuts a fresh
-    permutation per replica into batches of about
-    ANNEAL_BATCH_ENTRIES n / (mean degree) vertices.  A batch's moves are
+    permutation per replica into batches of _anneal_batch(n, m) vertices,
+    about ANNEAL_BATCH_ENTRIES n / (mean degree) but at least
+    n / ANNEAL_BATCH_SHARE.  A batch's moves are
     drawn at once from the current K and vol, by Gumbel-max over s / T,
     and applied together.  T falls geometrically from ANNEAL_T_HOT 4m to
     ANNEAL_T_COLD 4m over the sweeps.  Each sweep's noise is
@@ -352,8 +377,7 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     flat = K.reshape(-1)
     vol = np.zeros((R, k), dtype=np.int64)
     np.add.at(vol, (np.arange(R * n) // n, labels), deg)
-    batch = max(min(round(ANNEAL_BATCH_ENTRIES * n * n / (2 * m)), (n + 1) // 2),
-                min(n, ANNEAL_BATCH_MIN))
+    batch = _anneal_batch(n, m)
     sweeps = ANNEAL_SWEEPS_PER_BIT * n.bit_length()
     cells = np.arange(0, R * batch * k, k)
     twice_deg = 2 * deg

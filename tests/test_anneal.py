@@ -230,12 +230,54 @@ def test_corridor_batches_follow_the_mean_degree():
     assert record["quench_rounds"][0] <= 20
 
 
+def old_batch(n, m):
+    """The batch rule before the ANNEAL_BATCH_SHARE floor."""
+    return max(min(round(modularity.ANNEAL_BATCH_ENTRIES * n * n / (2 * m)), (n + 1) // 2),
+               min(n, modularity.ANNEAL_BATCH_MIN))
+
+
+@pytest.mark.parametrize("n", [2, 12, 64, 65, 129, 300, 1000, 1041, 4000, 10**5, 10**6])
+def test_batch_floor_binds_only_above_mean_degree_128(n):
+    """The floor of ceil(n / ANNEAL_BATCH_SHARE) vertices leaves the rule
+    as it was up to a mean degree of 128 n / (n + 8), where 8n / (mean
+    degree) is at least n/16 + 1/2; up to 128 it adds at most one vertex,
+    and above 128 the batch is the floor, or ANNEAL_BATCH_MIN vertices
+    where that is more."""
+    assert modularity.ANNEAL_BATCH_ENTRIES * modularity.ANNEAL_BATCH_SHARE == 128
+    pairs = n * (n - 1) // 2
+    means = [0.01, 0.5, 1, 5, 25, 100, 127, 127.5, 127.9, 128, 128.1, 129, 200, 400, 1000,
+             n - 1]
+    for m in sorted({min(pairs, max(1, round(d * n / 2))) for d in means}):
+        batch = modularity._anneal_batch(n, m)
+        if 2 * m * (n + 8) <= 128 * n * n:
+            assert batch == old_batch(n, m), m
+        elif 2 * m <= 128 * n:
+            assert 0 <= batch - old_batch(n, m) <= 1, m
+        else:
+            assert batch == max(-(-n // 16), min(n, modularity.ANNEAL_BATCH_MIN)), m
+            if n >= 1024:
+                assert batch == -(-n // 16), m
+
+
+def test_corridor_d400_batch_is_a_sixteenth_of_the_graph():
+    """On G(4000, p = 0.1) the floor sets the batch to 250 vertices (80
+    from the entries rule alone), and the quench still ends within a few
+    rounds (6 measured; 6, 6, 14 and 8 at graph seeds 1-4)."""
+    G = sample_gnp(4000, 0.1, 1)
+    record = {}
+    modularity._anneal_labels(G, [generator(trial_seed(1, 0))], record)
+    assert record["batch"] == 250
+    assert record["quench_rounds"][0] <= 20
+
+
 def test_memory_follows_n_k_and_the_slice():
     """On G(4000, p = 0.1), with 1.6 million CSR entries, one heuristic
-    call traced a 1.84 MiB peak beyond the graph: the n x k table and the
-    noise are 0.18 MiB each, and the sliced passes hold the rest.  A table
-    built from all CSR entries at once would add about 12 MiB per
-    temporary."""
+    call traced a 2.96 MiB peak beyond the graph: the n x k table and the
+    noise are 0.18 MiB each, and the sliced passes and a batch's
+    neighbour rows hold the rest.  The rows follow the batch: the peak was
+    1.89 MiB with 80-vertex batches, before the ANNEAL_BATCH_SHARE floor
+    made them 250.  A table built from all CSR entries at once would add
+    about 12 MiB per temporary."""
     G = sample_gnp(4000, 0.1, 1)
     tracemalloc.start()
     try:
@@ -255,8 +297,8 @@ def test_memory_follows_n_k_and_the_slice():
 CORRIDOR_HEURISTICS = {
     25: ("4277980b207f7d5cc29671c8967130931c21b1d0f6cf0b185d3491390292ca96",
          0.19187080498365397),
-    400: ("c3dbff31d625b00bfdb2ba6eef6de363f274564031a15aa644e8d5376b0f6341",
-          0.0418673778602597),
+    400: ("1e0ee0a5a709ec4c02d5ac4c07731be566b4b7b4205e494cfa7a8cbbceb3661e",
+          0.04188100042975363),
 }
 
 

@@ -305,6 +305,22 @@ class TestEdgeCounts:
             cross = G.m - k_in - e_in[full ^ mask]
             assert vol[mask] == 2 * k_in + cross
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_popcount_layers_match_the_per_vertex_build(self, monkeypatch, k):
+        """Layers below SUBSET_LAYER_INPLACE masks are one popcount call;
+        the table equals the one built in place a vertex at a time in
+        every layer, and e(S) counted edge by edge, also for a window of
+        the vertices."""
+        G = sample_gnp(k + 2, 0.4, k)
+        popcount = subset_edges(G, 1, k + 1)
+        monkeypatch.setattr(graph, "SUBSET_LAYER_INPLACE", 1)
+        assert np.array_equal(popcount, subset_edges(G, 1, k + 1))
+        masks = np.arange(1 << k)
+        inside = [(masks >> (u - 2) & 1) & (masks >> (v - 2) & 1)
+                  for u, v in G.edges.tolist() if 2 <= u and v <= k + 1]
+        assert np.array_equal(popcount, np.sum(inside, axis=0, dtype=np.int64)
+                              if inside else np.zeros(1 << k, dtype=np.int64))
+
     @given(small_graphs(), st.data())
     def test_invariants(self, G, data):
         members = data.draw(st.sets(st.integers(1, G.n)))
