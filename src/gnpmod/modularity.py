@@ -30,14 +30,13 @@ by Gumbel-max over dN / T, so the n-vertex Python loop of a local-move
 heuristic becomes a few numpy calls per batch.  A batch holds about
 8n / (mean degree) vertices, but at least n/16, so a dense graph is not
 cut into so many batches that their fixed calls outweigh the arithmetic.
-The noise is one n x k
-block of uniforms a sweep, turned in place into Gumbel variates by
-rng.gumbel's own transform (see _gumbel).  T falls geometrically
-over a fixed number of sweeps, so the run's cost follows n and m, not
-the graph's structure.  A zero-temperature quench then applies a batch's
-improving moves together only if they raise the exact numerator
-jointly, and its single best move otherwise, so each quench step raises
-an integer below 4m^2 and the quench ends.  The `budget` runs of one
+The noise is one n x k block of uniforms a sweep, turned in place into
+Gumbel variates by rng.gumbel's own transform (see _gumbel).  T falls
+geometrically over a fixed number of sweeps, so the run's cost follows
+n and m, not the graph's structure.  A zero-temperature quench then
+applies a batch's improving moves together only if they raise the exact
+numerator jointly, and its single best move otherwise, so each quench
+step raises an integer below 4m^2 and the quench ends.  The `budget` runs of one
 call are replicas of the graph in one table, so each numpy call serves
 every run; run r draws from its own generator only, so its labels are
 those it would reach alone.
@@ -343,18 +342,16 @@ def _anneal_labels(G: Graph, rngs: list, run: dict) -> np.ndarray:
     dN = 4m (K[x,c] - K[x,a]) - 2 d_x (vol_c - vol_a + d_x); dropping the
     terms that do not depend on c, x scores s_c = 4m K[x,c] - 2 d_x vol_c,
     plus 2 d_x^2 at c = a, so dN = s_c - s_a.  Each sweep cuts a fresh
-    permutation per replica into batches of _anneal_batch(n, m) vertices,
-    about ANNEAL_BATCH_ENTRIES n / (mean degree) but at least
-    n / ANNEAL_BATCH_SHARE.  A batch's moves are
-    drawn at once from the current K and vol, by Gumbel-max over s / T,
-    and applied together.  T falls geometrically from ANNEAL_T_HOT 4m to
-    ANNEAL_T_COLD 4m over the sweeps.  Each sweep's noise is
-    rng.random((n, k)) from each run's generator, turned into Gumbel
-    variates in place by _gumbel: the stream and formula of rng.gumbel,
-    but for the last bit of the log's rounding.  A uniform of 0, which
-    rng.gumbel would draw again, gives +inf noise; that can only pick its
-    label, and every score stays exact, since s is an integer and the
-    labels are scored afresh.
+    permutation per replica into batches of _anneal_batch(n, m) vertices.
+    A batch's moves are drawn at once from the current K and vol, by
+    Gumbel-max over s / T, and applied together.  T falls geometrically
+    from ANNEAL_T_HOT 4m to ANNEAL_T_COLD 4m over the sweeps.  Each
+    sweep's noise is rng.random((n, k)) from each run's generator, turned
+    into Gumbel variates in place by _gumbel: the stream and formula of
+    rng.gumbel, but for the last bit of the log's rounding.  A uniform of
+    0, which rng.gumbel would draw again, gives +inf noise; that can only
+    pick its label, and every score stays exact, since s is an integer and
+    the labels are scored afresh.
 
     The quench that follows moves each vertex of a batch to its best
     label if that has dN > 0.  A replica's moves in a batch are applied

@@ -274,10 +274,9 @@ def test_memory_follows_n_k_and_the_slice():
     """On G(4000, p = 0.1), with 1.6 million CSR entries, one heuristic
     call traced a 2.96 MiB peak beyond the graph: the n x k table and the
     noise are 0.18 MiB each, and the sliced passes and a batch's
-    neighbour rows hold the rest.  The rows follow the batch: the peak was
-    1.89 MiB with 80-vertex batches, before the ANNEAL_BATCH_SHARE floor
-    made them 250.  A table built from all CSR entries at once would add
-    about 12 MiB per temporary."""
+    neighbour rows hold the rest.  The rows follow the batch: 250 vertices
+    here, and the peak was 1.89 MiB with 80.  A table built from all CSR
+    entries at once would add about 12 MiB per temporary."""
     G = sample_gnp(4000, 0.1, 1)
     tracemalloc.start()
     try:
